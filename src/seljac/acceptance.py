@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import euler_phi_prime_power, prime_powers_upto
+from .arith import coprime_pairs, euler_phi_prime_power, prime_powers_upto
 from .decompose import decomposition_ledger, factor_geometric_poly, predict_end_algebra
 from .elliptic import depress_cubic, is_isotrivial, j_invariant, verify_prescribed_j_family
 from .galois import (
@@ -53,21 +53,13 @@ class CriterionResult:
         return f"criterion {self.number:2d} [{status}] {self.title}: {self.detail} [{timing}]"
 
 
-def _coprime_pairs(n_lo: int, n_hi: int, q_hi: int):
-    pps = prime_powers_upto(q_hi)
-    for n in range(n_lo, n_hi + 1):
-        for q, p, r in pps:
-            if n % p != 0:
-                yield n, q, p, r
-
-
 def criterion_1() -> CriterionResult:
     """Genus triple agreement on the coprime sweep 3<=n<=30, q<=64."""
     budget = 2.0
     t0 = time.perf_counter()
     bad = []
     count = 0
-    for n, q, _, _ in _coprime_pairs(3, 30, 64):
+    for n, q, _, _ in coprime_pairs(range(3, 31), 64):
         count += 1
         expected = (n - 1) * (q - 1) // 2
         values = (
@@ -91,7 +83,7 @@ def criterion_2() -> CriterionResult:
     t0 = time.perf_counter()
     bad = []
     count = 0
-    for n, q, p, r in _coprime_pairs(3, 30, 64):
+    for n, q, p, r in coprime_pairs(range(3, 31), 64):
         count += 1
         spec = full_spectrum(n, q)
         total_ok = spec.total() == (n - 1) * (q - 1) // 2
@@ -118,7 +110,7 @@ def criterion_3() -> CriterionResult:
     nonempty = []
     zero_set_only = 0
     count = 0
-    for n, q, _, _ in _coprime_pairs(3, 12, 2048):
+    for n, q, _, _ in coprime_pairs(range(3, 13), 2048):
         count += 1
         report = invariant_automorphisms(n, q)
         if report.invariant_ms:
@@ -142,7 +134,7 @@ def criterion_4() -> CriterionResult:
     t0 = time.perf_counter()
     feasible = []
     count = 0
-    for n, q, _, _ in _coprime_pairs(3, 50, 1024):
+    for n, q, _, _ in coprime_pairs(range(3, 51), 1024):
         count += 1
         if square_case_feasible(n, q).feasible:
             feasible.append((n, q))
@@ -362,7 +354,7 @@ def criterion_10() -> CriterionResult:
             failures.append((f, q))
     order_bad = [
         (n, q)
-        for n, q, _, _ in _coprime_pairs(3, 30, 64)
+        for n, q, _, _ in coprime_pairs(range(3, 31), 64)
         if delta_chart_order(n, q) != q
     ]
     elapsed = time.perf_counter() - t0
@@ -386,7 +378,7 @@ def criterion_11() -> CriterionResult:
         if prod != geometric_poly(q):
             bad_products.append(q)
     bad_ledgers = []
-    for n, q, _, _ in _coprime_pairs(3, 30, 64):
+    for n, q, _, _ in coprime_pairs(range(3, 31), 64):
         total = sum(level.new_dim for level in decomposition_ledger(n, q))
         if total != genus_formula(n, q):
             bad_ledgers.append((n, q))

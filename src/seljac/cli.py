@@ -2,12 +2,14 @@
 with deterministic text or JSON output.
 
 Exit codes: 0 success, 1 invariant failure (a verification subcommand
-found a violated identity), 2 usage or input error.
+found a violated identity), 2 usage or input error. A reader that closes
+stdout early (`| head`) ends the run with 0.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .acceptance import run_all
@@ -483,7 +485,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe must raise here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early (e.g. `| head`): not an error.
+        # Point stdout at devnull so the flush at interpreter exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -103,23 +103,28 @@ def _depress_quartic(w: Poly) -> tuple[Fraction, Fraction, Fraction]:
     return shifted.coeff(2), shifted.coeff(1), shifted.coeff(0)
 
 
+def _resolvent(pc: Fraction, qc: Fraction, rc: Fraction) -> Poly:
+    """z^3 - pc z^2 - 4 rc z + (4 pc rc - qc^2) for x^4 + pc x^2 + qc x + rc."""
+    return Poly([4 * pc * rc - qc * qc, -4 * rc, -pc, Fraction(1)])
+
+
 def resolvent_cubic(f: Poly) -> Poly:
     """Resolvent z^3 - p z^2 - 4 r z + (4 p r - q^2) of the depressed form
     of a quartic (roots are the pair-products theta = a1 a2 + a3 a4)."""
     if f.degree != 4:
         raise ValueError(f"expected degree 4, got {f.degree}")
-    pc, qc, rc = _depress_quartic(f.monic())
-    return Poly([4 * pc * rc - qc * qc, -4 * rc, -pc, Fraction(1)])
+    return _resolvent(*_depress_quartic(f.monic()))
 
 
-def _rational_quadratic_split(pc: Fraction, qc: Fraction, rc: Fraction) -> bool:
+def _rational_quadratic_split(
+    pc: Fraction, qc: Fraction, rc: Fraction, resolvent_roots: list[Fraction]
+) -> bool:
     """Does x^4 + pc x^2 + qc x + rc split into two monic quadratics over Q?
 
     Any such split (x^2+ax+b)(x^2-ax+d) makes theta = b + d a rational
     resolvent root with a^2 = theta - pc, so it suffices to test the
-    rational resolvent roots."""
-    res = Poly([4 * pc * rc - qc * qc, -4 * rc, -pc, Fraction(1)])
-    for theta in rational_roots(res):
+    rational resolvent roots, passed in as resolvent_roots."""
+    for theta in resolvent_roots:
         u = theta - pc
         if u == 0:
             if qc == 0 and fraction_is_square(pc * pc - 4 * rc):
@@ -153,10 +158,9 @@ def classify_quartic_rational(f: Poly) -> GaloisLabel:
     if rational_roots(w):
         return GaloisLabel.REDUCIBLE
     pc, qc, rc = _depress_quartic(w)
-    if _rational_quadratic_split(pc, qc, rc):
+    rr = rational_roots(_resolvent(pc, qc, rc))
+    if _rational_quadratic_split(pc, qc, rc, rr):
         return GaloisLabel.REDUCIBLE
-    res = Poly([4 * pc * rc - qc * qc, -4 * rc, -pc, Fraction(1)])
-    rr = rational_roots(res)
     disc = discriminant(w)
     if not rr:
         return GaloisLabel.A4 if fraction_is_square(disc) else GaloisLabel.S4

@@ -1,13 +1,14 @@
-"""Brute-force obstruction scans on the multiplicity function
-i -> floor(n*i/q) over primitive residues mod q = p**r.
+"""Obstruction scans on the multiplicity function i -> floor(n*i/q) over
+primitive residues mod q = p**r.
 
 Two independent obstructions to extra symmetry of the eigenvalue data:
 
 * multiplier scan: residues m that leave the multiplicity function
-  invariant under i -> i*m (none are expected to exist; the scan is the
-  proof-by-exhaustion engine);
+  invariant under i -> i*m (none are expected to exist; the scan is an
+  exhaustive check over every candidate m, the proof-by-exhaustion engine);
 * square-case feasibility: necessary conditions for the centralizer
-  square scenario, which single out (n, q) = (3, 4).
+  square scenario, which single out (n, q) = (3, 4); counted in closed
+  form over intervals of residues.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .arith import euler_phi_prime_power, prime_powers_upto
+from .arith import coprime_pairs, euler_phi_prime_power
 from .kernels import feasibility_counts, multiplier_scan
 from .lattice import validate_pair
 
@@ -113,21 +114,13 @@ def square_case_feasible(n: int, q: int) -> FeasibilityReport:
     return FeasibilityReport(n, q, p, r, b_count, dim_w, divisibility_ok, feasible)
 
 
-def _coprime_prime_powers(n: int, q_max: int) -> Iterator[tuple[int, int]]:
-    for q, p, _ in prime_powers_upto(q_max):
-        if n % p != 0:
-            yield q, p
-
-
 def multiplier_sweep(ns: list[int], q_max: int) -> Iterator[InvariantMultiplierReport]:
     """All reports for n in ns (ascending) and coprime prime powers q <= q_max."""
-    for n in sorted(ns):
-        for q, _ in _coprime_prime_powers(n, q_max):
-            yield invariant_automorphisms(n, q)
+    for n, q, _, _ in coprime_pairs(sorted(ns), q_max):
+        yield invariant_automorphisms(n, q)
 
 
 def feasibility_sweep(n_max: int, q_max: int) -> Iterator[FeasibilityReport]:
     """All reports for 3 <= n <= n_max and coprime prime powers q <= q_max."""
-    for n in range(3, n_max + 1):
-        for q, _ in _coprime_prime_powers(n, q_max):
-            yield square_case_feasible(n, q)
+    for n, q, _, _ in coprime_pairs(range(3, n_max + 1), q_max):
+        yield square_case_feasible(n, q)

@@ -12,6 +12,7 @@ The zero polynomial is the empty coefficient tuple and has degree -1.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -230,15 +231,9 @@ class Poly:
         coefficients integers with overall gcd 1."""
         if not self:
             return []
-        lam = 1
-        for c in self.coeffs:
-            d = c.denominator
-            g = _gcd_int(lam, d)
-            lam = lam // g * d
+        lam = math.lcm(*(c.denominator for c in self.coeffs))
         ints = [int(c * lam) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = _gcd_int(g, abs(v))
+        g = math.gcd(*ints)
         return [v // g for v in ints]
 
     # ---- text ----
@@ -270,12 +265,6 @@ def _promote(v):
     if isinstance(v, (int, Fraction)):
         return Poly.const(v)
     return NotImplemented
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -6,6 +6,7 @@ equality is structural. Text output clears denominators to integers
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .poly import Poly, poly_gcd
@@ -146,16 +147,10 @@ class RatFunc:
 
     def to_text(self, var: str = "t") -> str:
         num, den = self.num, self.den
-        lam = 1
-        for c in (*num.coeffs, *den.coeffs):
-            d = c.denominator
-            g = _gcd(lam, d)
-            lam = lam // g * d
+        lam = math.lcm(*(c.denominator for c in (*num.coeffs, *den.coeffs)))
         n = num * lam
         d = den * lam
-        g = 0
-        for c in (*n.coeffs, *d.coeffs):
-            g = _gcd(g, abs(c.numerator))
+        g = math.gcd(*(c.numerator for c in (*n.coeffs, *d.coeffs)))
         if g > 1:
             n = n / g
             d = d / g
@@ -175,12 +170,6 @@ class RatFunc:
 def _needs_parens(p: Poly) -> bool:
     terms = sum(1 for c in p.coeffs if c)
     return terms > 1 or (p.degree >= 1 and abs(p.lc) != 1)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _to_ratfunc(v) -> RatFunc | None:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seljac.arith import (
+    coprime_pairs,
     euler_phi_prime_power,
     extended_gcd,
     fraction_is_square,
@@ -106,6 +107,22 @@ def test_prime_powers_upto():
         assert p**r == q and sympy.isprime(p)
     assert {q for q, _, _ in listed} == {
         m for m in range(2, 301) if len(sympy.factorint(m)) == 1
+    }
+
+
+def test_coprime_pairs_order_and_filter():
+    assert list(coprime_pairs([4, 3], 5)) == [
+        (4, 3, 3, 1),
+        (4, 5, 5, 1),
+        (3, 2, 2, 1),
+        (3, 4, 2, 2),
+        (3, 5, 5, 1),
+    ]
+    pairs = list(coprime_pairs(range(3, 31), 64))
+    assert pairs == sorted(pairs)
+    assert {(n, q) for n, q, _, _ in pairs} == {
+        (n, q) for n in range(3, 31) for q in range(2, 65)
+        if len(sympy.factorint(q)) == 1 and sympy.gcd(n, q) == 1
     }
 
 

@@ -1,8 +1,13 @@
 """End-to-end exercises of the seljac command line."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import seljac
 from seljac import cli
 from seljac.acceptance import CriterionResult
 
@@ -298,3 +303,20 @@ def test_verify_all_json(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_all", lambda: _stub_results([True]))
     payload = run_json(capsys, "verify-all", "--format", "json")
     assert payload == [{"number": 1, "title": "t1", "passed": True, "detail": "d"}]
+
+
+def test_closed_pipe_exits_0(tmp_path):
+    # the scan writes about 1 MB, far more than a pipe buffers, so the
+    # child is still writing when the reader goes away after one line
+    src = str(Path(seljac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "seljac.cli", "feasible-scan", "--n-max", "50", "--q-max", "1024"]
+    with open(tmp_path / "err", "w+") as err:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env)
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err.seek(0)
+        stderr = err.read()
+    assert code == 0, stderr
+    assert "Traceback" not in stderr

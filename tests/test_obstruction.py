@@ -1,13 +1,13 @@
-"""Multiplier and feasibility scans, plus compiled/pure kernel parity."""
+"""Multiplier and feasibility scans, plus the closed-form feasibility
+counts against the loop they replace."""
 import math
 
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
-from seljac import _kernels_py
-from seljac.arith import prime_power
-from seljac.kernels import BACKEND
+from seljac import kernels
+from seljac.arith import coprime_pairs, prime_power
 from seljac.obstruction import (
     FeasibilityReport,
     InvariantMultiplierReport,
@@ -122,18 +122,22 @@ def test_sweep_skips_shared_prime():
     assert all(q % 2 == 1 for _, q in ((r.n, r.q) for r in multiplier_sweep([4], 20)))
 
 
-@pytest.mark.skipif(BACKEND != "compiled", reason="compiled extension not built")
-@given(st.sampled_from(VALID_PAIRS))
-def test_compiled_matches_pure(pair):
-    from seljac import _speedups
+def _feasibility_counts_loop(n, q, p):
+    """Oracle: scan every primitive i in 1..q-1 directly."""
+    b_count = 0
+    divisible = True
+    for i in range(1, q):
+        if i % p == 0:
+            continue
+        mult = (n * i) // q
+        if mult > 0:
+            b_count += 1
+            if mult % (n - 1) != 0:
+                divisible = False
+    return b_count, divisible
 
-    n, q = pair
-    p, _ = prime_power(q)
-    assert _speedups.multiplier_scan(n, q, p) == _kernels_py.multiplier_scan(n, q, p)
-    assert _speedups.feasibility_counts(n, q, p) == _kernels_py.feasibility_counts(
-        n, q, p
-    )
 
-
-def test_backend_is_reported():
-    assert BACKEND in ("compiled", "pure-python")
+def test_feasibility_counts_match_loop():
+    # n <= 30 and q <= 512 contains every pair in VALID_PAIRS
+    for n, q, p, _ in coprime_pairs(range(3, 31), 512):
+        assert kernels.feasibility_counts(n, q, p) == _feasibility_counts_loop(n, q, p), (n, q)
