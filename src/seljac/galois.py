@@ -14,12 +14,14 @@ whether disc_x(f) is a square in that field, tested place by place
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import fraction_is_square, fraction_sqrt
 from .poly import (
     Poly,
+    _homogeneous,
     discriminant,
     lagrange_interpolate,
     poly_gcd,
@@ -72,12 +74,13 @@ def rational_roots(f: Poly) -> list[Fraction]:
         roots.add(Fraction(0))
         coeffs = coeffs[k:]
     if len(coeffs) > 1:
-        stripped = Poly(coeffs)
         for num in _divisors(coeffs[0]):
             for den in _divisors(coeffs[-1]):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if cand not in roots and stripped.evaluate(cand) == 0:
-                        roots.add(cand)
+                if math.gcd(num, den) > 1:
+                    continue  # the same candidate as num/g over den/g
+                for a in (num, -num):
+                    if _homogeneous(coeffs, a, den) == 0:
+                        roots.add(Fraction(a, den))
     return sorted(roots)
 
 

@@ -1,40 +1,89 @@
 """Dense univariate polynomials over Q with exact arithmetic.
 
-Coefficients are `fractions.Fraction`, stored lowest degree first with
-trailing zeros stripped, so equal polynomials are structurally equal.
-The zero polynomial is the empty coefficient tuple and has degree -1.
+A polynomial is a primitive integer coefficient vector `ints` (lowest
+degree first, trailing zeros stripped, gcd 1, positive leading
+coefficient) times one nonzero rational `content`; the zero polynomial is
+`()` with content 0. The form is unique, so equal polynomials are
+structurally equal, and the ring operations run on Python ints; only the
+contents are `Fraction`s. `coeffs` gives the rational coefficients as
+`Fraction`s, built on each access.
 
 >>> f = Poly([-1, -1, 0, 1])     # x^3 - x - 1
 >>> f.to_text()
 'x^3 - x - 1'
 >>> divmod(f, Poly([-2, 1]))     # divide by x - 2
 (Poly('x^2 + 2*x + 3'), Poly('5'))
+>>> Poly([Fraction(-1, 2), 0, Fraction(3, 4)]).ints
+(-2, 0, 3)
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .arith import is_prime, prime_power
 
+_ONE = Fraction(1)
 
-def _as_coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"not a rational coefficient: {c!r}")
+
+def _rational(c):
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"not a rational coefficient: {c!r}")
+    return c
+
+
+def _primitive(vec: list[int]) -> tuple[tuple[int, ...], int]:
+    """(vec / g, g) with trailing zeros stripped, where g = +-gcd(vec) makes
+    the leading coefficient positive; ((), 0) for the zero vector."""
+    while vec and not vec[-1]:
+        vec.pop()
+    if not vec:
+        return (), 0
+    g = math.gcd(*vec)
+    if vec[-1] < 0:
+        g = -g
+    if g != 1:
+        vec = [v // g for v in vec]
+    return tuple(vec), g
+
+
+def _scaled(vec: list[int], scale: Fraction) -> Poly:
+    """The polynomial scale * vec, for any integer vector."""
+    ints, g = _primitive(vec)
+    return Poly._make(ints, scale * g)
+
+
+def _homogeneous(ints: Sequence[int], a: int, b: int) -> int:
+    """sum ints[k] * a^k * b^(d-k) for d = len(ints) - 1: the value at a/b
+    times b^d, by Horner's rule on integers."""
+    acc = 0
+    bk = 1
+    for v in reversed(ints):
+        acc = acc * a + v * bk
+        bk *= b
+    return acc
 
 
 class Poly:
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "content")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_coeff(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        cs = [_rational(c) for c in coeffs]
+        lam = math.lcm(*(c.denominator for c in cs))
+        ints, g = _primitive([c.numerator * (lam // c.denominator) for c in cs])
+        self.ints: tuple[int, ...] = ints
+        self.content: Fraction = Fraction(g, lam)
+
+    @classmethod
+    def _make(cls, ints: tuple[int, ...], content: Fraction) -> Poly:
+        """A Poly from a vector already in normal form (primitive, positive
+        leading coefficient, no trailing zeros; () with content 0)."""
+        f = object.__new__(cls)
+        f.ints = ints
+        f.content = content
+        return f
 
     # ---- constructors ----
 
@@ -48,7 +97,9 @@ class Poly:
 
     @classmethod
     def const(cls, c) -> Poly:
-        return cls((c,))
+        if not _rational(c):
+            return cls()
+        return cls._make((1,), Fraction(c))
 
     @classmethod
     def x(cls) -> Poly:
@@ -63,32 +114,38 @@ class Poly:
     # ---- structure ----
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients, lowest degree first."""
+        c = self.content
+        return tuple(c * v for v in self.ints)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def lc(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.ints[-1]
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.ints):
+            return self.content * self.ints[k]
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Poly):
+            return self.ints == other.ints and self.content == other.content
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+            return self.ints == (1,) and self.content == other if other else not self.ints
+        return NotImplemented
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.ints, self.content))
 
     def __repr__(self) -> str:
         return f"Poly({self.to_text()!r})"
@@ -99,18 +156,28 @@ class Poly:
         other = _promote(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        ca, cb = self.content, other.content
+        # ca*a + cb*b = (g/m) * (ka*a + kb*b) with g, m, ka, kb integers
+        g = math.gcd(ca.numerator, cb.numerator)
+        m = math.lcm(ca.denominator, cb.denominator)
+        ka = ca.numerator // g * (m // ca.denominator)
+        kb = cb.numerator // g * (m // cb.denominator)
+        a, b = self.ints, other.ints
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly(out)
+            a, b, ka, kb = b, a, kb, ka
+        out = [ka * v for v in a]
+        for k, v in enumerate(b):
+            out[k] += kb * v
+        return _scaled(out, Fraction(g, m))
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._make(self.ints, -self.content)
 
     def __sub__(self, other) -> Poly:
         other = _promote(other)
@@ -126,26 +193,27 @@ class Poly:
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):
-            c = _as_coeff(other)
-            if not c:
+            if not other or not self.ints:
                 return Poly()
-            return Poly(tuple(c * a for a in self.coeffs))
+            return Poly._make(self.ints, self.content * other)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.ints, other.ints
         if not a or not b:
             return Poly()
-        # iterate the sparser operand outside; keeps cyclotomic products cheap
-        if sum(1 for c in a if c) > sum(1 for c in b if c):
+        # Sparse outer loop, dense inner row: put outside the operand that
+        # makes (nonzeros outside) * (length inside) smaller, which keeps
+        # the cyclotomic products cheap.
+        if (len(a) - a.count(0)) * len(b) > (len(b) - b.count(0)) * len(a):
             a, b = b, a
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        n = len(b)
+        out = [0] * (len(a) + n - 1)
         for i, c in enumerate(a):
-            if not c:
-                continue
-            for j, d in enumerate(b):
-                if d:
-                    out[i + j] += c * d
-        return Poly(out)
+            if c:
+                out[i : i + n] = map(add, out[i : i + n], b if c == 1 else map(c.__mul__, b))
+        # Gauss's lemma: a product of primitive vectors with positive leading
+        # coefficients is one too, so no gcd is needed.
+        return Poly._make(tuple(out), self.content * other.content)
 
     __rmul__ = __mul__
 
@@ -157,8 +225,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __divmod__(self, other) -> tuple[Poly, Poly]:
@@ -167,20 +236,33 @@ class Poly:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        b = other.ints
+        n = len(b)
+        dq = len(self.ints) - n
         if dq < 0:
             return Poly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        dcoeffs = other.coeffs
-        inv_lc = 1 / dcoeffs[-1]
+        # Pseudo-division on the integer vectors: scale * a = quot * b + rem,
+        # where rem and quot are multiplied by lc(b)/gcd only when a leading
+        # term is not divisible by lc(b).
+        lb = b[-1]
+        rem = list(self.ints)
+        quot = [0] * (dq + 1)
+        scale = 1
         for k in range(dq, -1, -1):
-            c = rem[k + len(dcoeffs) - 1] * inv_lc
-            if c:
-                quot[k] = c
-                for j, d in enumerate(dcoeffs):
-                    rem[k + j] -= c * d
-        return Poly(quot), Poly(rem)
+            r = rem[k + n - 1]
+            if not r:
+                continue
+            g = math.gcd(r, lb)
+            m = lb // g
+            if m != 1:
+                rem = [m * v for v in rem]
+                quot = [m * v for v in quot]
+                scale *= m
+            c = r // g
+            quot[k] = c
+            rem[k : k + n] = map(sub, rem[k : k + n], map(c.__mul__, b))
+        ca = self.content
+        return _scaled(quot, ca / (other.content * scale)), _scaled(rem, ca / scale)
 
     def __floordiv__(self, other) -> Poly:
         return divmod(self, other)[0]
@@ -190,32 +272,38 @@ class Poly:
 
     def __truediv__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):
-            c = _as_coeff(other)
-            if not c:
+            if not other:
                 raise ZeroDivisionError("division by zero")
-            return self * (1 / c)
+            return Poly._make(self.ints, self.content / other)
         return NotImplemented
 
     # ---- calculus and evaluation ----
 
     def derivative(self) -> Poly:
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
+        return _scaled([k * v for k, v in enumerate(self.ints) if k], self.content)
 
     def evaluate(self, x):
-        """Horner evaluation; x may be a Fraction or any ring element
-        supporting + and * with Fractions."""
+        """Horner evaluation. At an int or Fraction a/b this runs on the
+        integers sum c_k a^k b^(d-k) and builds one Fraction; x may also be
+        any ring element supporting + and * with Fractions."""
+        c = self.content
+        if isinstance(x, (int, Fraction)):
+            if not self.ints:
+                return Fraction(0)
+            num = _homogeneous(self.ints, x.numerator, x.denominator)
+            return Fraction(c.numerator * num, c.denominator * x.denominator**self.degree)
         result = None
-        for c in reversed(self.coeffs):
-            result = c if result is None else result * x + c
+        for v in reversed(self.ints):
+            result = c * v if result is None else result * x + c * v
         if result is None:
-            return Fraction(0) if isinstance(x, (int, Fraction)) else 0 * x
+            return 0 * x
         return result
 
     def compose(self, inner: Poly) -> Poly:
         result = Poly()
-        for c in reversed(self.coeffs):
-            result = result * inner + Poly.const(c)
-        return result
+        for v in reversed(self.ints):
+            result = result * inner + v
+        return result * self.content
 
     def shift(self, c) -> Poly:
         """self(x + c)."""
@@ -224,28 +312,25 @@ class Poly:
     def monic(self) -> Poly:
         if not self:
             raise ValueError("zero polynomial cannot be made monic")
-        return self * (1 / self.lc)
+        return Poly._make(self.ints, Fraction(1, self.ints[-1]))
 
     def integer_scaled(self) -> list[int]:
         """Coefficients of lambda*self for the least lambda > 0 making all
         coefficients integers with overall gcd 1."""
-        if not self:
-            return []
-        lam = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * lam) for c in self.coeffs]
-        g = math.gcd(*ints)
-        return [v // g for v in ints]
+        if self.content < 0:
+            return [-v for v in self.ints]
+        return list(self.ints)
 
     # ---- text ----
 
     def to_text(self, var: str = "x") -> str:
-        if not self.coeffs:
+        if not self.ints:
             return "0"
         parts: list[str] = []
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c:
+            if not self.ints[k]:
                 continue
+            c = self.content * self.ints[k]
             mag = abs(c)
             if k == 0:
                 body = str(mag)
@@ -343,27 +428,23 @@ def cyclotomic_poly(p: int, i: int) -> Poly:
     if i < 1:
         raise ValueError("exponent must be >= 1")
     step = p ** (i - 1)
-    coeffs = [Fraction(0)] * ((p - 1) * step + 1)
-    for j in range(p):
-        coeffs[j * step] = Fraction(1)
-    return Poly(coeffs)
+    ints = [0] * ((p - 1) * step + 1)
+    ints[::step] = [1] * p
+    return Poly._make(tuple(ints), _ONE)
 
 
 def geometric_poly(q: int) -> Poly:
     """1 + t + ... + t^(q-1) for a prime power q."""
     if prime_power(q) is None:
         raise ValueError(f"{q} is not a prime power >= 2")
-    return Poly((1,) * q)
+    return Poly._make((1,) * q, _ONE)
 
 
 def reversed_poly(f: Poly, n: int) -> Poly:
     """x^n * f(1/x) for n >= deg f: coefficient of degree k moves to n - k."""
     if n < f.degree:
         raise ValueError("reversal exponent below the degree")
-    out = [Fraction(0)] * (n + 1)
-    for k, c in enumerate(f.coeffs):
-        out[n - k] = c
-    return Poly(out)
+    return _scaled([0] * (n - f.degree) + list(reversed(f.ints)), f.content)
 
 
 def reflection_identity_check(q: int) -> bool:

@@ -6,7 +6,6 @@ equality is structural. Text output clears denominators to integers
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .poly import Poly, poly_gcd
@@ -69,7 +68,7 @@ class RatFunc:
             raise ValueError("not a constant rational function")
         if not self.num:
             return Fraction(0)
-        return self.num.coeffs[0]
+        return self.num.coeff(0)
 
     def __eq__(self, other) -> bool:
         other = _to_ratfunc(other)
@@ -78,7 +77,7 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
+        return hash(("RatFunc", self.num, self.den))
 
     def __repr__(self) -> str:
         return f"RatFunc({self.to_text()!r})"
@@ -147,16 +146,13 @@ class RatFunc:
 
     def to_text(self, var: str = "t") -> str:
         num, den = self.num, self.den
-        lam = math.lcm(*(c.denominator for c in (*num.coeffs, *den.coeffs)))
-        n = num * lam
-        d = den * lam
-        g = math.gcd(*(c.numerator for c in (*n.coeffs, *d.coeffs)))
-        if g > 1:
-            n = n / g
-            d = d / g
-        if d.lc < 0:
-            n, d = -n, -d
-        if d == Poly.one():
+        # num/den = (cn/cd) * N/D for primitive N, D with positive leading
+        # coefficients; with cn/cd = a/b in lowest terms, (a*N)/(b*D) is the
+        # integer form with joint gcd 1 and a positive leading denominator.
+        ratio = num.content / den.content
+        lam = ratio.denominator / den.content
+        n, d = num * lam, den * lam
+        if d == 1:
             return n.to_text(var)
         ns = n.to_text(var)
         if _needs_parens(n):
@@ -168,7 +164,7 @@ class RatFunc:
 
 
 def _needs_parens(p: Poly) -> bool:
-    terms = sum(1 for c in p.coeffs if c)
+    terms = len(p.ints) - p.ints.count(0)
     return terms > 1 or (p.degree >= 1 and abs(p.lc) != 1)
 
 

@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import poly_oracle as oracle
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -24,6 +26,14 @@ X = sympy.symbols("x")
 coeff_st = st.fractions(min_value=-20, max_value=20, max_denominator=20)
 poly_st = st.lists(coeff_st, min_size=0, max_size=7).map(Poly)
 
+# Raw coefficient lists for the oracle comparisons: ints and Fractions, zero
+# and negative leading terms, denominators up to 10^12, degree up to 12.
+wide_coeff_st = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12),
+)
+wide_list_st = st.lists(wide_coeff_st, max_size=13)
+
 
 def to_sympy(f: Poly):
     return sum(
@@ -38,12 +48,17 @@ def test_construction_strips_trailing_zeros():
     assert not Poly([0, 0])
     assert Poly([0, 0]) == Poly.zero()
     assert Poly.monomial(3, 2) == Poly([0, 0, 3])
-    with pytest.raises(TypeError):
-        Poly([0.5])
+    for bad in (0.5, None, "1"):
+        with pytest.raises(TypeError):
+            Poly([bad])
+        with pytest.raises(TypeError):
+            Poly.const(bad)
 
 
 def test_equality_and_hash():
     assert Poly([5]) == 5 == Poly.const(Fraction(5))
+    assert Poly([5]) != 6 and Poly([Fraction(1, 2)]) != 1 and Poly([-1]) != 1
+    assert Poly.zero() == 0 and Poly([1]) != 0 and Poly([0, 1]) != 1
     assert Poly([1, 1]) != Poly([1, 1, 1])
     assert hash(Poly([1, 2])) == hash(Poly((Fraction(1), Fraction(2))))
 
@@ -251,3 +266,112 @@ def test_to_text():
     assert Poly([Fraction(1, 2), 0, -3]).to_text() == "-3*x^2 + 1/2"
     assert Poly.zero().to_text() == "0"
     assert Poly([4, 0, -27]).to_text("t") == "-27*t^2 + 4"
+
+
+def _assert_normal_form(f: Poly):
+    assert isinstance(f.content, Fraction)
+    if not f:
+        assert f.ints == () and f.content == 0
+        return
+    assert all(isinstance(v, int) for v in f.ints)
+    assert math.gcd(*f.ints) == 1
+    assert f.ints[-1] > 0
+    assert f.content != 0
+
+
+@given(wide_list_st, wide_list_st)
+def test_ring_operations_match_fraction_oracle(a, b):
+    f, g = Poly(a), Poly(b)
+    fa, ga = oracle.normalize(a), oracle.normalize(b)
+    assert f.coeffs == fa
+    results = {
+        "add": (f + g, oracle.add(fa, ga)),
+        "sub": (f - g, oracle.add(fa, oracle.neg(ga))),
+        "neg": (-f, oracle.neg(fa)),
+        "mul": (f * g, oracle.mul(fa, ga)),
+    }
+    if g:
+        quo, rem = divmod(f, g)
+        oq, orem = oracle.divmod_(fa, ga)
+        results["quo"] = (quo, oq)
+        results["rem"] = (rem, orem)
+    for name, (ours, theirs) in results.items():
+        _assert_normal_form(ours)
+        assert ours.coeffs == theirs, name
+
+
+@given(wide_list_st, wide_coeff_st)
+def test_scalar_operations_match_fraction_oracle(a, c):
+    f, fa = Poly(a), oracle.normalize(a)
+    scaled = f * c
+    _assert_normal_form(scaled)
+    assert scaled.coeffs == oracle.mul(fa, oracle.normalize([c]))
+    if c:
+        quotient = f / c
+        _assert_normal_form(quotient)
+        assert quotient.coeffs == oracle.mul(fa, (1 / Fraction(c),))
+    if f:
+        assert f.monic().coeffs == oracle.mul(fa, (1 / fa[-1],))
+
+
+@given(wide_list_st, wide_coeff_st)
+def test_evaluate_matches_fraction_oracle(a, x):
+    value = Poly(a).evaluate(x)
+    assert isinstance(value, Fraction)
+    assert value == oracle.evaluate(oracle.normalize(a), Fraction(x))
+
+
+@given(wide_list_st)
+def test_text_and_scaling_match_fraction_oracle(a):
+    f, fa = Poly(a), oracle.normalize(a)
+    assert f.to_text() == oracle.to_text(fa)
+    assert f.to_text("t") == oracle.to_text(fa, "t")
+    assert f.integer_scaled() == oracle.integer_scaled(fa)
+    assert [f.coeff(k) for k in range(-1, len(fa) + 2)] == [0, *fa, 0, 0]
+
+
+def test_integer_scaled_keeps_the_sign():
+    assert Poly([-2, -4]).integer_scaled() == [-1, -2]
+    assert Poly([Fraction(-1, 2), Fraction(-3, 4)]).integer_scaled() == [-2, -3]
+    assert Poly([Fraction(1, 2), Fraction(-3, 4)]).integer_scaled() == [2, -3]
+    assert Poly.zero().integer_scaled() == []
+
+
+@given(wide_list_st, wide_list_st, wide_coeff_st)
+def test_equality_is_coefficientwise_and_hash_agrees(a, b, c):
+    f, g = Poly(a), Poly(b)
+    assert (f == g) == (f.coeffs == g.coeffs)
+    # the same polynomial reached along different routes
+    same = [Poly([*a, 0, 0]), Poly(oracle.normalize(a)), f + Poly.zero(), -(-f)]
+    if c:
+        same.append(f * c / c)
+    if g:
+        same.append(f * g // g)
+    for h in same:
+        assert h == f
+        assert (h.ints, h.content) == (f.ints, f.content)
+        assert hash(h) == hash(f)
+
+
+@pytest.mark.parametrize("e", range(10))
+def test_pow_matches_repeated_multiplication(e):
+    f = Poly([Fraction(-1, 2), 3, 0, 2])
+    expected = Poly.one()
+    for _ in range(e):
+        expected = expected * f
+    assert f**e == expected
+
+
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    degrees = []
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        degrees.append(other.degree)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    assert Poly([1, 1]) ** 3 == Poly([1, 3, 3, 1])
+    # result * f, f * f, result * f^2; no unused f^2 * f^2
+    assert len(degrees) == 3
+    assert max(degrees) == 2
