@@ -4,8 +4,11 @@ primitive residues mod q = p**r.
 Two independent obstructions to extra symmetry of the eigenvalue data:
 
 * multiplier scan: residues m that leave the multiplicity function
-  invariant under i -> i*m (none are expected to exist; the scan is an
-  exhaustive check over every candidate m, the proof-by-exhaustion engine);
+  invariant under i -> i*m (none are expected to exist). The invariant m,
+  plus 1, form a subgroup of (Z/q)^*, the stabilizer of the function, and
+  so do the m preserving its zero set; each subgroup is fixed by its Sylow
+  parts from O(log q) membership tests, each an exact check over every
+  primitive i, so every candidate m is still decided exactly;
 * square-case feasibility: necessary conditions for the centralizer
   square scenario, which single out (n, q) = (3, 4); counted in closed
   form over intervals of residues.
@@ -51,7 +54,8 @@ class InvariantMultiplierReport:
 
     @property
     def divergence(self) -> tuple[int, ...]:
-        return tuple(m for m in self.zero_set_ms if m not in set(self.invariant_ms))
+        invariant = set(self.invariant_ms)
+        return tuple(m for m in self.zero_set_ms if m not in invariant)
 
     def to_json(self) -> dict:
         return {
@@ -96,7 +100,8 @@ class FeasibilityReport:
 
 
 def invariant_automorphisms(n: int, q: int) -> InvariantMultiplierReport:
-    """Exhaustive scan of all m coprime to q with 1 < m < q."""
+    """Decide every m coprime to q with 1 < m < q exactly, through the
+    stabilizer subgroups that `kernels.multiplier_scan` computes."""
     p, r = validate_pair(n, q)
     function_ms, zero_ms = multiplier_scan(n, q, p)
     return InvariantMultiplierReport(

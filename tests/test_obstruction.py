@@ -1,5 +1,6 @@
-"""Multiplier and feasibility scans, plus the closed-form feasibility
-counts against the loop they replace."""
+"""Multiplier and feasibility scans, plus the subgroup-structured
+multiplier scan and the closed-form feasibility counts against the loops
+they replace."""
 import math
 
 import pytest
@@ -7,7 +8,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from seljac import kernels
-from seljac.arith import coprime_pairs, prime_power
+from seljac.arith import coprime_pairs, prime_power, prime_powers_upto
 from seljac.obstruction import (
     FeasibilityReport,
     InvariantMultiplierReport,
@@ -84,6 +85,19 @@ def test_report_validation():
         InvariantMultiplierReport(3, 5, 5, 1, invariant_ms=(2,), zero_set_ms=(2,))
 
 
+def test_divergence_drops_function_level_multipliers():
+    # {4} is power-closed mod 5 (4*4 = 1), so this report is consistent
+    rep = InvariantMultiplierReport(3, 5, 5, 1, invariant_ms=(4,), zero_set_ms=(2, 3, 4))
+    assert rep.divergence == (2, 3)
+
+
+@pytest.mark.parametrize("n, q", [(3, 2**16), (4, 3**10), (5, 2**20), (3, 1048573)])
+def test_large_prime_powers_have_no_multipliers(n, q):
+    # far beyond what a scan over every residue can reach in a test
+    rep = invariant_automorphisms(n, q)
+    assert (rep.invariant_ms, rep.zero_set_ms) == ((), ())
+
+
 def test_feasibility_fixtures():
     rep = square_case_feasible(3, 4)
     assert (rep.b_count, rep.dim_w, rep.divisibility_ok, rep.feasible) == (
@@ -141,3 +155,95 @@ def test_feasibility_counts_match_loop():
     # n <= 30 and q <= 512 contains every pair in VALID_PAIRS
     for n, q, p, _ in coprime_pairs(range(3, 31), 512):
         assert kernels.feasibility_counts(n, q, p) == _feasibility_counts_loop(n, q, p), (n, q)
+
+
+def _multiplier_scan_loop(n, q, p):
+    """Oracle: test every candidate m against every primitive i."""
+    function_ms: list[int] = []
+    zero_set_ms: list[int] = []
+    for m in range(2, q):
+        if m % p == 0:
+            continue
+        ok_fun = True
+        ok_zero = True
+        for i in range(1, q):
+            if i % p == 0:
+                continue
+            lhs = (n * i) // q
+            rhs = (n * ((i * m) % q)) // q
+            if ok_fun and lhs != rhs:
+                ok_fun = False
+            if ok_zero and lhs == 0 and rhs != 0:
+                ok_zero = False
+            if not ok_fun and not ok_zero:
+                break
+        if ok_fun:
+            function_ms.append(m)
+        if ok_zero:
+            zero_set_ms.append(m)
+    return function_ms, zero_set_ms
+
+
+def test_multiplier_scan_matches_loop():
+    # n <= 40 and q <= 512 contains every pair in VALID_PAIRS
+    for n, q, p, _ in coprime_pairs(range(3, 41), 512):
+        assert kernels.multiplier_scan(n, q, p) == _multiplier_scan_loop(n, q, p), (n, q)
+
+
+def _generated(gens, q):
+    """The subgroup of (Z/q)^* generated by gens, by closing under products."""
+    group = {1}
+    frontier = [1]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = x * g % q
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return frozenset(group)
+
+
+def _all_subgroups(q, p):
+    """Every subgroup of (Z/q)^*: joins of cyclic subgroups until none is new."""
+    cyclic = {_generated([a], q) for a in range(1, q) if a % p}
+    subgroups = set(cyclic)
+    new = set(cyclic)
+    while new:
+        new = {
+            frozenset(x * y % q for x in s for y in c)
+            for s in new
+            for c in cyclic
+            if not c <= s
+        } - subgroups
+        subgroups |= new
+    return subgroups
+
+
+def test_stabilizer_finds_every_subgroup():
+    # real multiplicity data only gives the trivial group or the whole one,
+    # so drive the finder with every subgroup as a membership predicate
+    for q, p, _ in prime_powers_upto(256):
+        subgroups = _all_subgroups(q, p)
+        if q == 256:
+            # the three shapes of the p = 2 branch, 5^4 of order 16
+            assert _generated([q - 1, 5**4], q) in subgroups
+            assert _generated([5**4], q) in subgroups
+            assert _generated([q - 5**2], q) in subgroups
+        for h in subgroups:
+            calls = []
+
+            def member(m):
+                calls.append(m)
+                return m in h
+
+            assert kernels._stabilizer(q, p, member) == sorted(h - {1}), (q, sorted(h))
+            assert len(calls) <= 2 * q.bit_length(), (q, sorted(h))
+
+
+def test_stabilizer_lifts_the_primitive_root():
+    # 5 is the least primitive root mod 40487 but 5^40486 = 1 mod 40487^2,
+    # so only 5 + 40487 reaches the subgroup {1 + k*p} of order p
+    p = 40487
+    found = kernels._stabilizer(p * p, p, lambda m: m % p == 1)
+    assert found == list(range(p + 1, p * p, p))
