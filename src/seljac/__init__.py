@@ -8,185 +8,8 @@ obstruction that rules out extra symmetries, Galois classification of
 cubics and quartics over Q and over function fields, j-invariant tooling
 for the elliptic quotients, the two-chart smooth model, and a dimension
 dichotomy for abelian varieties with large endomorphism fields.
+
+Import from the submodules (`seljac.poly`, `seljac.galois`, `seljac.cli`, ...).
 """
 
-from .arith import (
-    extended_gcd,
-    is_prime,
-    prime_power,
-    euler_phi_prime_power,
-    prime_powers_upto,
-    is_perfect_square,
-    fraction_is_square,
-    fraction_sqrt,
-)
-from .poly import (
-    Poly,
-    poly_gcd,
-    resultant,
-    discriminant,
-    squarefree_decomposition,
-    cyclotomic_poly,
-    geometric_poly,
-    reversed_poly,
-    reflection_identity_check,
-    lagrange_interpolate,
-)
-from .ratfunc import RatFunc
-from .parse import parse_x_poly, parse_q_poly, t_linear_base
-from .fpmatrix import FpMatrix, rank_fp
-from .heart import (
-    PermGroup,
-    parse_permutation,
-    heart_dimension,
-    heart_centralizer_dim,
-    permutation_heart_matrix,
-)
-from .lattice import (
-    validate_pair,
-    NewtonTriangle,
-    BasisDifferential,
-    interior_points,
-    genus_lattice,
-    genus_formula,
-    eigen_multiplicity,
-    EigenSpectrum,
-    full_spectrum,
-    primitive_mass,
-    primitive_mass_formula,
-)
-from .galois import (
-    GaloisLabel,
-    INFINITE_PLACE,
-    SquareVerdict,
-    rational_roots,
-    resolvent_cubic,
-    classify_cubic_rational,
-    classify_quartic_rational,
-    geometric_square_test,
-    discriminant_in_t,
-    classify_cubic_geometric,
-    classify_quartic_geometric,
-)
-from .elliptic import (
-    WeierstrassShort,
-    depress_cubic,
-    j_invariant,
-    is_isotrivial,
-    verify_prescribed_j_family,
-)
-from .decompose import (
-    Verdict,
-    AlgebraFactor,
-    DecompositionLevel,
-    EndAlgebraDescription,
-    IsotrivialityForecast,
-    factor_geometric_poly,
-    new_part_dim,
-    decomposition_ledger,
-    predict_end_algebra,
-    conjectural_end_algebra,
-    predict_nonisotrivial,
-    bigend_dichotomy,
-)
-from .obstruction import (
-    InvariantMultiplierReport,
-    FeasibilityReport,
-    invariant_automorphisms,
-    square_case_feasible,
-    multiplier_sweep,
-    feasibility_sweep,
-)
-from .model import (
-    GluingData,
-    BivariateLaurent,
-    gluing_exponents,
-    chart_identity_check,
-    delta_chart_order,
-    hurwitz_genus,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "extended_gcd",
-    "is_prime",
-    "prime_power",
-    "euler_phi_prime_power",
-    "prime_powers_upto",
-    "is_perfect_square",
-    "fraction_is_square",
-    "fraction_sqrt",
-    "Poly",
-    "poly_gcd",
-    "resultant",
-    "discriminant",
-    "squarefree_decomposition",
-    "cyclotomic_poly",
-    "geometric_poly",
-    "reversed_poly",
-    "reflection_identity_check",
-    "lagrange_interpolate",
-    "RatFunc",
-    "parse_x_poly",
-    "parse_q_poly",
-    "t_linear_base",
-    "FpMatrix",
-    "rank_fp",
-    "PermGroup",
-    "parse_permutation",
-    "heart_dimension",
-    "heart_centralizer_dim",
-    "permutation_heart_matrix",
-    "validate_pair",
-    "NewtonTriangle",
-    "BasisDifferential",
-    "interior_points",
-    "genus_lattice",
-    "genus_formula",
-    "eigen_multiplicity",
-    "EigenSpectrum",
-    "full_spectrum",
-    "primitive_mass",
-    "primitive_mass_formula",
-    "GaloisLabel",
-    "INFINITE_PLACE",
-    "SquareVerdict",
-    "rational_roots",
-    "resolvent_cubic",
-    "classify_cubic_rational",
-    "classify_quartic_rational",
-    "geometric_square_test",
-    "discriminant_in_t",
-    "classify_cubic_geometric",
-    "classify_quartic_geometric",
-    "WeierstrassShort",
-    "depress_cubic",
-    "j_invariant",
-    "is_isotrivial",
-    "verify_prescribed_j_family",
-    "Verdict",
-    "AlgebraFactor",
-    "DecompositionLevel",
-    "EndAlgebraDescription",
-    "IsotrivialityForecast",
-    "factor_geometric_poly",
-    "new_part_dim",
-    "decomposition_ledger",
-    "predict_end_algebra",
-    "conjectural_end_algebra",
-    "predict_nonisotrivial",
-    "bigend_dichotomy",
-    "InvariantMultiplierReport",
-    "FeasibilityReport",
-    "invariant_automorphisms",
-    "square_case_feasible",
-    "multiplier_sweep",
-    "feasibility_sweep",
-    "GluingData",
-    "BivariateLaurent",
-    "gluing_exponents",
-    "chart_identity_check",
-    "delta_chart_order",
-    "hurwitz_genus",
-]

@@ -6,39 +6,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 
-def extended_gcd(n: int, q: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with u*n + v*q = g = gcd(n, q) > 0.
-
-    Raises ValueError when both arguments are zero.
-    """
-    if n == 0 and q == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    old_r, r = n, q
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        k = old_r // r
-        old_r, r = r, old_r - k * r
-        old_u, u = u, old_u - k * u
-        old_v, v = v, old_v - k * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_power(m) == (m, 1)
 
 
 def prime_power(q: int) -> tuple[int, int] | None:

@@ -1,6 +1,14 @@
 """Command-line surface: every library operation behind one subcommand,
 with deterministic text or JSON output.
 
+Each handler builds one payload per output record and passes it to `_emit`
+with a text renderer: `--format json` prints the payload itself, `--format
+text` prints the renderer's reading of it, so both formats come from the
+same payload. The subcommands keyed by (n, q) share the payload head
+{n, q, p, r} and its text header. The parser is built from one table.
+Library users import from the submodules (`seljac.poly`, `seljac.galois`,
+...); the package root re-exports nothing.
+
 Exit codes: 0 success, 1 invariant failure (a verification subcommand
 found a violated identity), 2 usage or input error. A reader that closes
 stdout early (`| head`) ends the run with 0.
@@ -40,11 +48,15 @@ def _dump(payload) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _resolve_q(args) -> tuple[int, int, int]:
-    """(q, p, r) from --q and/or --p/--r; consistency enforced."""
-    q = getattr(args, "q", None)
-    p = getattr(args, "p", None)
-    r = getattr(args, "r", None)
+def _emit(args, payload, text) -> None:
+    """Print one record: the payload as JSON, or text(payload) as text."""
+    print(_dump(payload) if args.format == "json" else text(payload))
+
+
+def _head(args) -> dict:
+    """The payload head {n, q, p, r}: n from --n (None without one), and
+    q = p**r from --q and/or --p/--r, consistency enforced."""
+    q, p, r = args.q, args.p, args.r
     if (p is None) != (r is None):
         raise ValueError("--p and --r must be given together")
     if q is None and p is None:
@@ -60,19 +72,38 @@ def _resolve_q(args) -> tuple[int, int, int]:
     pr = prime_power(q)
     if pr is None:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
-    return q, pr[0], pr[1]
+    return {"n": getattr(args, "n", None), "q": q, "p": pr[0], "r": pr[1]}
 
 
-def _q_text(q: int, p: int, r: int) -> str:
-    return f"{q} = {p}^{r}" if r > 1 else f"{q}"
+def _header(pl) -> str:
+    q = f"{pl['q']} = {pl['p']}^{pl['r']}" if pl["r"] > 1 else f"{pl['q']}"
+    return f"n = {pl['n']}  q = {q}"
+
+
+def _word(flag: bool | None) -> str:
+    return "unknown" if flag is None else str(flag).lower()
+
+
+def _cm_text(pl) -> str:
+    return (
+        f"n={pl['n']} q={pl['q']} invariant_ms={pl['invariant_ms']} "
+        f"zero_set_ms={pl['zero_set_ms']}"
+    )
+
+
+def _feasible_text(pl) -> str:
+    return (
+        f"n={pl['n']} q={pl['q']} feasible={pl['feasible']} "
+        f"b_count={pl['b_count']} dim_w={pl['dim_w']}"
+    )
 
 
 # ---- subcommand handlers ----
 
 
 def _cmd_genus(args) -> int:
-    q, p, r = _resolve_q(args)
-    n = args.n
+    head = _head(args)
+    n, q = head["n"], head["q"]
     lattice = genus_lattice(NewtonTriangle(n, q))
     formula = genus_formula(n, q)
     hurwitz = hurwitz_genus(n, q)
@@ -80,91 +111,69 @@ def _cmd_genus(args) -> int:
         raise AssertionError(
             f"genus routes disagree: lattice {lattice}, formula {formula}, Hurwitz {hurwitz}"
         )
-    if args.format == "json":
-        print(_dump({"n": n, "q": q, "p": p, "r": r, "genus": formula}))
-    else:
-        print(formula)
+    _emit(args, {**head, "genus": formula}, lambda pl: pl["genus"])
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    q, p, r = _resolve_q(args)
-    n = args.n
-    spec = full_spectrum(n, q)
-    if args.format == "json":
-        payload = {
-            "n": n,
-            "q": q,
-            "p": p,
-            "r": r,
-            "multiplicities": {str(i): m for i, m in sorted(spec.multiplicities.items())},
-            "total": spec.total(),
-            "primitive_total": spec.primitive_total(),
-        }
-        print(_dump(payload))
-    else:
-        print(f"n = {n}  q = {_q_text(q, p, r)}")
-        for i in sorted(spec.multiplicities):
-            print(f"i={i}  mult={spec.multiplicities[i]}")
-        print(f"total = {spec.total()}  primitive = {spec.primitive_total()}")
+    head = _head(args)
+    spec = full_spectrum(head["n"], head["q"])
+    payload = {
+        **head,
+        "multiplicities": {str(i): m for i, m in sorted(spec.multiplicities.items())},
+        "total": spec.total(),
+        "primitive_total": spec.primitive_total(),
+    }
+    _emit(args, payload, lambda pl: "\n".join([
+        _header(pl),
+        *(f"i={i}  mult={m}" for i, m in pl["multiplicities"].items()),
+        f"total = {pl['total']}  primitive = {pl['primitive_total']}",
+    ]))
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    q, p, r = _resolve_q(args)
-    n = args.n
-    levels = decomposition_ledger(n, q)
-    genus = genus_formula(n, q)
-    if args.format == "json":
-        payload = {
-            "n": n,
-            "q": q,
-            "p": p,
-            "r": r,
-            "levels": [lv.to_json() for lv in levels],
-            "genus": genus,
-        }
-        print(_dump(payload))
-    else:
-        print(f"n = {n}  q = {_q_text(q, p, r)}")
-        for lv in levels:
-            print(f"level {lv.level}  modulus {lv.modulus}  new_dim {lv.new_dim}")
-        print(f"genus = {genus}")
+    head = _head(args)
+    n, q = head["n"], head["q"]
+    payload = {
+        **head,
+        "levels": [lv.to_json() for lv in decomposition_ledger(n, q)],
+        "genus": genus_formula(n, q),
+    }
+    _emit(args, payload, lambda pl: "\n".join([
+        _header(pl),
+        *(f"level {lv['level']}  modulus {lv['modulus']}  new_dim {lv['new_dim']}"
+          for lv in pl["levels"]),
+        f"genus = {pl['genus']}",
+    ]))
     return 0
 
 
 def _cmd_endo(args) -> int:
-    q, p, r = _resolve_q(args)
-    desc = predict_end_algebra(args.n, q, args.galois)
-    if args.format == "json":
-        payload = desc.to_json()
-        payload["p"] = p
-        payload["r"] = r
-        print(_dump(payload))
-    else:
-        print(f"n = {args.n}  q = {_q_text(q, p, r)}  galois = {args.galois}")
-        print(f"algebra: {desc.label()}")
-        if desc.integral:
-            pieces = ", ".join(f"{ring} at level {m}" for m, ring in desc.integral)
-            print(f"integral: {pieces}")
-        print(f"reduced_dim = {desc.total_reduced_dim}")
+    head = _head(args)
+    desc = predict_end_algebra(head["n"], head["q"], args.galois)
+
+    def text(pl) -> str:
+        lines = [f"{_header(pl)}  galois = {args.galois}", f"algebra: {desc.label()}"]
+        if pl["integral"]:
+            pieces = ", ".join(f"{o['ring']} at level {o['modulus']}" for o in pl["integral"])
+            lines.append(f"integral: {pieces}")
+        lines.append(f"reduced_dim = {desc.total_reduced_dim}")
+        return "\n".join(lines)
+
+    _emit(args, {**head, **desc.to_json()}, text)
     return 0
 
 
 def _cmd_nonisotrivial(args) -> int:
-    q, p, r = _resolve_q(args)
-    forecast = predict_nonisotrivial(args.n, q, args.galois)
-    if args.format == "json":
-        payload = forecast.to_json()
-        payload["p"] = p
-        payload["r"] = r
-        print(_dump(payload))
-    else:
-        print(f"n = {args.n}  q = {_q_text(q, p, r)}  galois = {args.galois}")
-        fully = forecast.fully
-        print(f"fully_nonisotrivial: {'unknown' if fully is None else str(fully).lower()}")
-        for i, status in forecast.levels:
-            print(f"level {i} (modulus {p**i}): {status}")
+    head = _head(args)
+    forecast = predict_nonisotrivial(head["n"], head["q"], args.galois)
+    _emit(args, {**head, **forecast.to_json()}, lambda pl: "\n".join([
+        f"{_header(pl)}  galois = {args.galois}",
+        f"fully_nonisotrivial: {_word(pl['fully_nonisotrivial'])}",
+        *(f"level {i} (modulus {pl['p'] ** int(i)}): {status}"
+          for i, status in pl["levels"].items()),
+    ]))
     return 0
 
 
@@ -173,50 +182,29 @@ def _cmd_cm_scan(args) -> int:
         raise ValueError("need --n or --n-max")
     ns = [args.n] if args.n is not None else list(range(3, args.n_max + 1))
     for report in multiplier_sweep(ns, args.q_max):
-        if args.format == "text":
-            print(
-                f"n={report.n} q={report.q} invariant_ms={list(report.invariant_ms)} "
-                f"zero_set_ms={list(report.zero_set_ms)}"
-            )
-        else:
-            print(_dump(report.to_json()))
+        _emit(args, report.to_json(), _cm_text)
     return 0
 
 
 def _cmd_feasible_scan(args) -> int:
     for report in feasibility_sweep(args.n_max, args.q_max):
-        if args.format == "text":
-            print(
-                f"n={report.n} q={report.q} feasible={report.feasible} "
-                f"b_count={report.b_count} dim_w={report.dim_w}"
-            )
-        else:
-            print(_dump(report.to_json()))
+        _emit(args, report.to_json(), _feasible_text)
     return 0
-
-
-def _parse_rational_poly(coeffs: list[Poly]) -> Poly | None:
-    if any(c.degree > 0 for c in coeffs):
-        return None
-    return Poly([c.coeff(0) for c in coeffs])
 
 
 def _cmd_galois(args) -> int:
     coeffs = parse_x_poly(args.poly)
-    degree = len(coeffs) - 1
-    rational = _parse_rational_poly(coeffs)
-    if rational is not None:
-        if degree == 3:
-            label = classify_cubic_rational(rational)
-        elif degree == 4:
-            label = classify_quartic_rational(rational)
-        else:
+    if not any(c.degree > 0 for c in coeffs):
+        rational = Poly([c.coeff(0) for c in coeffs])
+        degree = len(coeffs) - 1
+        classify = {3: classify_cubic_rational, 4: classify_quartic_rational}.get(degree)
+        if classify is None:
             raise ValueError(f"rational classification needs degree 3 or 4, got {degree}")
         payload = {
             "poly": rational.to_text(),
             "degree": degree,
             "route": "rational",
-            "label": str(label),
+            "label": str(classify(rational)),
         }
     else:
         base = t_linear_base(coeffs)
@@ -224,11 +212,8 @@ def _cmd_galois(args) -> int:
             raise ValueError(
                 "parametric input must have the exact shape g(x) - t with g over Q"
             )
-        if base.degree == 3:
-            label = classify_cubic_geometric(base)
-        elif base.degree == 4:
-            label = classify_quartic_geometric(base)
-        else:
+        classify = {3: classify_cubic_geometric, 4: classify_quartic_geometric}.get(base.degree)
+        if classify is None:
             raise ValueError(
                 f"geometric classification needs degree 3 or 4, got {base.degree}"
             )
@@ -236,13 +221,10 @@ def _cmd_galois(args) -> int:
             "poly": f"{base.to_text()} - t",
             "degree": base.degree,
             "route": "geometric",
-            "label": str(label),
+            "label": str(classify(base)),
             "disc_t": discriminant_in_t(base).to_text("t"),
         }
-    if args.format == "json":
-        print(_dump(payload))
-    else:
-        print(payload["label"])
+    _emit(args, payload, lambda pl: pl["label"])
     return 0
 
 
@@ -252,68 +234,56 @@ def _cmd_jinv(args) -> int:
         raise ValueError("need a cubic in x (the right-hand side of y^2 = cubic)")
     w = depress_cubic([RatFunc(c) for c in coeffs])
     j = j_invariant(w)
-    if args.format == "json":
-        payload = {
-            "j": j.to_text(),
-            "isotrivial": is_isotrivial(j),
-            "a4": w.a4.to_text(),
-            "a6": w.a6.to_text(),
-            "absorbed_lc": w.absorbed_lc.to_text(),
-        }
-        print(_dump(payload))
-    else:
-        print(j.to_text())
+    payload = {
+        "j": j.to_text(),
+        "isotrivial": is_isotrivial(j),
+        "a4": w.a4.to_text(),
+        "a6": w.a6.to_text(),
+        "absorbed_lc": w.absorbed_lc.to_text(),
+    }
+    _emit(args, payload, lambda pl: pl["j"])
     return 0
 
 
 def _cmd_hp_check(args) -> int:
     holds = verify_prescribed_j_family()
-    if args.format == "json":
-        print(_dump({"holds": holds}))
-    else:
-        print(
-            "prescribed-j identity holds: j(x^3 - cx - c) = a for c = 27a/(4(a - 1728))"
-            if holds
-            else "prescribed-j identity FAILED"
-        )
+    _emit(args, {"holds": holds}, lambda pl: (
+        "prescribed-j identity holds: j(x^3 - cx - c) = a for c = 27a/(4(a - 1728))"
+        if pl["holds"]
+        else "prescribed-j identity FAILED"
+    ))
     return 0 if holds else 1
 
 
 def _cmd_model_check(args) -> int:
-    q, p, r = _resolve_q(args)
+    head = _head(args)  # --q/--p/--r are checked before --poly is parsed
     f = parse_q_poly(args.poly)
-    n = f.degree
+    n = head["n"] = f.degree
+    q = head["q"]
     validate_pair(n, q)
     if poly_gcd(f, f.derivative()).degree != 0:
         raise ValueError("polynomial has multiple roots")
     glue = gluing_exponents(n, q, f)
-    identity = chart_identity_check(f, q)
-    order = delta_chart_order(n, q)
-    genus = hurwitz_genus(n, q)
-    if args.format == "json":
-        payload = {
-            "n": n,
-            "q": q,
-            "p": p,
-            "r": r,
-            "a": glue.a,
-            "b": glue.b,
-            "reversed_f": glue.reversed_f.to_text(),
-            "identity": identity,
-            "delta_order": order,
-            "genus": genus,
-        }
-        print(_dump(payload))
-    else:
-        print(f"n = {n}  q = {_q_text(q, p, r)}")
-        print(f"a = {glue.a}  b = {glue.b}")
-        print(f"identity: {str(identity).lower()}")
-        print(f"delta_order = {order}")
-        print(f"genus = {genus}")
-    if not identity:
+    payload = {
+        **head,
+        "a": glue.a,
+        "b": glue.b,
+        "reversed_f": glue.reversed_f.to_text(),
+        "identity": chart_identity_check(f, q),
+        "delta_order": delta_chart_order(n, q),
+        "genus": hurwitz_genus(n, q),
+    }
+    _emit(args, payload, lambda pl: "\n".join([
+        _header(pl),
+        f"a = {pl['a']}  b = {pl['b']}",
+        f"identity: {_word(pl['identity'])}",
+        f"delta_order = {pl['delta_order']}",
+        f"genus = {pl['genus']}",
+    ]))
+    if not payload["identity"]:
         raise AssertionError("two-chart identity failed")
-    if order != q:
-        raise AssertionError(f"chart automorphism order {order} != q")
+    if payload["delta_order"] != q:
+        raise AssertionError(f"chart automorphism order {payload['delta_order']} != q")
     return 0
 
 
@@ -345,57 +315,35 @@ def _cmd_heart(args) -> int:
         name = f"trivial({args.n})"
     else:
         raise ValueError("need --galois LABEL or --n for the trivial group")
-    dim = heart_centralizer_dim(group, args.p)
-    transitive = is_doubly_transitive(group)
-    if args.format == "json":
-        payload = {
-            "degree": group.degree,
-            "group": name,
-            "p": args.p,
-            "commutant_dim": dim,
-            "doubly_transitive": transitive,
-        }
-        print(_dump(payload))
-    else:
-        print(f"group {name} on {group.degree} points, p = {args.p}")
-        print(f"commutant_dim = {dim}")
-        print(f"doubly_transitive: {str(transitive).lower()}")
+    payload = {
+        "degree": group.degree,
+        "group": name,
+        "p": args.p,
+        "commutant_dim": heart_centralizer_dim(group, args.p),
+        "doubly_transitive": is_doubly_transitive(group),
+    }
+    _emit(args, payload, lambda pl: "\n".join([
+        f"group {pl['group']} on {pl['degree']} points, p = {pl['p']}",
+        f"commutant_dim = {pl['commutant_dim']}",
+        f"doubly_transitive: {_word(pl['doubly_transitive'])}",
+    ]))
     return 0
 
 
 def _cmd_verify_all(args) -> int:
     results = run_all()
-    if args.format == "json":
-        payload = [
-            {
-                "number": res.number,
-                "title": res.title,
-                "passed": res.passed,
-                "detail": res.detail,
-            }
-            for res in results
-        ]
-        print(_dump(payload))
-    else:
-        for res in results:
-            print(res.line())
-        passed = sum(1 for res in results if res.passed)
-        print(f"{passed}/{len(results)} criteria passed")
+    payload = [
+        {"number": res.number, "title": res.title, "passed": res.passed, "detail": res.detail}
+        for res in results
+    ]
+    _emit(args, payload, lambda pl: "\n".join([
+        *(res.line() for res in results),
+        f"{sum(rec['passed'] for rec in pl)}/{len(pl)} criteria passed",
+    ]))
     return 0 if all(res.passed for res in results) else 1
 
 
 # ---- argument plumbing ----
-
-
-def _add_format(sub, default="text"):
-    sub.add_argument("--format", choices=("text", "json"), default=default)
-
-
-def _add_pair(sub):
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--q", type=int)
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--r", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,80 +352,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Endomorphism-algebra bookkeeping for superelliptic jacobians y^q = f(x).",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    sub = subs.add_parser("genus", help="genus of y^q = f(x) for deg f = n")
-    _add_pair(sub)
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_genus)
-
-    sub = subs.add_parser("spectrum", help="eigenvalue multiplicities on differentials")
-    _add_pair(sub)
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_spectrum)
-
-    sub = subs.add_parser("decompose", help="cyclotomic level ledger of the jacobian")
-    _add_pair(sub)
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_decompose)
-
-    sub = subs.add_parser("endo", help="predicted endomorphism algebra")
-    _add_pair(sub)
-    sub.add_argument("--galois", required=True, help="Galois label (S3, S4, A4)")
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_endo)
-
-    sub = subs.add_parser("nonisotrivial", help="per-level isotriviality forecast")
-    _add_pair(sub)
-    sub.add_argument("--galois", required=True)
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_nonisotrivial)
-
-    sub = subs.add_parser("cm-scan", help="invariant-multiplier sweep (newline JSON)")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--n-max", type=int, dest="n_max")
-    sub.add_argument("--q-max", type=int, required=True, dest="q_max")
-    _add_format(sub, default="json")
-    sub.set_defaults(handler=_cmd_cm_scan)
-
-    sub = subs.add_parser("feasible-scan", help="square-case feasibility sweep (newline JSON)")
-    sub.add_argument("--n-max", type=int, required=True, dest="n_max")
-    sub.add_argument("--q-max", type=int, required=True, dest="q_max")
-    _add_format(sub, default="json")
-    sub.set_defaults(handler=_cmd_feasible_scan)
-
-    sub = subs.add_parser("galois", help="Galois group of a cubic/quartic (or g(x) - t family)")
-    sub.add_argument("--poly", required=True)
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_galois)
-
-    sub = subs.add_parser("jinv", help="j-invariant of y^2 = cubic")
-    sub.add_argument("--poly", required=True)
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_jinv)
-
-    sub = subs.add_parser("hp-check", help="symbolic prescribed-j family identity")
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_hp_check)
-
-    sub = subs.add_parser("model-check", help="two-chart model identity for y^q = f(x)")
-    sub.add_argument("--poly", required=True)
-    sub.add_argument("--q", type=int)
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--r", type=int)
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_model_check)
-
-    sub = subs.add_parser("heart", help="commutant dimension on the sum-zero module")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--galois")
-    sub.add_argument("--p", type=int, required=True)
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_heart)
-
-    sub = subs.add_parser("verify-all", help="run the full acceptance suite")
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_verify_all)
-
+    num = {"type": int}
+    need_num = {"type": int, "required": True}
+    q_p_r = (("--q", num), ("--p", num), ("--r", num))
+    pair = (("--n", need_num), *q_p_r)
+    poly = (("--poly", {"required": True}),)
+    # (name, help, arguments, default format, handler). The table is built on
+    # each call, so main dispatches to whatever cli._cmd_* is bound to then.
+    table = (
+        ("genus", "genus of y^q = f(x) for deg f = n", pair, "text", _cmd_genus),
+        ("spectrum", "eigenvalue multiplicities on differentials", pair, "text",
+         _cmd_spectrum),
+        ("decompose", "cyclotomic level ledger of the jacobian", pair, "text", _cmd_decompose),
+        ("endo", "predicted endomorphism algebra",
+         (*pair, ("--galois", {"required": True, "help": "Galois label (S3, S4, A4)"})),
+         "text", _cmd_endo),
+        ("nonisotrivial", "per-level isotriviality forecast",
+         (*pair, ("--galois", {"required": True})), "text", _cmd_nonisotrivial),
+        ("cm-scan", "invariant-multiplier sweep (newline JSON)",
+         (("--n", num), ("--n-max", num), ("--q-max", need_num)), "json", _cmd_cm_scan),
+        ("feasible-scan", "square-case feasibility sweep (newline JSON)",
+         (("--n-max", need_num), ("--q-max", need_num)), "json", _cmd_feasible_scan),
+        ("galois", "Galois group of a cubic/quartic (or g(x) - t family)", poly, "text",
+         _cmd_galois),
+        ("jinv", "j-invariant of y^2 = cubic", poly, "text", _cmd_jinv),
+        ("hp-check", "symbolic prescribed-j family identity", (), "text", _cmd_hp_check),
+        ("model-check", "two-chart model identity for y^q = f(x)", (*poly, *q_p_r), "text",
+         _cmd_model_check),
+        ("heart", "commutant dimension on the sum-zero module",
+         (("--n", num), ("--galois", {}), ("--p", need_num)), "text", _cmd_heart),
+        ("verify-all", "run the full acceptance suite", (), "text", _cmd_verify_all),
+    )
+    for name, help_text, arguments, default, handler in table:
+        sub = subs.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            sub.add_argument(flag, **kwargs)
+        sub.add_argument("--format", choices=("text", "json"), default=default)
+        sub.set_defaults(handler=handler)
     return parser
 
 

@@ -11,9 +11,10 @@ exponent -i appears with multiplicity floor(n*i/q).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .arith import euler_phi_prime_power, extended_gcd, prime_power
+from .arith import euler_phi_prime_power, prime_power
 
 
 def validate_pair(n: int, q: int) -> tuple[int, int]:
@@ -23,7 +24,7 @@ def validate_pair(n: int, q: int) -> tuple[int, int]:
     pr = prime_power(q)
     if pr is None:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
-    g, _, _ = extended_gcd(n, q)
+    g = math.gcd(n, q)
     if g != 1:
         raise ValueError(f"n and q must be coprime, got gcd({n}, {q}) = {g}")
     return pr

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from seljac.arith import (
     coprime_pairs,
     euler_phi_prime_power,
-    extended_gcd,
     fraction_is_square,
     fraction_sqrt,
     is_perfect_square,
@@ -17,39 +15,6 @@ from seljac.arith import (
     prime_power,
     prime_powers_upto,
 )
-
-
-def test_extended_gcd_fixtures():
-    g, u, v = extended_gcd(3, 4)
-    assert g == 1 and u * 3 + v * 4 == 1
-    g, u, v = extended_gcd(4, 9)
-    assert g == 1 and u * 4 + v * 9 == 1
-    g, u, v = extended_gcd(12, 18)
-    assert g == 6 and u * 12 + v * 18 == 6
-    assert extended_gcd(0, 5)[0] == 5
-    assert extended_gcd(5, 0)[0] == 5
-
-
-@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-def test_extended_gcd_bezout(a, b):
-    if a == 0 and b == 0:
-        with pytest.raises(ValueError):
-            extended_gcd(0, 0)
-        return
-    g, u, v = extended_gcd(a, b)
-    assert u * a + v * b == g
-    assert g > 0 and a % g == 0 and b % g == 0
-
-
-def test_extended_gcd_seeded_bulk():
-    rng = random.Random(1234)
-    for _ in range(10_000):
-        a = rng.randint(-10**6, 10**6)
-        b = rng.randint(-10**6, 10**6)
-        if a == 0 and b == 0:
-            continue
-        g, u, v = extended_gcd(a, b)
-        assert u * a + v * b == g
 
 
 def test_is_prime_matches_sympy():

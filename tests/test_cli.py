@@ -1,4 +1,5 @@
 """End-to-end exercises of the seljac command line."""
+import argparse
 import json
 import os
 import subprocess
@@ -274,6 +275,47 @@ def test_missing_required_argument_is_systemexit(capsys):
     with pytest.raises(SystemExit):
         cli.main(["cm-scan"])
     capsys.readouterr()
+
+
+# Each subcommand's usage line; COLUMNS=200 keeps it on one line. --help text
+# is left out: it differs between Python versions.
+_USAGE = {
+    "genus": "seljac genus [-h] --n N [--q Q] [--p P] [--r R] [--format {text,json}]",
+    "spectrum": "seljac spectrum [-h] --n N [--q Q] [--p P] [--r R] [--format {text,json}]",
+    "decompose": "seljac decompose [-h] --n N [--q Q] [--p P] [--r R] [--format {text,json}]",
+    "endo": "seljac endo [-h] --n N [--q Q] [--p P] [--r R] --galois GALOIS [--format {text,json}]",
+    "nonisotrivial": (
+        "seljac nonisotrivial [-h] --n N [--q Q] [--p P] [--r R] --galois GALOIS "
+        "[--format {text,json}]"
+    ),
+    "cm-scan": "seljac cm-scan [-h] [--n N] [--n-max N_MAX] --q-max Q_MAX [--format {text,json}]",
+    "feasible-scan": "seljac feasible-scan [-h] --n-max N_MAX --q-max Q_MAX [--format {text,json}]",
+    "galois": "seljac galois [-h] --poly POLY [--format {text,json}]",
+    "jinv": "seljac jinv [-h] --poly POLY [--format {text,json}]",
+    "hp-check": "seljac hp-check [-h] [--format {text,json}]",
+    "model-check": "seljac model-check [-h] --poly POLY [--q Q] [--p P] [--r R] [--format {text,json}]",
+    "heart": "seljac heart [-h] [--n N] [--galois GALOIS] --p P [--format {text,json}]",
+    "verify-all": "seljac verify-all [-h] [--format {text,json}]",
+}
+
+
+def test_subcommand_usage_is_unchanged(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: sub.format_usage() for name, sub in subs.choices.items()} == {
+        name: f"usage: {usage}\n" for name, usage in _USAGE.items()
+    }
+    assert list(subs.choices) == list(_USAGE)
+
+
+def test_main_dispatches_through_module_global(capsys, monkeypatch):
+    # a tracer rebinds cli._cmd_* and must see every call made by main
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_genus", lambda args: calls.append(args.n) or 0)
+    assert cli.main(["genus", "--n", "3", "--q", "2"]) == 0
+    assert calls == [3]
+    assert capsys.readouterr().out == ""
 
 
 def _stub_results(flags):

@@ -131,6 +131,17 @@ _INVALID = [
     ("model-check", "--poly", "x^2 + 1", "--q", "3"),
     ("heart", "--galois", "Q8", "--p", "3"),
     ("heart", "--n", "4", "--p", "2"),
+    ("genus", "--n", "3", "--p", "2"),
+    ("genus", "--n", "3", "--q", "4", "--p", "2", "--r", "3"),
+    # two faults: shows which error is reported first
+    ("model-check", "--poly", "x^2", "--q", "6"),
+    ("cm-scan", "--q-max", "64"),
+]
+
+# A default format (no --format) and the unknown-isotriviality branch.
+_BRANCHES = [
+    ("cm-scan", "--n", "3", "--q-max", "64"),
+    ("nonisotrivial", "--n", "3", "--q", "8", "--galois", "C3"),
 ]
 
 CORPUS: list[tuple[str, ...]] = [
@@ -140,6 +151,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _PAIRS for v in _both(*argv)),
     ("verify-all", "--format", "json"),
     *(v for argv in _INVALID for v in _both(*argv)),
+    *(v for argv in _BRANCHES for v in _both(*argv)),
 ]
 
 
