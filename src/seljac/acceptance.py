@@ -22,14 +22,7 @@ from .galois import (
     discriminant_in_t,
 )
 from .heart import PermGroup, heart_centralizer_dim
-from .lattice import (
-    NewtonTriangle,
-    full_spectrum,
-    genus_formula,
-    genus_lattice,
-    primitive_mass,
-    primitive_mass_formula,
-)
+from .lattice import NewtonTriangle, full_spectrum, genus_formula, genus_lattice
 from .model import chart_identity_check, delta_chart_order, hurwitz_genus
 from .obstruction import invariant_automorphisms, square_case_feasible
 from .poly import Poly, geometric_poly, poly_gcd
@@ -78,7 +71,8 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    """Spectrum mass identities on the same sweep."""
+    """Spectrum mass identities and the reflection mult(i) + mult(q-i) = n-1
+    on the same sweep."""
     budget = 2.0
     t0 = time.perf_counter()
     bad = []
@@ -86,14 +80,11 @@ def criterion_2() -> CriterionResult:
     for n, q, p, r in coprime_pairs(range(3, 31), 64):
         count += 1
         spec = full_spectrum(n, q)
+        mult = spec.multiplicities
         total_ok = spec.total() == (n - 1) * (q - 1) // 2
-        prim = primitive_mass(n, q)
-        prim_ok = (
-            prim == primitive_mass_formula(n, q)
-            and prim == (n - 1) * euler_phi_prime_power(p, r) // 2
-            and prim == spec.primitive_total()
-        )
-        if not (total_ok and prim_ok):
+        prim_ok = spec.primitive_total() == (n - 1) * euler_phi_prime_power(p, r) // 2
+        reflection_ok = all(mult[i] + mult[q - i] == n - 1 for i in range(1, q))
+        if not (total_ok and prim_ok and reflection_ok):
             bad.append((n, q))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < budget

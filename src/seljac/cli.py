@@ -180,6 +180,8 @@ def _cmd_nonisotrivial(args) -> int:
 def _cmd_cm_scan(args) -> int:
     if args.n is None and args.n_max is None:
         raise ValueError("need --n or --n-max")
+    if args.n is not None and args.n_max is not None:
+        raise ValueError("give --n or --n-max, not both")
     ns = [args.n] if args.n is not None else list(range(3, args.n_max + 1))
     for report in multiplier_sweep(ns, args.q_max):
         _emit(args, report.to_json(), _cm_text)

@@ -11,27 +11,12 @@ Q x Mat_2(Q(zeta_4)) in place of two field levels.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import euler_phi_prime_power, prime_power
 from .galois import GaloisLabel
 from .lattice import validate_pair
 from .poly import Poly, cyclotomic_poly, geometric_poly
-
-
-class Verdict(enum.Enum):
-    """Outcome of the dimension dichotomy for an abelian variety X with a
-    CM field E of degree dividing 2 dim X acting on it."""
-
-    EQUALS_E = "EqualsE"
-    CM_TYPE = "CMType"
-    CONTAINS_CM_SUBVARIETY = "ContainsCMSubvariety"
-    OUT_OF_BOUND = "OutOfBound"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -102,16 +87,14 @@ class DecompositionLevel:
 class EndAlgebraDescription:
     """Predicted endomorphism algebra as an ordered product of simple
     factors, with the level ledger and integral refinements (orders) for
-    the field levels; asserted=False marks outputs offered for reference
-    only, never claimed by the supported theorems."""
+    the field levels. Every description is asserted by the supported
+    theorems, which the JSON form records as "asserted": true."""
 
     n: int
     q: int
     factors: tuple[AlgebraFactor, ...]
     levels: tuple[DecompositionLevel, ...]
     integral: tuple[tuple[int, str], ...] = ()
-    asserted: bool = True
-    note: str = ""
 
     @property
     def total_reduced_dim(self) -> int:
@@ -121,17 +104,14 @@ class EndAlgebraDescription:
         return " x ".join(f.label() for f in self.factors)
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "n": self.n,
             "q": self.q,
             "factors": [f.to_json() for f in self.factors],
             "levels": [lv.to_json() for lv in self.levels],
             "integral": [{"modulus": m, "ring": ring} for m, ring in self.integral],
-            "asserted": self.asserted,
+            "asserted": True,
         }
-        if self.note:
-            out["note"] = self.note
-        return out
 
 
 def factor_geometric_poly(q: int) -> list[Poly]:
@@ -159,10 +139,10 @@ def decomposition_ledger(n: int, q: int) -> list[DecompositionLevel]:
     ]
 
 
-_SUPPORTED = {
-    (3, GaloisLabel.S3),
-    (4, GaloisLabel.S4),
-    (4, GaloisLabel.A4),
+_DOUBLY_TRANSITIVE_LABELS = {
+    GaloisLabel.S3: 3,
+    GaloisLabel.S4: 4,
+    GaloisLabel.A4: 4,
 }
 
 
@@ -188,7 +168,7 @@ def predict_end_algebra(n: int, q: int, label) -> EndAlgebraDescription:
     Raises outside the supported (n, label) pairs."""
     p, r = validate_pair(n, q)
     label = _coerce_label(label)
-    if (n, label) not in _SUPPORTED:
+    if _DOUBLY_TRANSITIVE_LABELS.get(label) != n:
         raise ValueError(
             f"outside theorem hypotheses: no asserted prediction for n={n}, "
             f"Galois group {label}"
@@ -212,34 +192,6 @@ def predict_end_algebra(n: int, q: int, label) -> EndAlgebraDescription:
         levels=tuple(decomposition_ledger(n, q)),
         integral=tuple(integral),
     )
-
-
-def conjectural_end_algebra(n: int, q: int) -> EndAlgebraDescription:
-    """Cyclotomic ledger for a doubly transitive input outside the asserted
-    range (n >= 5): offered for reference only, asserted=False."""
-    p, r = validate_pair(n, q)
-    if n < 5:
-        raise ValueError("use predict_end_algebra for n in {3, 4}")
-    factors = tuple(AlgebraFactor("cyclotomic", modulus=p**i) for i in range(1, r + 1))
-    return EndAlgebraDescription(
-        n=n,
-        q=q,
-        factors=factors,
-        levels=tuple(decomposition_ledger(n, q)),
-        integral=(),
-        asserted=False,
-        note=(
-            "reference ledger only: for degree >= 5 this cyclotomic shape is "
-            "not asserted by this library"
-        ),
-    )
-
-
-_DOUBLY_TRANSITIVE_LABELS = {
-    GaloisLabel.S3: 3,
-    GaloisLabel.S4: 4,
-    GaloisLabel.A4: 4,
-}
 
 
 @dataclass(frozen=True)
@@ -270,8 +222,7 @@ def predict_nonisotrivial(n: int, q: int, label) -> IsotrivialityForecast:
     still move; (3, 2) itself is fully non-isotrivial."""
     p, r = validate_pair(n, q)
     label = _coerce_label(label)
-    expected_degree = _DOUBLY_TRANSITIVE_LABELS.get(label)
-    if expected_degree != n:
+    if _DOUBLY_TRANSITIVE_LABELS.get(label) != n:
         levels = tuple((i, "unknown") for i in range(1, r + 1))
         return IsotrivialityForecast(n, q, None, levels)
     if n == 3 and p == 2 and r >= 2:
@@ -281,32 +232,3 @@ def predict_nonisotrivial(n: int, q: int, label) -> IsotrivialityForecast:
         return IsotrivialityForecast(n, q, False, tuple(levels))
     levels = tuple((i, "completely_nonisotrivial") for i in range(1, r + 1))
     return IsotrivialityForecast(n, q, True, levels)
-
-
-def bigend_dichotomy(dim_x: int, deg_e: int, centralizer_dim: int) -> Verdict:
-    """Classify the centralizer dimension k of a degree-deg_e CM field
-    acting on a dim_x-dimensional abelian variety.
-
-    Supported shapes: dim_x = deg_e (bound 4) and 2 dim_x = 3 deg_e
-    (bound 9); anything else raises. Above the (2 dim_x / deg_e)^2 bound
-    the input is impossible; k = 1 forces End0 = E; in the first shape
-    every surviving k makes X of CM type; in the second, k = 3 (then the
-    algebra is commutative of dimension 2 dim_x) and the boundary k = 9
-    give a CM type, the remaining k only a CM abelian subvariety."""
-    if dim_x < 1 or deg_e < 1 or centralizer_dim < 1:
-        raise ValueError("all three quantities must be positive")
-    if (2 * dim_x) % deg_e != 0:
-        raise ValueError("deg_e must divide 2*dim_x")
-    if dim_x != deg_e and 2 * dim_x != 3 * deg_e:
-        raise ValueError(
-            "unsupported shape: need dim_x = deg_e or 2*dim_x = 3*deg_e"
-        )
-    bound = Fraction(2 * dim_x, deg_e) ** 2
-    k = centralizer_dim
-    if k > bound:
-        return Verdict.OUT_OF_BOUND
-    if k == 1:
-        return Verdict.EQUALS_E
-    if dim_x == deg_e:
-        return Verdict.CM_TYPE
-    return Verdict.CM_TYPE if k in (3, 9) else Verdict.CONTAINS_CM_SUBVARIETY

@@ -16,11 +16,7 @@ from .ratfunc import RatFunc
 
 
 def _as_ratfunc(v) -> RatFunc:
-    if isinstance(v, RatFunc):
-        return v
-    if isinstance(v, (Poly, int, Fraction)):
-        return RatFunc(v)
-    raise TypeError(f"cannot coerce {v!r} to a rational function")
+    return v if isinstance(v, RatFunc) else RatFunc(v)
 
 
 @dataclass(frozen=True)

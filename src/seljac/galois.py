@@ -8,14 +8,14 @@ squareness criterion (Kappe-Warren) separating C4 from D4.
 
 Geometric route: for f = g(x) - t the extension is automatically
 irreducible over the closure of Q(t), and everything is decided by
-whether disc_x(f) is a square in that field, tested place by place
-(finite places at squarefree-factor granularity, plus infinity).
+whether disc_x(f) is a square in that field: `geometric_square_test`
+answers True exactly when no place has odd valuation (finite places at
+squarefree-factor granularity, plus infinity).
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import fraction_is_square, fraction_sqrt
@@ -111,14 +111,6 @@ def _resolvent(pc: Fraction, qc: Fraction, rc: Fraction) -> Poly:
     return Poly([4 * pc * rc - qc * qc, -4 * rc, -pc, Fraction(1)])
 
 
-def resolvent_cubic(f: Poly) -> Poly:
-    """Resolvent z^3 - p z^2 - 4 r z + (4 p r - q^2) of the depressed form
-    of a quartic (roots are the pair-products theta = a1 a2 + a3 a4)."""
-    if f.degree != 4:
-        raise ValueError(f"expected degree 4, got {f.degree}")
-    return _resolvent(*_depress_quartic(f.monic()))
-
-
 def _rational_quadratic_split(
     pc: Fraction, qc: Fraction, rc: Fraction, resolvent_roots: list[Fraction]
 ) -> bool:
@@ -181,38 +173,23 @@ def classify_quartic_rational(f: Poly) -> GaloisLabel:
 
 # ---- geometric (function field) route ----
 
-INFINITE_PLACE = "infinity"
 
+def geometric_square_test(u: RatFunc) -> bool:
+    """Is u a square in kbar(t) for algebraically closed kbar of char 0?
 
-@dataclass(frozen=True)
-class SquareVerdict:
-    """Squareness of a rational function over the algebraic closure.
-
-    odd_places lists (place, signed multiplicity) for every place of odd
-    valuation: finite places as monic squarefree polynomials (numerator
-    factors count positive, denominator negative), plus the place at
-    infinity. Constants are squares in a closed field, so the element is
-    a square exactly when no odd place exists."""
-
-    is_square: bool
-    odd_places: tuple[tuple[object, int], ...]
-
-
-def geometric_square_test(u: RatFunc) -> SquareVerdict:
-    """Is u a square in kbar(t) for algebraically closed kbar of char 0?"""
+    Constants are squares in a closed field, so u is a square exactly when
+    every place has even valuation. That holds at each finite place when
+    every squarefree factor of the numerator and of the denominator has
+    even multiplicity; both degrees are then even, so it holds at
+    infinity as well."""
     if not u:
         raise ValueError("zero has no square class")
-    odd: list[tuple[object, int]] = []
-    for base, mult in squarefree_decomposition(u.num) if u.num.degree > 0 else []:
-        if mult % 2:
-            odd.append((base, mult))
-    for base, mult in squarefree_decomposition(u.den) if u.den.degree > 0 else []:
-        if mult % 2:
-            odd.append((base, -mult))
-    v_inf = u.den.degree - u.num.degree
-    if v_inf % 2:
-        odd.append((INFINITE_PLACE, v_inf))
-    return SquareVerdict(not odd, tuple(odd))
+    return not any(
+        m % 2
+        for part in (u.num, u.den)
+        if part.degree > 0
+        for _, m in squarefree_decomposition(part)
+    )
 
 
 def discriminant_in_t(g: Poly) -> Poly:
@@ -245,8 +222,8 @@ def classify_cubic_geometric(g: Poly) -> GaloisLabel:
         raise ValueError(f"expected degree 3, got {g.degree}")
     if g.lc != 1:
         raise ValueError("g must be monic")
-    verdict = geometric_square_test(RatFunc(discriminant_in_t(g)))
-    return GaloisLabel.C3 if verdict.is_square else GaloisLabel.S3
+    is_square = geometric_square_test(RatFunc(discriminant_in_t(g)))
+    return GaloisLabel.C3 if is_square else GaloisLabel.S3
 
 
 def classify_quartic_geometric(g: Poly) -> GaloisLabel:
@@ -267,5 +244,5 @@ def classify_quartic_geometric(g: Poly) -> GaloisLabel:
         raise ValueError(
             "outside supported family: depressed quartic needs a nonzero linear term"
         )
-    verdict = geometric_square_test(RatFunc(discriminant_in_t(g)))
-    return GaloisLabel.A4 if verdict.is_square else GaloisLabel.S4
+    is_square = geometric_square_test(RatFunc(discriminant_in_t(g)))
+    return GaloisLabel.A4 if is_square else GaloisLabel.S4

@@ -7,40 +7,10 @@ transitivity (commutant dimension 1).
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .arith import is_prime
 from .fpmatrix import FpMatrix, rank_fp
-
-
-def parse_permutation(text: str, degree: int) -> tuple[int, ...]:
-    """Parse a permutation of {0..degree-1}.
-
-    Accepts cycle notation "(0 1)(2 3)" (cycles applied right to left)
-    or a one-line image list "1 0 3 2" / "1,0,3,2".
-    """
-    s = text.strip()
-    if not s:
-        raise ValueError("empty permutation")
-    if s.startswith("("):
-        if not re.fullmatch(r"(\(\s*\d+(?:[\s,]+\d+)*\s*\))+", s):
-            raise ValueError(f"malformed cycle notation: {text!r}")
-        image = list(range(degree))
-        cycles = re.findall(r"\(([^()]*)\)", s)
-        for body in reversed(cycles):
-            pts = [int(v) for v in re.split(r"[\s,]+", body.strip()) if v]
-            if len(set(pts)) != len(pts):
-                raise ValueError(f"repeated point in cycle: {body!r}")
-            if any(v >= degree or v < 0 for v in pts):
-                raise ValueError(f"point out of range 0..{degree - 1}: {body!r}")
-            moved = dict(zip(pts, pts[1:] + pts[:1]))
-            image = [moved.get(v, v) for v in image]
-        return tuple(image)
-    pts = [int(v) for v in re.split(r"[\s,]+", s) if v]
-    if sorted(pts) != list(range(degree)):
-        raise ValueError(f"not a permutation of 0..{degree - 1}: {text!r}")
-    return tuple(pts)
 
 
 @dataclass(frozen=True)
@@ -56,10 +26,6 @@ class PermGroup:
         for g in self.generators:
             if sorted(g) != list(range(self.degree)):
                 raise ValueError(f"not a permutation of 0..{self.degree - 1}: {g}")
-
-    @classmethod
-    def from_text(cls, degree: int, gens: list[str]) -> PermGroup:
-        return cls(degree, tuple(parse_permutation(g, degree) for g in gens))
 
     @classmethod
     def symmetric(cls, n: int) -> PermGroup:
@@ -109,10 +75,6 @@ def is_doubly_transitive(group: PermGroup) -> bool:
                     nxt.append(pair)
         frontier = nxt
     return len(seen) == target
-
-
-def heart_dimension(group: PermGroup) -> int:
-    return group.degree - 1
 
 
 def permutation_heart_matrix(perm: tuple[int, ...], p: int) -> FpMatrix:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import euler_phi_prime_power, prime_power
+from .arith import prime_power
 
 
 def validate_pair(n: int, q: int) -> tuple[int, int]:
@@ -47,10 +47,6 @@ class BasisDifferential:
     j: int
     i: int
 
-    @property
-    def eigen_exponent(self) -> int:
-        return self.i
-
 
 def interior_points(tri: NewtonTriangle) -> list[BasisDifferential]:
     """All (j, i) with j >= 1, i >= 1, q*j + n*i < n*q, ordered
@@ -78,14 +74,6 @@ def genus_formula(n: int, q: int) -> int:
     return (n - 1) * (q - 1) // 2
 
 
-def eigen_multiplicity(n: int, q: int, i: int) -> int:
-    """Multiplicity floor(n*i/q) of the exponent--i eigenvalue, 1 <= i <= q-1."""
-    validate_pair(n, q)
-    if not 1 <= i <= q - 1:
-        raise ValueError(f"exponent index must be in 1..{q - 1}, got {i}")
-    return (n * i) // q
-
-
 @dataclass
 class EigenSpectrum:
     """Multiplicity of each nontrivial eigenvalue exponent i = 1..q-1."""
@@ -106,15 +94,3 @@ def full_spectrum(n: int, q: int) -> EigenSpectrum:
     validate_pair(n, q)
     mult = {i: (n * i) // q for i in range(1, q)}
     return EigenSpectrum(n, q, mult)
-
-
-def primitive_mass(n: int, q: int) -> int:
-    """Sum of multiplicities over exponents coprime to q; equals
-    (n-1)*phi(q)/2."""
-    p, _ = validate_pair(n, q)
-    return sum((n * i) // q for i in range(1, q) if i % p != 0)
-
-
-def primitive_mass_formula(n: int, q: int) -> int:
-    p, r = validate_pair(n, q)
-    return (n - 1) * euler_phi_prime_power(p, r) // 2

@@ -105,12 +105,6 @@ class Poly:
     def x(cls) -> Poly:
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, c, k: int) -> Poly:
-        if k < 0:
-            raise ValueError("negative exponent")
-        return cls((0,) * k + (c,))
-
     # ---- structure ----
 
     @property
@@ -445,19 +439,6 @@ def reversed_poly(f: Poly, n: int) -> Poly:
     if n < f.degree:
         raise ValueError("reversal exponent below the degree")
     return _scaled([0] * (n - f.degree) + list(reversed(f.ints)), f.content)
-
-
-def reflection_identity_check(q: int) -> bool:
-    """Exact check of t^q * C(1/t) - C(t) == t^q - 1 for the q-th
-    cyclotomic polynomial C, q a prime power."""
-    pr = prime_power(q)
-    if pr is None:
-        raise ValueError(f"{q} is not a prime power >= 2")
-    p, r = pr
-    c = cyclotomic_poly(p, r)
-    lhs = reversed_poly(c, q) - c
-    rhs = Poly.monomial(1, q) - Poly.one()
-    return lhs == rhs
 
 
 def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:

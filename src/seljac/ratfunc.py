@@ -63,13 +63,6 @@ class RatFunc:
     def is_constant(self) -> bool:
         return self.den.degree == 0 and self.num.degree <= 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError("not a constant rational function")
-        if not self.num:
-            return Fraction(0)
-        return self.num.coeff(0)
-
     def __eq__(self, other) -> bool:
         other = _to_ratfunc(other)
         if other is None:
@@ -135,12 +128,6 @@ class RatFunc:
                 raise ZeroDivisionError("negative power of zero")
             return RatFunc(self.den, self.num) ** (-e)
         return RatFunc(self.num**e, self.den**e)
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        d = self.den.evaluate(x)
-        if not d:
-            raise ZeroDivisionError("pole at the evaluation point")
-        return self.num.evaluate(x) / d
 
     # ---- text ----
 

@@ -110,6 +110,13 @@ def test_cm_scan_needs_some_n(capsys):
     assert "error:" in err
 
 
+def test_cm_scan_rejects_n_with_n_max(capsys):
+    code, out, err = run(capsys, "cm-scan", "--n", "3", "--n-max", "5", "--q-max", "8")
+    assert code == 2
+    assert out == ""
+    assert err == "error: give --n or --n-max, not both\n"
+
+
 def test_feasible_scan(capsys):
     code, out, _ = run(capsys, "feasible-scan", "--n-max", "4", "--q-max", "9")
     assert code == 0

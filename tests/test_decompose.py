@@ -1,4 +1,4 @@
-"""Cyclotomic ledger, endomorphism algebra table, and the dimension dichotomy."""
+"""Cyclotomic ledger, endomorphism algebra table, and isotriviality forecasts."""
 import math
 
 import pytest
@@ -7,9 +7,6 @@ from hypothesis import given, strategies as st
 from seljac.arith import prime_power
 from seljac.decompose import (
     AlgebraFactor,
-    Verdict,
-    bigend_dichotomy,
-    conjectural_end_algebra,
     decomposition_ledger,
     factor_geometric_poly,
     new_part_dim,
@@ -131,7 +128,7 @@ def test_predict_cubic_field_level():
     assert d.integral == ((5, "Z[zeta_5]"),)
     assert d.label() == "Q(zeta_5)"
     assert d.total_reduced_dim == 4
-    assert d.asserted is True
+    assert d.to_json()["asserted"] is True
 
 
 def test_predict_cubic_q2():
@@ -188,6 +185,7 @@ def test_predict_json_shape():
     [
         (5, 2, "S3", ValueError),
         (3, 4, "C3", ValueError),
+        (3, 5, "A4", ValueError),  # doubly transitive, but on 4 points
         (4, 3, "D4", ValueError),
         (3, 4, "G7", ValueError),
         (3, 4, 42, TypeError),
@@ -197,20 +195,6 @@ def test_predict_json_shape():
 def test_predict_rejects(n, q, label, exc):
     with pytest.raises(exc):
         predict_end_algebra(n, q, label)
-
-
-def test_conjectural_reference_ledger():
-    d = conjectural_end_algebra(5, 4)
-    assert d.asserted is False
-    assert d.note
-    assert "note" in d.to_json()
-    assert d.label() == "Q(zeta_2) x Q(zeta_4)"
-    assert d.total_reduced_dim == 3
-    assert d.integral == ()
-    with pytest.raises(ValueError):
-        conjectural_end_algebra(3, 4)
-    with pytest.raises(ValueError):
-        conjectural_end_algebra(4, 5)
 
 
 def test_nonisotrivial_constant_level():
@@ -243,41 +227,3 @@ def test_nonisotrivial_says_nothing_otherwise():
     # label of the wrong degree is also outside the supported statements
     assert predict_nonisotrivial(4, 3, "S3").fully is None
     assert predict_nonisotrivial(3, 4, "S4").fully is None
-
-
-def test_dichotomy_equal_degree_shape():
-    assert bigend_dichotomy(6, 6, 1) is Verdict.EQUALS_E
-    for k in (2, 3, 4):
-        assert bigend_dichotomy(6, 6, k) is Verdict.CM_TYPE
-    assert bigend_dichotomy(6, 6, 5) is Verdict.OUT_OF_BOUND
-
-
-def test_dichotomy_three_halves_shape():
-    assert bigend_dichotomy(6, 4, 1) is Verdict.EQUALS_E
-    assert bigend_dichotomy(6, 4, 3) is Verdict.CM_TYPE
-    assert bigend_dichotomy(6, 4, 9) is Verdict.CM_TYPE
-    for k in (2, 4, 5, 6, 7, 8):
-        assert bigend_dichotomy(6, 4, k) is Verdict.CONTAINS_CM_SUBVARIETY
-    assert bigend_dichotomy(6, 4, 10) is Verdict.OUT_OF_BOUND
-
-
-@given(st.integers(1, 8), st.integers(1, 12))
-def test_dichotomy_bound_is_four_on_diagonal(d, k):
-    verdict = bigend_dichotomy(d, d, k)
-    assert (verdict is Verdict.OUT_OF_BOUND) == (k > 4)
-
-
-@pytest.mark.parametrize(
-    "dim_x,deg_e,k",
-    [(5, 4, 2), (6, 3, 2), (0, 1, 1), (1, 1, 0), (1, -1, 1)],
-)
-def test_dichotomy_rejects(dim_x, deg_e, k):
-    with pytest.raises(ValueError):
-        bigend_dichotomy(dim_x, deg_e, k)
-
-
-def test_verdict_text():
-    assert str(Verdict.CM_TYPE) == "CMType"
-    assert str(Verdict.OUT_OF_BOUND) == "OutOfBound"
-    assert str(Verdict.EQUALS_E) == "EqualsE"
-    assert str(Verdict.CONTAINS_CM_SUBVARIETY) == "ContainsCMSubvariety"

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from seljac import galois
 from seljac.galois import (
-    INFINITE_PLACE,
     GaloisLabel,
     classify_cubic_geometric,
     classify_cubic_rational,
@@ -19,7 +19,6 @@ from seljac.galois import (
     discriminant_in_t,
     geometric_square_test,
     rational_roots,
-    resolvent_cubic,
 )
 from seljac.poly import Poly, poly_gcd
 from seljac.ratfunc import RatFunc
@@ -66,11 +65,14 @@ def test_cubic_rational_rejects():
         classify_cubic_rational(Poly([2, -3, 0, 1]))
 
 
+def resolvent_cubic(f: Poly) -> Poly:
+    """The resolvent cubic of a quartic, built as classify_quartic_rational builds it."""
+    return galois._resolvent(*galois._depress_quartic(f.monic()))
+
+
 def test_resolvent_cubic_fixtures():
     assert resolvent_cubic(Poly([1, 0, 0, 0, 1])) == Poly([0, -4, 0, 1])
     assert resolvent_cubic(Poly([1, 1, 0, 0, 1])) == Poly([-1, -4, 0, 1])
-    with pytest.raises(ValueError):
-        resolvent_cubic(Poly([1, 0, 0, 1]))
 
 
 def test_resolvent_shift_invariant():
@@ -233,14 +235,15 @@ def test_discriminant_in_t_rejects_low_degree():
 
 def test_geometric_square_test():
     t = Poly([0, 1])
-    v = geometric_square_test(RatFunc(t))
-    assert not v.is_square
-    assert v.odd_places == ((t, 1), (INFINITE_PLACE, -1))
-    assert geometric_square_test(RatFunc(t * t)).is_square
-    assert geometric_square_test(RatFunc(Poly([4]), Poly([9]))).is_square
-    assert geometric_square_test(RatFunc(Poly([-4]))).is_square  # -1 is a square in kbar
-    v = geometric_square_test(RatFunc(t**3, Poly([-1, 1]) ** 2))
-    assert v.odd_places == ((t, 3), (INFINITE_PLACE, -1))
+    assert geometric_square_test(RatFunc(t)) is False
+    assert geometric_square_test(RatFunc(t * t)) is True
+    assert geometric_square_test(RatFunc(Poly([4]), Poly([9]))) is True
+    assert geometric_square_test(RatFunc(Poly([-4]))) is True  # -1 is a square in kbar
+    assert geometric_square_test(RatFunc(t**3, Poly([-1, 1]) ** 2)) is False
+    # odd finite places with an even valuation at infinity
+    assert geometric_square_test(RatFunc(t * Poly([-1, 1]))) is False
+    assert geometric_square_test(RatFunc(1, t * Poly([-1, 1]))) is False
+    assert geometric_square_test(RatFunc(t**2, Poly([-1, 1]) ** 4)) is True
     with pytest.raises(ValueError):
         geometric_square_test(RatFunc.zero())
 

@@ -1,4 +1,4 @@
-"""Permutation parsing, double transitivity, and mod-p commutant dimensions."""
+"""Permutation groups, double transitivity, and mod-p commutant dimensions."""
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,9 +6,7 @@ from seljac.fpmatrix import FpMatrix
 from seljac.heart import (
     PermGroup,
     heart_centralizer_dim,
-    heart_dimension,
     is_doubly_transitive,
-    parse_permutation,
     permutation_heart_matrix,
 )
 
@@ -32,37 +30,6 @@ def group_order(g: PermGroup) -> int:
     return len(seen)
 
 
-def test_parse_cycles():
-    assert parse_permutation("(0 1)(2 3)", 4) == (1, 0, 3, 2)
-    # cycles compose right to left: 0 -> 0 -> 1, 1 -> 2 -> 2, 2 -> 1 -> 0
-    assert parse_permutation("(0 1)(1 2)", 3) == (1, 2, 0)
-    assert parse_permutation("(0, 1, 2)", 3) == (1, 2, 0)
-    assert parse_permutation("(2 0)", 4) == (2, 1, 0, 3)
-
-
-def test_parse_one_line():
-    assert parse_permutation("1 0 3 2", 4) == (1, 0, 3, 2)
-    assert parse_permutation("1,2,0", 3) == (1, 2, 0)
-    assert parse_permutation("0 1 2", 3) == (0, 1, 2)
-
-
-@pytest.mark.parametrize(
-    "text,degree",
-    [
-        ("", 3),
-        ("(0 1", 3),
-        ("(0 0)", 3),
-        ("(0 5)", 3),
-        ("0 0 1", 3),
-        ("1 2 3", 3),
-        ("0 1", 3),
-    ],
-)
-def test_parse_rejects(text, degree):
-    with pytest.raises(ValueError):
-        parse_permutation(text, degree)
-
-
 def test_group_constructors():
     assert group_order(PermGroup.symmetric(4)) == 24
     assert group_order(PermGroup.alternating(4)) == 12
@@ -79,8 +46,6 @@ def test_group_validation():
         PermGroup(0, ())
     with pytest.raises(ValueError):
         PermGroup(3, ((0, 0, 1),))
-    g = PermGroup.from_text(4, ["(0 1)", "0 2 1 3"])
-    assert g.generators == ((1, 0, 2, 3), (0, 2, 1, 3))
 
 
 @pytest.mark.parametrize(
@@ -105,10 +70,6 @@ def test_doubly_transitive(group, expect):
 def test_doubly_transitive_degree_bound():
     with pytest.raises(ValueError):
         is_doubly_transitive(PermGroup.trivial(1))
-
-
-def test_heart_dimension():
-    assert heart_dimension(PermGroup.symmetric(4)) == 3
 
 
 def test_identity_acts_as_identity():

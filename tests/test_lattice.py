@@ -7,16 +7,13 @@ from hypothesis import given, strategies as st
 from seljac.lattice import (
     BasisDifferential,
     NewtonTriangle,
-    eigen_multiplicity,
     full_spectrum,
     genus_formula,
     genus_lattice,
     interior_points,
-    primitive_mass,
-    primitive_mass_formula,
     validate_pair,
 )
-from seljac.arith import prime_power
+from seljac.arith import euler_phi_prime_power, prime_power
 
 
 VALID_PAIRS = [
@@ -32,7 +29,6 @@ pair_st = st.sampled_from(VALID_PAIRS)
 def test_interior_points_3_4():
     pts = interior_points(NewtonTriangle(3, 4))
     assert [(d.j, d.i) for d in pts] == [(1, 1), (1, 2), (2, 1)]
-    assert pts[1].eigen_exponent == 2
 
 
 def test_interior_points_are_interior():
@@ -69,16 +65,18 @@ def test_multiplicity_counts_row(pair):
     # mult of exponent i equals the number of interior points at height q - i
     n, q = pair
     pts = {(d.j, d.i) for d in interior_points(NewtonTriangle(n, q))}
+    mult = full_spectrum(n, q).multiplicities
     for i in range(1, q):
         row = sum(1 for (j, h) in pts if h == q - i)
-        assert eigen_multiplicity(n, q, i) == row
+        assert mult[i] == row
 
 
 @given(pair_st)
 def test_multiplicity_reflection(pair):
     n, q = pair
+    mult = full_spectrum(n, q).multiplicities
     for i in range(1, q):
-        assert eigen_multiplicity(n, q, i) + eigen_multiplicity(n, q, q - i) == n - 1
+        assert mult[i] + mult[q - i] == n - 1
 
 
 @given(pair_st)
@@ -99,13 +97,14 @@ def test_spectrum_totals(pair):
     n, q = pair
     spec = full_spectrum(n, q)
     assert spec.total() == genus_formula(n, q)
-    assert spec.primitive_total() == primitive_mass(n, q) == primitive_mass_formula(n, q)
+    p, r = validate_pair(n, q)
+    assert spec.primitive_total() == (n - 1) * euler_phi_prime_power(p, r) // 2
 
 
 def test_primitive_mass_fixtures():
-    assert primitive_mass(4, 9) == 9
-    assert primitive_mass(3, 5) == 4
-    assert primitive_mass(3, 2) == 1
+    assert full_spectrum(4, 9).primitive_total() == 9
+    assert full_spectrum(3, 5).primitive_total() == 4
+    assert full_spectrum(3, 2).primitive_total() == 1
 
 
 @pytest.mark.parametrize("n,q", [(3, 6), (2, 5), (4, 2), (3, 1), (-1, 2), (3, 12)])
@@ -119,12 +118,6 @@ def test_validate_pair_rejects(n, q):
 def test_validate_pair_returns_factorization():
     assert validate_pair(3, 8) == (2, 3)
     assert validate_pair(4, 9) == (3, 2)
-
-
-@pytest.mark.parametrize("i", [0, 4, -1, 17])
-def test_eigen_multiplicity_range(i):
-    with pytest.raises(ValueError):
-        eigen_multiplicity(3, 4, i)
 
 
 def test_basis_differential_is_hashable():
