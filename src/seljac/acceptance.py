@@ -1,9 +1,12 @@
 """Self-contained acceptance checks for the package, each returning a
-structured result with its runtime. `run_all` drives the `verify-all`
-CLI subcommand; the test suite runs the same functions one by one.
+structured result with its runtime. `run_all` runs them all once: it
+drives the `verify-all` CLI subcommand, and the test suite calls it once
+and checks each numbered result.
 
 Every check is exact arithmetic; several carry wall-clock budgets that
-are part of the contract (exhaustive sweeps must stay desk-scale).
+are part of the contract (exhaustive sweeps must stay desk-scale). Each
+check body returns (passed, detail); `_criterion` times it, fails it when
+it reaches its budget, and builds the `CriterionResult`.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from .galois import (
     discriminant_in_t,
 )
 from .heart import PermGroup, heart_centralizer_dim
-from .lattice import NewtonTriangle, full_spectrum, genus_formula, genus_lattice
+from .lattice import full_spectrum, genus_formula, genus_lattice
 from .model import chart_identity_check, delta_chart_order, hurwitz_genus
 from .obstruction import invariant_automorphisms, square_case_feasible
 from .poly import Poly, geometric_poly, poly_gcd
@@ -46,35 +49,49 @@ class CriterionResult:
         return f"criterion {self.number:2d} [{status}] {self.title}: {self.detail} [{timing}]"
 
 
-def criterion_1() -> CriterionResult:
+def _criterion(number: int, title: str, budget: float | None = None):
+    """Turn a check body returning (passed, detail) into criterion `number`:
+    the result carries the body's runtime and fails when the runtime
+    reaches the budget, keeping the body's detail."""
+
+    def decorate(body):
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail = body()
+            elapsed = time.perf_counter() - t0
+            if budget is not None and elapsed >= budget:
+                passed = False
+            return CriterionResult(number, title, passed, elapsed, detail, budget)
+
+        # No functools.wraps: a `__wrapped__` here would hide whether a
+        # tracer has wrapped the criterion.
+        run.__name__ = run.__qualname__ = body.__name__
+        run.__doc__ = body.__doc__
+        return run
+
+    return decorate
+
+
+@_criterion(1, "genus triple agreement", budget=2.0)
+def criterion_1():
     """Genus triple agreement on the coprime sweep 3<=n<=30, q<=64."""
-    budget = 2.0
-    t0 = time.perf_counter()
     bad = []
     count = 0
     for n, q, _, _ in coprime_pairs(range(3, 31), 64):
         count += 1
         expected = (n - 1) * (q - 1) // 2
-        values = (
-            genus_lattice(NewtonTriangle(n, q)),
-            genus_formula(n, q),
-            hurwitz_genus(n, q),
-        )
+        values = (genus_lattice(n, q), genus_formula(n, q), hurwitz_genus(n, q))
         if any(v != expected for v in values):
             bad.append((n, q, values))
-    elapsed = time.perf_counter() - t0
-    ok = not bad and elapsed < budget
-    detail = f"{count} pairs, lattice = formula = Hurwitz = (n-1)(q-1)/2"
     if bad:
-        detail = f"disagreement at {bad[:3]}"
-    return CriterionResult(1, "genus triple agreement", ok, elapsed, detail, budget)
+        return False, f"disagreement at {bad[:3]}"
+    return True, f"{count} pairs, lattice = formula = Hurwitz = (n-1)(q-1)/2"
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "eigenvalue mass identities", budget=2.0)
+def criterion_2():
     """Spectrum mass identities and the reflection mult(i) + mult(q-i) = n-1
     on the same sweep."""
-    budget = 2.0
-    t0 = time.perf_counter()
     bad = []
     count = 0
     for n, q, p, r in coprime_pairs(range(3, 31), 64):
@@ -86,18 +103,14 @@ def criterion_2() -> CriterionResult:
         reflection_ok = all(mult[i] + mult[q - i] == n - 1 for i in range(1, q))
         if not (total_ok and prim_ok and reflection_ok):
             bad.append((n, q))
-    elapsed = time.perf_counter() - t0
-    ok = not bad and elapsed < budget
-    detail = f"{count} pairs, total mass and primitive mass match the closed forms"
     if bad:
-        detail = f"mass mismatch at {bad[:3]}"
-    return CriterionResult(2, "eigenvalue mass identities", ok, elapsed, detail, budget)
+        return False, f"mass mismatch at {bad[:3]}"
+    return True, f"{count} pairs, total mass and primitive mass match the closed forms"
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "multiplier scan emptiness", budget=30.0)
+def criterion_3():
     """Multiplier scan: no invariant multipliers for n in 3..12, q <= 2048."""
-    budget = 30.0
-    t0 = time.perf_counter()
     nonempty = []
     zero_set_only = 0
     count = 0
@@ -108,31 +121,24 @@ def criterion_3() -> CriterionResult:
             nonempty.append((n, q, report.invariant_ms))
         if report.divergence:
             zero_set_only += 1
-    elapsed = time.perf_counter() - t0
-    ok = not nonempty and elapsed < budget
-    detail = (
+    if nonempty:
+        return False, f"invariant multipliers found at {nonempty[:3]}"
+    return True, (
         f"{count} pairs scanned, all function-level multiplier sets empty; "
         f"{zero_set_only} pairs with zero-set-only multipliers (finding, not failure)"
     )
-    if nonempty:
-        detail = f"invariant multipliers found at {nonempty[:3]}"
-    return CriterionResult(3, "multiplier scan emptiness", ok, elapsed, detail, budget)
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "square-case feasibility pinpoint", budget=10.0)
+def criterion_4():
     """Square-case feasibility true exactly at (3, 4) for n<=50, q<=1024."""
-    budget = 10.0
-    t0 = time.perf_counter()
     feasible = []
     count = 0
     for n, q, _, _ in coprime_pairs(range(3, 51), 1024):
         count += 1
         if square_case_feasible(n, q).feasible:
             feasible.append((n, q))
-    elapsed = time.perf_counter() - t0
-    ok = feasible == [(3, 4)] and elapsed < budget
-    detail = f"{count} pairs screened, feasible set = {feasible}"
-    return CriterionResult(4, "square-case feasibility pinpoint", ok, elapsed, detail, budget)
+    return feasible == [(3, 4)], f"{count} pairs screened, feasible set = {feasible}"
 
 
 def _expected_end_algebra_json() -> list[tuple[int, int, str, dict, str]]:
@@ -222,25 +228,22 @@ def _expected_end_algebra_json() -> list[tuple[int, int, str, dict, str]]:
     ]
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "endomorphism algebra fixtures")
+def criterion_5():
     """Endomorphism algebra fixtures, compared as serialized structures."""
-    t0 = time.perf_counter()
     bad = []
     for n, q, label, expected, expected_label in _expected_end_algebra_json():
         desc = predict_end_algebra(n, q, label)
         if desc.to_json() != expected or desc.label() != expected_label:
             bad.append((n, q, label, desc.to_json()))
-    elapsed = time.perf_counter() - t0
-    ok = not bad
-    detail = "all four fixture algebras serialize to the expected structures"
     if bad:
-        detail = f"mismatch at {bad[0][:3]}"
-    return CriterionResult(5, "endomorphism algebra fixtures", ok, elapsed, detail)
+        return False, f"mismatch at {bad[0][:3]}"
+    return True, "all four fixture algebras serialize to the expected structures"
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "j-invariant fixtures")
+def criterion_6():
     """j-invariant fixtures over Q and over Q(t), with isotriviality."""
-    t0 = time.perf_counter()
     checks = []
 
     w1 = depress_cubic(Poly([-1, -1, 0, 1]))
@@ -257,30 +260,22 @@ def criterion_6() -> CriterionResult:
     checks.append(j2.to_text() == "-6912/(27*t^2 - 4)")
     checks.append(not is_isotrivial(j2))
 
-    elapsed = time.perf_counter() - t0
-    ok = all(checks)
-    detail = "j(x^3-x-1) = -6912/23, j(x^3-x-t) = -6912/(27t^2-4), isotriviality flags agree"
-    if not ok:
-        detail = f"check vector {checks}"
-    return CriterionResult(6, "j-invariant fixtures", ok, elapsed, detail)
+    if not all(checks):
+        return False, f"check vector {checks}"
+    return True, "j(x^3-x-1) = -6912/23, j(x^3-x-t) = -6912/(27t^2-4), isotriviality flags agree"
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "prescribed-j family identity", budget=0.1)
+def criterion_7():
     """Symbolic identity: the calibrated one-parameter family hits j = a."""
-    budget = 0.1
-    t0 = time.perf_counter()
-    ok_identity = verify_prescribed_j_family()
-    elapsed = time.perf_counter() - t0
-    ok = ok_identity and elapsed < budget
-    detail = "x^3 - cx - c with c = 27a/(4(a-1728)) has j exactly a"
-    if not ok_identity:
-        detail = "identity failed"
-    return CriterionResult(7, "prescribed-j family identity", ok, elapsed, detail, budget)
+    if not verify_prescribed_j_family():
+        return False, "identity failed"
+    return True, "x^3 - cx - c with c = 27a/(4(a-1728)) has j exactly a"
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "Galois classification fixtures")
+def criterion_8():
     """Galois fixtures: two rational S3 cubics, a geometric S3, and a C3."""
-    t0 = time.perf_counter()
     checks = [
         classify_cubic_rational(Poly([-1, -1, 0, 1])) is GaloisLabel.S3,
         classify_cubic_rational(Poly([-2, 0, 0, 1])) is GaloisLabel.S3,
@@ -288,17 +283,14 @@ def criterion_8() -> CriterionResult:
         discriminant_in_t(Poly([0, -1, 0, 1])) == Poly([4, 0, -27]),
         classify_cubic_rational(Poly([-1, -3, 0, 1])) is GaloisLabel.C3,
     ]
-    elapsed = time.perf_counter() - t0
-    ok = all(checks)
-    detail = "x^3-x-1, x^3-2 -> S3; x^3-x -> geometric S3 via 4-27t^2; x^3-3x-1 -> C3"
-    if not ok:
-        detail = f"check vector {checks}"
-    return CriterionResult(8, "Galois classification fixtures", ok, elapsed, detail)
+    if not all(checks):
+        return False, f"check vector {checks}"
+    return True, "x^3-x-1, x^3-2 -> S3; x^3-x -> geometric S3 via 4-27t^2; x^3-3x-1 -> C3"
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "heart centralizer fixtures")
+def criterion_9():
     """Commutant dimensions on the sum-zero module."""
-    t0 = time.perf_counter()
     checks = [
         heart_centralizer_dim(PermGroup.symmetric(3), 2) == 1,
         heart_centralizer_dim(PermGroup.alternating(4), 3) == 1,
@@ -306,12 +298,9 @@ def criterion_9() -> CriterionResult:
     ]
     for n, p in ((3, 2), (4, 3), (5, 2)):
         checks.append(heart_centralizer_dim(PermGroup.trivial(n), p) == (n - 1) ** 2)
-    elapsed = time.perf_counter() - t0
-    ok = all(checks)
-    detail = "S3/A4/S4 give commutant 1; trivial group gives the full (n-1)^2"
-    if not ok:
-        detail = f"check vector {checks}"
-    return CriterionResult(9, "heart centralizer fixtures", ok, elapsed, detail)
+    if not all(checks):
+        return False, f"check vector {checks}"
+    return True, "S3/A4/S4 give commutant 1; trivial group gives the full (n-1)^2"
 
 
 def _random_squarefree(rng: random.Random, n: int, zero_constant: bool) -> Poly:
@@ -325,9 +314,9 @@ def _random_squarefree(rng: random.Random, n: int, zero_constant: bool) -> Poly:
             return f
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "two-chart model identity")
+def criterion_10():
     """Chart identity on randomized inputs; chart automorphism order q."""
-    t0 = time.perf_counter()
     rng = random.Random(61803)
     pps = prime_powers_upto(9)
     failures = []
@@ -348,19 +337,19 @@ def criterion_10() -> CriterionResult:
         for n, q, _, _ in coprime_pairs(range(3, 31), 64)
         if delta_chart_order(n, q) != q
     ]
-    elapsed = time.perf_counter() - t0
-    ok = not failures and not order_bad and zero_constant_done
-    detail = "200 randomized curves satisfy the two-chart identity; automorphism order is q"
     if failures:
-        detail = f"identity failed for {failures[0]}"
-    elif order_bad:
-        detail = f"order != q at {order_bad[:3]}"
-    return CriterionResult(10, "two-chart model identity", ok, elapsed, detail)
+        return False, f"identity failed for {failures[0]}"
+    if order_bad:
+        return False, f"order != q at {order_bad[:3]}"
+    return (
+        zero_constant_done,
+        "200 randomized curves satisfy the two-chart identity; automorphism order is q",
+    )
 
 
-def criterion_11() -> CriterionResult:
+@_criterion(11, "cyclotomic bookkeeping")
+def criterion_11():
     """Cyclotomic factor product and ledger dimension sums."""
-    t0 = time.perf_counter()
     bad_products = []
     for q, _, _ in prime_powers_upto(4096):
         prod = Poly.one()
@@ -373,14 +362,13 @@ def criterion_11() -> CriterionResult:
         total = sum(level.new_dim for level in decomposition_ledger(n, q))
         if total != genus_formula(n, q):
             bad_ledgers.append((n, q))
-    elapsed = time.perf_counter() - t0
-    ok = not bad_products and not bad_ledgers
-    detail = "cyclotomic factors reassemble 1+t+...+t^(q-1) up to q=4096; ledger sums hit the genus"
     if bad_products:
-        detail = f"product mismatch at q={bad_products[:3]}"
-    elif bad_ledgers:
-        detail = f"ledger mismatch at {bad_ledgers[:3]}"
-    return CriterionResult(11, "cyclotomic bookkeeping", ok, elapsed, detail)
+        return False, f"product mismatch at q={bad_products[:3]}"
+    if bad_ledgers:
+        return False, f"ledger mismatch at {bad_ledgers[:3]}"
+    return True, (
+        "cyclotomic factors reassemble 1+t+...+t^(q-1) up to q=4096; ledger sums hit the genus"
+    )
 
 
 CRITERIA = (

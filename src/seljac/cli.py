@@ -36,11 +36,11 @@ from .galois import (
     discriminant_in_t,
 )
 from .heart import PermGroup, heart_centralizer_dim, is_doubly_transitive
-from .lattice import NewtonTriangle, full_spectrum, genus_formula, genus_lattice, validate_pair
+from .lattice import full_spectrum, genus_formula, genus_lattice, validate_pair
 from .model import chart_identity_check, delta_chart_order, gluing_exponents, hurwitz_genus
 from .obstruction import feasibility_sweep, multiplier_sweep
 from .parse import parse_q_poly, parse_x_poly, t_linear_base
-from .poly import Poly, poly_gcd
+from .poly import Poly, poly_gcd, reversed_poly
 from .ratfunc import RatFunc
 
 
@@ -98,13 +98,22 @@ def _feasible_text(pl) -> str:
     )
 
 
+def _check_scan_limits(n_top: int, q_max: int) -> None:
+    """A scan whose largest n is below 3 or whose q-max is below 2 has no
+    pair to visit: an input error, not an empty answer."""
+    if n_top < 3:
+        raise ValueError(f"degree n must be >= 3, got {n_top}")
+    if q_max < 2:
+        raise ValueError(f"--q-max must be >= 2, got {q_max}")
+
+
 # ---- subcommand handlers ----
 
 
 def _cmd_genus(args) -> int:
     head = _head(args)
     n, q = head["n"], head["q"]
-    lattice = genus_lattice(NewtonTriangle(n, q))
+    lattice = genus_lattice(n, q)
     formula = genus_formula(n, q)
     hurwitz = hurwitz_genus(n, q)
     if not (lattice == formula == hurwitz):
@@ -183,12 +192,14 @@ def _cmd_cm_scan(args) -> int:
     if args.n is not None and args.n_max is not None:
         raise ValueError("give --n or --n-max, not both")
     ns = [args.n] if args.n is not None else list(range(3, args.n_max + 1))
+    _check_scan_limits(args.n if args.n is not None else args.n_max, args.q_max)
     for report in multiplier_sweep(ns, args.q_max):
         _emit(args, report.to_json(), _cm_text)
     return 0
 
 
 def _cmd_feasible_scan(args) -> int:
+    _check_scan_limits(args.n_max, args.q_max)
     for report in feasibility_sweep(args.n_max, args.q_max):
         _emit(args, report.to_json(), _feasible_text)
     return 0
@@ -265,12 +276,12 @@ def _cmd_model_check(args) -> int:
     validate_pair(n, q)
     if poly_gcd(f, f.derivative()).degree != 0:
         raise ValueError("polynomial has multiple roots")
-    glue = gluing_exponents(n, q, f)
+    a, b = gluing_exponents(n, q)
     payload = {
         **head,
-        "a": glue.a,
-        "b": glue.b,
-        "reversed_f": glue.reversed_f.to_text(),
+        "a": a,
+        "b": b,
+        "reversed_f": reversed_poly(f, n).to_text(),
         "identity": chart_identity_check(f, q),
         "delta_order": delta_chart_order(n, q),
         "genus": hurwitz_genus(n, q),

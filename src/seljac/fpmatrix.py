@@ -1,56 +1,5 @@
-"""Matrices over a prime field: just enough linear algebra for commutants."""
+"""Rank over a prime field: the one piece of linear algebra the commutants need."""
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-from .arith import is_prime
-
-
-@dataclass(frozen=True)
-class FpMatrix:
-    """Matrix over F_p; entries stored reduced mod p, row-major."""
-
-    p: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        if self.entries:
-            width = len(self.entries[0])
-            if any(len(row) != width for row in self.entries):
-                raise ValueError("ragged rows")
-        reduced = tuple(tuple(v % self.p for v in row) for row in self.entries)
-        object.__setattr__(self, "entries", reduced)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @classmethod
-    def identity(cls, n: int, p: int) -> FpMatrix:
-        return cls(p, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def __mul__(self, other: FpMatrix) -> FpMatrix:
-        if not isinstance(other, FpMatrix):
-            return NotImplemented
-        if self.p != other.p or self.cols != other.rows:
-            raise ValueError("incompatible matrices")
-        p = self.p
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                s = 0
-                for k in range(self.cols):
-                    s += self.entries[i][k] * other.entries[k][j]
-                row.append(s % p)
-            out.append(tuple(row))
-        return FpMatrix(p, tuple(out))
 
 
 def rank_fp(rows: list[list[int]], p: int) -> int:

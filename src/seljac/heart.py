@@ -4,13 +4,17 @@ For a degree-n permutation group and a prime p not dividing n, the
 sum-zero subspace of the F_p permutation module has dimension n - 1 and
 is an honest direct summand; its endomorphism commutant detects double
 transitivity (commutant dimension 1).
+
+A permutation is the tuple of its images of 0..n-1, and its action on
+the sum-zero module is a tuple of integer rows; the commutant equations
+are reduced mod p once, when `rank_fp` takes their rank.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .arith import is_prime
-from .fpmatrix import FpMatrix, rank_fp
+from .fpmatrix import rank_fp
 
 
 @dataclass(frozen=True)
@@ -77,9 +81,9 @@ def is_doubly_transitive(group: PermGroup) -> bool:
     return len(seen) == target
 
 
-def permutation_heart_matrix(perm: tuple[int, ...], p: int) -> FpMatrix:
-    """Action of one permutation on the sum-zero module, in the basis
-    u_k = e_k - e_{n-1} for k = 0..n-2 (so u_{n-1} reads as 0)."""
+def permutation_heart_matrix(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Action of one permutation on the sum-zero module, as integer rows in
+    the basis u_k = e_k - e_{n-1} for k = 0..n-2 (so u_{n-1} reads as 0)."""
     n = len(perm)
     d = n - 1
     cols = []
@@ -92,8 +96,7 @@ def permutation_heart_matrix(perm: tuple[int, ...], p: int) -> FpMatrix:
         if b < d:
             vec[b] -= 1
         cols.append(vec)
-    rows = tuple(tuple(cols[c][r] for c in range(d)) for r in range(d))
-    return FpMatrix(p, rows)
+    return tuple(tuple(cols[c][r] for c in range(d)) for r in range(d))
 
 
 def heart_centralizer_dim(group: PermGroup, p: int) -> int:
@@ -111,7 +114,7 @@ def heart_centralizer_dim(group: PermGroup, p: int) -> int:
     if n % p == 0:
         raise ValueError(f"prime {p} divides the degree {n}; module is not a summand")
     d = n - 1
-    mats = [permutation_heart_matrix(g, p).entries for g in group.generators]
+    mats = [permutation_heart_matrix(g) for g in group.generators]
     rows: list[list[int]] = []
     for a in mats:
         # (A M - M A)[i][j] = 0: unknowns M[k][l] flattened as k*d + l
@@ -121,5 +124,5 @@ def heart_centralizer_dim(group: PermGroup, p: int) -> int:
                 for k in range(d):
                     row[k * d + j] += a[i][k]
                     row[i * d + k] -= a[k][j]
-                rows.append([v % p for v in row])
+                rows.append(row)
     return d * d - rank_fp(rows, p)

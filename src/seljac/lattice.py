@@ -5,9 +5,10 @@ For y^q = f(x), deg f = n, gcd(n, q) = 1, q a prime power, the forms
 x^(j-1) dx / y^(q-i) indexed by interior lattice points (j, i) of the
 triangle q*j + n*i < n*q (j, i >= 1) are a basis of the holomorphic
 differentials, so the genus is the interior point count (n-1)(q-1)/2.
-The order-q automorphism multiplies y by a primitive root of unity; the
-form indexed by (j, i) picks up exponent i, and the eigenvalue with
-exponent -i appears with multiplicity floor(n*i/q).
+A point is the plain tuple (j, i). The order-q automorphism multiplies y
+by a primitive root of unity; the form indexed by (j, i) picks up
+exponent i, and the eigenvalue with exponent -i appears with
+multiplicity floor(n*i/q).
 """
 from __future__ import annotations
 
@@ -30,42 +31,24 @@ def validate_pair(n: int, q: int) -> tuple[int, int]:
     return pr
 
 
-@dataclass(frozen=True)
-class NewtonTriangle:
-    n: int
-    q: int
-
-    def __post_init__(self):
-        validate_pair(self.n, self.q)
-
-
-@dataclass(frozen=True)
-class BasisDifferential:
-    """Interior point (j, i): the form x^(j-1) dx / y^(q-i); the chart
-    automorphism scales it by the eigenvalue with exponent i."""
-
-    j: int
-    i: int
-
-
-def interior_points(tri: NewtonTriangle) -> list[BasisDifferential]:
-    """All (j, i) with j >= 1, i >= 1, q*j + n*i < n*q, ordered
-    lexicographically by (j, i)."""
-    n, q = tri.n, tri.q
+def interior_points(n: int, q: int) -> list[tuple[int, int]]:
+    """All interior points (j, i), j >= 1, i >= 1, q*j + n*i < n*q, ordered
+    lexicographically."""
+    validate_pair(n, q)
     out = []
     for j in range(1, n):
         # q*j + n*i < n*q  <=>  i < q*(n - j)/n
         for i in range(1, q):
             if q * j + n * i < n * q:
-                out.append(BasisDifferential(j, i))
+                out.append((j, i))
             else:
                 break
     return out
 
 
-def genus_lattice(tri: NewtonTriangle) -> int:
+def genus_lattice(n: int, q: int) -> int:
     """Genus as the interior lattice point count."""
-    return len(interior_points(tri))
+    return len(interior_points(n, q))
 
 
 def genus_formula(n: int, q: int) -> int:

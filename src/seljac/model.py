@@ -14,7 +14,6 @@ sides independently and compares term by term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import validate_pair
@@ -118,51 +117,33 @@ def _promote(v):
     return NotImplemented
 
 
-@dataclass(frozen=True)
-class GluingData:
-    """Minimal positive exponents with b*n - a*q = 1, plus the reversed
-    polynomial when the curve's f is supplied."""
-
-    n: int
-    q: int
-    a: int
-    b: int
-    reversed_f: Poly | None = None
-
-
-def gluing_exponents(n: int, q: int, f: Poly | None = None) -> GluingData:
+def gluing_exponents(n: int, q: int) -> tuple[int, int]:
     """Smallest positive (a, b) with b*n - a*q = 1."""
     validate_pair(n, q)
     b = pow(n, -1, q)  # least positive inverse of n mod q
     a = (b * n - 1) // q  # >= 1 since b >= 1 and n >= 3
-    rev = None
-    if f is not None:
-        if f.degree != n:
-            raise ValueError("supplied polynomial must have degree n")
-        rev = reversed_poly(f, n)
-    return GluingData(n, q, a, b, rev)
+    return a, b
 
 
 def chart_identity_check(f: Poly, q: int) -> bool:
     """Expand s^(b n) t^(n q) (y^q - f(x)) and s - frev(s^b t^q)
     independently and compare exactly."""
     n = f.degree
-    glue = gluing_exponents(n, q, f)
-    a, b = glue.a, glue.b
+    a, b = gluing_exponents(n, q)
     x = BivariateLaurent.monomial(1, -b, -q)
     y = BivariateLaurent.monomial(1, -a, -n)
     clear = BivariateLaurent.monomial(1, b * n, n * q)
     lhs = clear * (y**q - f.evaluate(x))
     w = BivariateLaurent.monomial(1, b, q)
-    rhs = BivariateLaurent.monomial(1, 1, 0) - glue.reversed_f.evaluate(w)
+    rhs = BivariateLaurent.monomial(1, 1, 0) - reversed_poly(f, n).evaluate(w)
     return lhs == rhs
 
 
 def delta_chart_order(n: int, q: int) -> int:
     """Order of the chart automorphism (s, t) -> (s, zeta^-b t): q divided
     by gcd(b, q), which b*n - a*q = 1 forces to be q itself."""
-    glue = gluing_exponents(n, q)
-    return q // math.gcd(glue.b % q, q)
+    _, b = gluing_exponents(n, q)
+    return q // math.gcd(b % q, q)
 
 
 def hurwitz_genus(n: int, q: int) -> int:

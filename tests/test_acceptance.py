@@ -69,3 +69,43 @@ def test_criterion_11_cyclotomic_ledger(results):
 
 def test_run_all_covers_every_criterion(results):
     assert [res.number for res in results] == list(range(1, 12))
+
+
+def test_check_over_budget_fails_and_keeps_its_detail():
+    @acceptance._criterion(98, "slow check", budget=0.0)
+    def slow():
+        """A check that passes but cannot beat a zero budget."""
+        return True, "all fine"
+
+    res = slow()
+    assert (res.number, res.title, res.passed, res.detail, res.budget) == (
+        98, "slow check", False, "all fine", 0.0,
+    )
+    assert res.elapsed >= 0.0
+    assert slow.__name__ == "slow"
+    assert slow.__doc__ == "A check that passes but cannot beat a zero budget."
+
+
+def test_failing_check_within_budget_reports_its_detail():
+    @acceptance._criterion(99, "broken check", budget=60.0)
+    def broken():
+        return False, "mismatch at (3, 4)"
+
+    res = broken()
+    assert (res.passed, res.detail, res.budget) == (False, "mismatch at (3, 4)", 60.0)
+    assert res.elapsed < 60.0
+    assert acceptance._criterion(99, "no budget")(lambda: (True, "ok"))().passed is True
+
+
+def test_criteria_is_the_flat_tuple_of_module_attributes():
+    expected = tuple(getattr(acceptance, f"criterion_{k}") for k in range(1, 12))
+    assert type(acceptance.CRITERIA) is tuple
+    assert acceptance.CRITERIA == expected
+
+
+def test_criteria_carry_no_wrapped_attribute():
+    # A traced run marks its wrappers with __wrapped__, so an untraced
+    # criterion must not have one of its own.
+    for fn in acceptance.CRITERIA:
+        assert not hasattr(fn, "__wrapped__"), fn.__name__
+        assert fn.__doc__, fn.__name__

@@ -117,6 +117,29 @@ def test_cm_scan_rejects_n_with_n_max(capsys):
     assert err == "error: give --n or --n-max, not both\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("cm-scan", "--n-max", "2", "--q-max", "8"), "degree n must be >= 3, got 2"),
+        (("cm-scan", "--n", "2", "--q-max", "2"), "degree n must be >= 3, got 2"),
+        (("cm-scan", "--n", "3", "--q-max", "1"), "--q-max must be >= 2, got 1"),
+        (("cm-scan", "--n-max", "4", "--q-max", "-5"), "--q-max must be >= 2, got -5"),
+        (("feasible-scan", "--n-max", "2", "--q-max", "8"), "degree n must be >= 3, got 2"),
+        (("feasible-scan", "--n-max", "4", "--q-max", "1"), "--q-max must be >= 2, got 1"),
+    ],
+)
+def test_scan_without_any_pair_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_scan_over_pairs_without_coprime_q_is_empty(capsys):
+    # n = 4 with q-max 2: a valid range whose only prime power divides n
+    assert run(capsys, "cm-scan", "--n", "4", "--q-max", "2") == (0, "", "")
+    code, out, _ = run(capsys, "feasible-scan", "--n-max", "3", "--q-max", "2")
+    assert code == 0 and json.loads(out)["q"] == 2
+
+
 def test_feasible_scan(capsys):
     code, out, _ = run(capsys, "feasible-scan", "--n-max", "4", "--q-max", "9")
     assert code == 0

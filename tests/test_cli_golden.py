@@ -148,6 +148,11 @@ _BRANCHES = [
 # entries keep their place in the recording.
 _INVALID_LATER = [
     ("cm-scan", "--n", "3", "--n-max", "5", "--q-max", "8"),
+    ("cm-scan", "--n-max", "2", "--q-max", "8"),
+    ("cm-scan", "--n", "3", "--q-max", "1"),
+    ("cm-scan", "--n-max", "4", "--q-max", "-5"),
+    ("feasible-scan", "--n-max", "2", "--q-max", "8"),
+    ("feasible-scan", "--n-max", "4", "--q-max", "1"),
 ]
 
 CORPUS: list[tuple[str, ...]] = [

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seljac.lattice import (
-    BasisDifferential,
-    NewtonTriangle,
     full_spectrum,
     genus_formula,
     genus_lattice,
@@ -27,15 +25,13 @@ pair_st = st.sampled_from(VALID_PAIRS)
 
 
 def test_interior_points_3_4():
-    pts = interior_points(NewtonTriangle(3, 4))
-    assert [(d.j, d.i) for d in pts] == [(1, 1), (1, 2), (2, 1)]
+    assert interior_points(3, 4) == [(1, 1), (1, 2), (2, 1)]
 
 
 def test_interior_points_are_interior():
-    tri = NewtonTriangle(5, 8)
-    for d in interior_points(tri):
-        assert d.j >= 1 and d.i >= 1
-        assert 8 * d.j + 5 * d.i < 40
+    for j, i in interior_points(5, 8):
+        assert j >= 1 and i >= 1
+        assert 8 * j + 5 * i < 40
 
 
 @pytest.mark.parametrize(
@@ -44,13 +40,13 @@ def test_interior_points_are_interior():
 )
 def test_genus_fixtures(n, q, g):
     assert genus_formula(n, q) == g
-    assert genus_lattice(NewtonTriangle(n, q)) == g
+    assert genus_lattice(n, q) == g
 
 
 @given(pair_st)
 def test_genus_lattice_matches_formula(pair):
     n, q = pair
-    assert genus_lattice(NewtonTriangle(n, q)) == genus_formula(n, q)
+    assert genus_lattice(n, q) == genus_formula(n, q)
 
 
 def test_spectrum_3_4():
@@ -64,7 +60,7 @@ def test_spectrum_3_4():
 def test_multiplicity_counts_row(pair):
     # mult of exponent i equals the number of interior points at height q - i
     n, q = pair
-    pts = {(d.j, d.i) for d in interior_points(NewtonTriangle(n, q))}
+    pts = set(interior_points(n, q))
     mult = full_spectrum(n, q).multiplicities
     for i in range(1, q):
         row = sum(1 for (j, h) in pts if h == q - i)
@@ -84,7 +80,7 @@ def test_complement_involution(pair):
     # (j, i) <-> (n - j, q - i) swaps interior and non-interior points of
     # the open box; nothing lands on the diagonal because gcd(n, q) = 1
     n, q = pair
-    pts = {(d.j, d.i) for d in interior_points(NewtonTriangle(n, q))}
+    pts = set(interior_points(n, q))
     for j in range(1, n):
         for i in range(1, q):
             assert q * j + n * i != n * q
@@ -112,14 +108,11 @@ def test_validate_pair_rejects(n, q):
     with pytest.raises(ValueError):
         validate_pair(n, q)
     with pytest.raises(ValueError):
-        NewtonTriangle(n, q)
+        interior_points(n, q)
+    with pytest.raises(ValueError):
+        genus_lattice(n, q)
 
 
 def test_validate_pair_returns_factorization():
     assert validate_pair(3, 8) == (2, 3)
     assert validate_pair(4, 9) == (3, 2)
-
-
-def test_basis_differential_is_hashable():
-    assert BasisDifferential(1, 2) == BasisDifferential(1, 2)
-    assert len({BasisDifferential(1, 1), BasisDifferential(1, 1)}) == 1
