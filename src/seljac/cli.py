@@ -98,13 +98,21 @@ def _feasible_text(pl) -> str:
     )
 
 
+# The largest --q-max a scan accepts. Both scans sieve every prime power up
+# to --q-max before the first record, in memory that grows with it.
+SCAN_Q_MAX = 10**7
+
+
 def _check_scan_limits(n_top: int, q_max: int) -> None:
     """A scan whose largest n is below 3 or whose q-max is below 2 has no
-    pair to visit: an input error, not an empty answer."""
+    pair to visit: an input error, not an empty answer. A q-max above
+    SCAN_Q_MAX is rejected before the sieve is allocated."""
     if n_top < 3:
         raise ValueError(f"degree n must be >= 3, got {n_top}")
     if q_max < 2:
         raise ValueError(f"--q-max must be >= 2, got {q_max}")
+    if q_max > SCAN_Q_MAX:
+        raise ValueError(f"--q-max must be at most {SCAN_Q_MAX}, got {q_max}")
 
 
 # ---- subcommand handlers ----

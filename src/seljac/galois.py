@@ -4,7 +4,10 @@ one-parameter families g(x) - t over the algebraic closure of Q(t).
 Rational route: rational-root + discriminant-square tests for cubics; for
 quartics the resolvent cubic z^3 - p z^2 - 4 r z + (4 p r - q^2) of the
 depressed form x^4 + p x^2 + q x + r, with the standard resolvent-root
-squareness criterion (Kappe-Warren) separating C4 from D4.
+squareness criterion (Kappe-Warren) separating C4 from D4. The rational
+roots come from exact integer bisection: the real roots of a monic integer
+form of the polynomial are bracketed between those of its derivatives,
+in time polynomial in the bit size of the coefficients.
 
 Geometric route: for f = g(x) - t the extension is automatically
 irreducible over the closure of Q(t), and everything is decided by
@@ -15,7 +18,6 @@ squarefree-factor granularity, plus infinity).
 from __future__ import annotations
 
 import enum
-import math
 from fractions import Fraction
 
 from .arith import fraction_is_square, fraction_sqrt
@@ -44,44 +46,53 @@ class GaloisLabel(enum.Enum):
         return self.value
 
 
-def _divisors(m: int) -> list[int]:
-    m = abs(m)
-    if m == 0:
+def _root_cuts(g: list[int], bound: int) -> list[int]:
+    """Sorted integers in [-bound, bound] that bracket the real roots of
+    the integer polynomial g (lowest degree first) in that interval: each
+    such root is one of them or lies strictly between two of them that
+    differ by 1.
+
+    Between the cuts of g' the polynomial g is strictly monotone, so one
+    integer bisection per sign change brackets its only root there (a
+    root hit exactly stays an end of the bracket). A unit gap may hold
+    critical points and with them two roots of g and no sign change, so
+    both its ends are kept."""
+    if len(g) < 2:
         return []
-    out = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            if d != m // d:
-                out.append(m // d)
-        d += 1
-    return sorted(out)
+    ends = sorted({-bound, bound, *_root_cuts([k * v for k, v in enumerate(g)][1:], bound)})
+    vals = [_homogeneous(g, e, 1) for e in ends]
+    cuts = {e for e, ge in zip(ends, vals) if ge == 0}
+    for lo, hi, glo, ghi in zip(ends, ends[1:], vals, vals[1:]):
+        if hi - lo == 1:
+            cuts.update((lo, hi))
+        elif glo * ghi < 0:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if (_homogeneous(g, mid, 1) < 0) == (glo < 0):
+                    lo = mid
+                else:
+                    hi = mid
+            cuts.update((lo, hi))
+    return sorted(cuts)
 
 
 def rational_roots(f: Poly) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial, ascending."""
+    """All rational roots of a nonzero polynomial, ascending.
+
+    With f a rational multiple of sum c_k x^k over Z of degree d, c_d > 0,
+    the rational roots of f are a / c_d for the integer roots a of the
+    monic g(y) = c_d^(d-1) sum c_k (y / c_d)^k. Those lie in (-B, B) for
+    the Cauchy bound B = 1 + max |g_k|, and `_root_cuts` brackets them by
+    exact integer bisection on the monotone pieces between the brackets
+    of the critical points: O(d^2 log B + d^3) evaluations of g and its
+    derivatives at integers, polynomial in the bit size of f."""
     if not f:
         raise ValueError("zero polynomial")
-    if f.degree == 0:
-        return []
-    roots: set[Fraction] = set()
-    coeffs = f.integer_scaled()
-    k = 0
-    while coeffs[k] == 0:
-        k += 1
-    if k > 0:
-        roots.add(Fraction(0))
-        coeffs = coeffs[k:]
-    if len(coeffs) > 1:
-        for num in _divisors(coeffs[0]):
-            for den in _divisors(coeffs[-1]):
-                if math.gcd(num, den) > 1:
-                    continue  # the same candidate as num/g over den/g
-                for a in (num, -num):
-                    if _homogeneous(coeffs, a, den) == 0:
-                        roots.add(Fraction(a, den))
-    return sorted(roots)
+    c = f.ints
+    d, lc = len(c) - 1, c[-1]
+    g = [v * lc ** (d - 1 - k) for k, v in enumerate(c[:-1])] + [1]
+    bound = 1 + max(map(abs, g[:-1]), default=0)
+    return [Fraction(a, lc) for a in _root_cuts(g, bound) if _homogeneous(g, a, 1) == 0]
 
 
 def _require_squarefree(f: Poly) -> None:

@@ -18,6 +18,10 @@ from .poly import Poly
 
 _T_POLY = Poly.x()  # the parameter t as a polynomial in t
 
+# The largest x-exponent accepted. A parsed polynomial is a dense list, so
+# x^k costs k + 1 entries; larger exponents are rejected before any is built.
+MAX_EXPONENT = 1000
+
 
 def _tokenize(text: str) -> list:
     out: list = []
@@ -68,6 +72,8 @@ def _read_exponent(r: _Reader) -> int:
         k = r.take()
         if not isinstance(k, int):
             raise ValueError("exponent must be a nonnegative integer")
+        if k > MAX_EXPONENT:
+            raise ValueError(f"exponent must be at most {MAX_EXPONENT}, got {k}")
         return k
     return 1
 

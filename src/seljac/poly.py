@@ -308,13 +308,6 @@ class Poly:
             raise ValueError("zero polynomial cannot be made monic")
         return Poly._make(self.ints, Fraction(1, self.ints[-1]))
 
-    def integer_scaled(self) -> list[int]:
-        """Coefficients of lambda*self for the least lambda > 0 making all
-        coefficients integers with overall gcd 1."""
-        if self.content < 0:
-            return [-v for v in self.ints]
-        return list(self.ints)
-
     # ---- text ----
 
     def to_text(self, var: str = "x") -> str:

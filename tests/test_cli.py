@@ -133,6 +133,19 @@ def test_scan_without_any_pair_exits_2(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("scan", [("cm-scan", "--n", "3"), ("feasible-scan", "--n-max", "3")])
+def test_scan_q_max_cap(capsys, monkeypatch, scan):
+    sieved = []
+    monkeypatch.setattr("seljac.arith.prime_powers_upto", lambda limit: sieved.append(limit) or [])
+    for q_max in (cli.SCAN_Q_MAX + 1, 10**10):
+        code, out, err = run(capsys, *scan, "--q-max", str(q_max))
+        assert (code, out) == (2, "")
+        assert err == f"error: --q-max must be at most {cli.SCAN_Q_MAX}, got {q_max}\n"
+    assert sieved == []
+    assert run(capsys, *scan, "--q-max", str(cli.SCAN_Q_MAX)) == (0, "", "")
+    assert sieved == [cli.SCAN_Q_MAX]
+
+
 def test_scan_over_pairs_without_coprime_q_is_empty(capsys):
     # n = 4 with q-max 2: a valid range whose only prime power divides n
     assert run(capsys, "cm-scan", "--n", "4", "--q-max", "2") == (0, "", "")

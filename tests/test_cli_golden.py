@@ -153,6 +153,17 @@ _INVALID_LATER = [
     ("cm-scan", "--n-max", "4", "--q-max", "-5"),
     ("feasible-scan", "--n-max", "2", "--q-max", "8"),
     ("feasible-scan", "--n-max", "4", "--q-max", "1"),
+    ("cm-scan", "--n", "3", "--q-max", "10000000000"),
+    ("feasible-scan", "--n-max", "3", "--q-max", "10000000000"),
+    ("galois", "--poly", "x^50000000"),
+]
+
+# Quartics whose rational-root tests meet an 18-digit constant term (the
+# resolvent cubic of the first) and a 39-digit one (the second itself);
+# sympy's galois_group also gives S4 for both.
+_GALOIS_LARGE = [
+    "731*x^4 + 512*x^3 - 977*x + 863",
+    "x^4 + 3*x + 100000000000000000000000000000000000039",
 ]
 
 CORPUS: list[tuple[str, ...]] = [
@@ -164,6 +175,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _INVALID for v in _both(*argv)),
     *(v for argv in _BRANCHES for v in _both(*argv)),
     *(v for argv in _INVALID_LATER for v in _both(*argv)),
+    *(v for poly in _GALOIS_LARGE for v in _both("galois", "--poly", poly)),
 ]
 
 

@@ -3,11 +3,13 @@
 The rational route is cross-checked against sympy's galois_group on both
 hand-picked and randomly drawn polynomials.
 """
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, strategies as st
 
 from seljac import galois
 from seljac.galois import (
@@ -20,7 +22,7 @@ from seljac.galois import (
     geometric_square_test,
     rational_roots,
 )
-from seljac.poly import Poly, poly_gcd
+from seljac.poly import Poly, _homogeneous, poly_gcd
 from seljac.ratfunc import RatFunc
 
 from galois_oracle import oracle_is_irreducible, oracle_label
@@ -28,6 +30,47 @@ from galois_oracle import oracle_is_irreducible, oracle_label
 
 def _squarefree(f: Poly) -> bool:
     return poly_gcd(f, f.derivative()).degree == 0
+
+
+def _divisors(m: int) -> list[int]:
+    m = abs(m)
+    if m == 0:
+        return []
+    out = []
+    d = 1
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            if d != m // d:
+                out.append(m // d)
+        d += 1
+    return sorted(out)
+
+
+def _rational_roots_by_divisors(f: Poly) -> list[Fraction]:
+    """Reference for rational_roots: try every +-num/den with num dividing
+    the constant term and den the leading coefficient, O(sqrt) divisors."""
+    if not f:
+        raise ValueError("zero polynomial")
+    if f.degree == 0:
+        return []
+    roots: set[Fraction] = set()
+    coeffs = list(f.ints)
+    k = 0
+    while coeffs[k] == 0:
+        k += 1
+    if k > 0:
+        roots.add(Fraction(0))
+        coeffs = coeffs[k:]
+    if len(coeffs) > 1:
+        for num in _divisors(coeffs[0]):
+            for den in _divisors(coeffs[-1]):
+                if math.gcd(num, den) > 1:
+                    continue  # the same candidate as num/g over den/g
+                for a in (num, -num):
+                    if _homogeneous(coeffs, a, den) == 0:
+                        roots.add(Fraction(a, den))
+    return sorted(roots)
 
 
 def test_rational_roots():
@@ -38,6 +81,53 @@ def test_rational_roots():
     assert rational_roots(Poly([5])) == []
     with pytest.raises(ValueError):
         rational_roots(Poly.zero())
+
+
+@pytest.mark.parametrize(
+    "coeffs,roots",
+    [
+        ([0, 0, -3, 1], [0, 3]),            # x^2 (x - 3): a double root at a critical point
+        ([0, -1, 1], [0, 1]),               # x (x - 1): roots at both ends of the bracket of 1/2
+        ([0, -1, 4, -4, 1], [0, 1]),        # x (x - 1)(x^2 - 3x + 1): two critical points in (0, 1)
+        ([-7, 1], [7]),                     # the root next to the Cauchy bound 8
+        ([7, 1], [-7]),
+        ([-6, 11, -6, 1], [1, 2, 3]),       # brackets of 2 -+ 1/sqrt(3) end at the roots
+        ([9, -6, 1], [3]),                  # (x - 3)^2: no sign change anywhere
+        ([-9, 6, -1], [3]),                 # negative leading coefficient
+        ([0, 0, 2, -3, 1], [0, 1, 2]),      # x^2 (x - 1)(x - 2): a double root at 0
+        ([-3, 10, -3], [Fraction(1, 3), 3]),
+        ([Fraction(1, 2), Fraction(-3, 4)], [Fraction(2, 3)]),
+        ([10**40 + 1, 0, 1], []),
+        ([-(10**40), 0, 1], [-(10**20), 10**20]),
+    ],
+)
+def test_rational_roots_cases(coeffs, roots):
+    f = Poly(coeffs)
+    assert rational_roots(f) == roots
+    if max(abs(c) for c in coeffs) < 10**6:
+        assert _rational_roots_by_divisors(f) == roots
+
+
+_small_root = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+
+
+@given(
+    st.lists(_small_root, max_size=5),
+    st.lists(st.integers(-9, 9), max_size=4),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+)
+def test_rational_roots_match_divisor_search(roots, cofactor, scale):
+    # a product of chosen linear factors (repeats allowed, 0 allowed), a
+    # random cofactor (often with no rational root, sometimes zero) and a
+    # rational scale: non-monic, negative leading coefficients, Fractions
+    f = Poly.const(scale)
+    for r in roots:
+        f = f * Poly([-r.numerator, r.denominator])
+    if any(cofactor):
+        f = f * Poly(cofactor)
+    got = rational_roots(f)
+    assert got == _rational_roots_by_divisors(f)
+    assert set(roots) <= set(got)
 
 
 @pytest.mark.parametrize(
@@ -193,6 +283,44 @@ def test_biased_quartic_families_match_oracle():
             assert not oracle_is_irreducible(coeffs)
         else:
             assert got.value == oracle_label(coeffs)
+
+
+def _classify(f: Poly) -> GaloisLabel:
+    return (classify_cubic_rational if f.degree == 3 else classify_quartic_rational)(f)
+
+
+def _big(rng) -> int:
+    digits = rng.randint(3, 6)
+    return rng.choice((-1, 1)) * rng.randint(10 ** (digits - 1), 10**digits - 1)
+
+
+def test_large_nonmonic_polynomials_match_oracle():
+    # 3- to 6-digit coefficients, beyond any divisor search: uniform draws
+    # (S3/S4 almost surely), fixtures of every label moved by a random
+    # x -> (a x + b) / c, and products of two factors
+    rng = random.Random(64)
+    cases = []
+    for degree in (3, 4):
+        for _ in range(8):
+            cases.append(([_big(rng) for _ in range(degree + 1)], None))
+    for coeffs, label in QUARTIC_FIXTURES + [([-1, -3, 0, 1], GaloisLabel.C3)]:
+        a, b, c = (abs(_big(rng)) for _ in range(3))
+        g = Poly(coeffs).compose(Poly([Fraction(b, c), Fraction(a, c)]))
+        cases.append((list(g.ints), label))
+    for split in (1, 2):
+        f = Poly([_big(rng) for _ in range(split + 1)]) * Poly([_big(rng) for _ in range(4 - split)])
+        cases.append((list(f.ints), GaloisLabel.REDUCIBLE))
+    for coeffs, label in cases:
+        f = Poly(coeffs)
+        assert _squarefree(f)
+        got = _classify(f)
+        if label is not None:
+            assert got is label, coeffs
+        if got is GaloisLabel.REDUCIBLE:
+            assert not oracle_is_irreducible(coeffs)
+        else:
+            assert oracle_is_irreducible(coeffs)
+            assert got.value == oracle_label(coeffs), coeffs
 
 
 # ---- geometric route ----

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seljac.parse import parse_q_poly, parse_x_poly, t_linear_base
+from seljac.parse import MAX_EXPONENT, parse_q_poly, parse_x_poly, t_linear_base
 from seljac.poly import Poly
 from seljac.ratfunc import RatFunc
 
@@ -89,6 +89,13 @@ def test_parse_x_poly_with_parameter():
 def test_parse_errors(bad):
     with pytest.raises(ValueError):
         parse_x_poly(bad)
+
+
+def test_parse_exponent_ceiling():
+    assert len(parse_x_poly(f"x^{MAX_EXPONENT} + 1")) == MAX_EXPONENT + 1
+    for text in (f"x^{MAX_EXPONENT + 1}", f"2*x^3 + t*x^{MAX_EXPONENT + 1}"):
+        with pytest.raises(ValueError, match=f"exponent must be at most {MAX_EXPONENT}"):
+            parse_x_poly(text)
 
 
 def test_parse_q_poly_rejects_t():
