@@ -199,8 +199,8 @@ def _cmd_cm_scan(args) -> int:
         raise ValueError("need --n or --n-max")
     if args.n is not None and args.n_max is not None:
         raise ValueError("give --n or --n-max, not both")
-    ns = [args.n] if args.n is not None else list(range(3, args.n_max + 1))
-    _check_scan_limits(args.n if args.n is not None else args.n_max, args.q_max)
+    ns = range(args.n, args.n + 1) if args.n is not None else range(3, args.n_max + 1)
+    _check_scan_limits(ns.stop - 1, args.q_max)
     for report in multiplier_sweep(ns, args.q_max):
         _emit(args, report.to_json(), _cm_text)
     return 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .arith import coprime_pairs, euler_phi_prime_power
 from .kernels import feasibility_counts, multiplier_scan
@@ -119,9 +119,10 @@ def square_case_feasible(n: int, q: int) -> FeasibilityReport:
     return FeasibilityReport(n, q, p, r, b_count, dim_w, divisibility_ok, feasible)
 
 
-def multiplier_sweep(ns: list[int], q_max: int) -> Iterator[InvariantMultiplierReport]:
-    """All reports for n in ns (ascending) and coprime prime powers q <= q_max."""
-    for n, q, _, _ in coprime_pairs(sorted(ns), q_max):
+def multiplier_sweep(ns: Iterable[int], q_max: int) -> Iterator[InvariantMultiplierReport]:
+    """All reports for n in ns (ascending, read lazily, so a range of any
+    length costs nothing up front) and coprime prime powers q <= q_max."""
+    for n, q, _, _ in coprime_pairs(ns, q_max):
         yield invariant_automorphisms(n, q)
 
 

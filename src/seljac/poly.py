@@ -168,8 +168,6 @@ class Poly:
             out[k] += kb * v
         return _scaled(out, Fraction(g, m))
 
-    __radd__ = __add__
-
     def __neg__(self) -> Poly:
         return Poly._make(self.ints, -self.content)
 
@@ -178,12 +176,6 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> Poly:
-        other = _promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):
@@ -209,7 +201,7 @@ class Poly:
         # coefficients is one too, so no gcd is needed.
         return Poly._make(tuple(out), self.content * other.content)
 
-    __rmul__ = __mul__
+    __rmul__ = __mul__  # kept: perfbench/spans.py wraps it by name
 
     def __pow__(self, e: int) -> Poly:
         if e < 0:
@@ -271,27 +263,10 @@ class Poly:
             return Poly._make(self.ints, self.content / other)
         return NotImplemented
 
-    # ---- calculus and evaluation ----
+    # ---- calculus and composition ----
 
     def derivative(self) -> Poly:
         return _scaled([k * v for k, v in enumerate(self.ints) if k], self.content)
-
-    def evaluate(self, x):
-        """Horner evaluation. At an int or Fraction a/b this runs on the
-        integers sum c_k a^k b^(d-k) and builds one Fraction; x may also be
-        any ring element supporting + and * with Fractions."""
-        c = self.content
-        if isinstance(x, (int, Fraction)):
-            if not self.ints:
-                return Fraction(0)
-            num = _homogeneous(self.ints, x.numerator, x.denominator)
-            return Fraction(c.numerator * num, c.denominator * x.denominator**self.degree)
-        result = None
-        for v in reversed(self.ints):
-            result = c * v if result is None else result * x + c * v
-        if result is None:
-            return 0 * x
-        return result
 
     def compose(self, inner: Poly) -> Poly:
         result = Poly()

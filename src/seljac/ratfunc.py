@@ -83,8 +83,6 @@ class RatFunc:
             return NotImplemented
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    __radd__ = __add__
-
     def __neg__(self) -> RatFunc:
         return RatFunc(-self.num, self.den)
 
@@ -94,19 +92,11 @@ class RatFunc:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> RatFunc:
-        other = _to_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> RatFunc:
         other = _to_ratfunc(other)
         if other is None:
             return NotImplemented
         return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other) -> RatFunc:
         other = _to_ratfunc(other)
@@ -115,12 +105,6 @@ class RatFunc:
         if not other:
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> RatFunc:
-        other = _to_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, e: int) -> RatFunc:
         if e < 0:

@@ -166,6 +166,15 @@ _GALOIS_LARGE = [
     "x^4 + 3*x + 100000000000000000000000000000000000039",
 ]
 
+# The two-chart identity where frev loses degree (f(0) = 0) and at a large
+# q, whose gluing exponents are large; and a single-degree cm-scan.
+_MODEL_LATER = [
+    ("model-check", "--poly", "x^3 - x", "--q", "4"),
+    ("model-check", "--poly", "x^3 - x", "--q", "1000003"),
+    ("model-check", "--poly", "3*x^5 - x^4 + 7", "--q", "1000003"),
+    ("cm-scan", "--n", "5", "--q-max", "32"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -176,6 +185,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _BRANCHES for v in _both(*argv)),
     *(v for argv in _INVALID_LATER for v in _both(*argv)),
     *(v for poly in _GALOIS_LARGE for v in _both("galois", "--poly", poly)),
+    *(v for argv in _MODEL_LATER for v in _both(*argv)),
 ]
 
 

