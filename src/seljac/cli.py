@@ -5,7 +5,10 @@ Each handler builds one payload per output record and passes it to `_emit`
 with a text renderer: `--format json` prints the payload itself, `--format
 text` prints the renderer's reading of it, so both formats come from the
 same payload. The subcommands keyed by (n, q) share the payload head
-{n, q, p, r} and its text header. The parser is built from one table.
+{n, q, p, r} and its text header. The parser is built from one table, once
+per process, on the first `main` call; each subcommand stores its handler's
+name, and `main` looks that name up in the module at dispatch, so a handler
+rebound on the module (a tracer wrapping `cli._cmd_*`) sees every call.
 Library users import from the submodules (`seljac.poly`, `seljac.galois`,
 ...); the package root re-exports nothing.
 
@@ -16,6 +19,7 @@ stdout early (`| head`) ends the run with 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,7 +43,7 @@ from .heart import PermGroup, heart_centralizer_dim, is_doubly_transitive
 from .lattice import full_spectrum, genus_formula, genus_lattice, validate_pair
 from .model import chart_identity_check, delta_chart_order, gluing_exponents, hurwitz_genus
 from .obstruction import feasibility_sweep, multiplier_sweep
-from .parse import parse_q_poly, parse_x_poly, t_linear_base
+from .parse import MAX_EXPONENT, parse_q_poly, parse_x_poly, t_linear_base
 from .poly import Poly, poly_gcd, reversed_poly
 from .ratfunc import RatFunc
 
@@ -66,6 +70,8 @@ def _head(args) -> dict:
             raise ValueError(f"--p must be prime, got {p}")
         if r < 1:
             raise ValueError(f"--r must be >= 1, got {r}")
+        if r > MAX_EXPONENT:
+            raise ValueError(f"--r must be at most {MAX_EXPONENT}, got {r}")
         if q is not None and q != p**r:
             raise ValueError(f"--q {q} contradicts --p {p} --r {r}")
         q = p**r
@@ -97,6 +103,10 @@ def _feasible_text(pl) -> str:
         f"b_count={pl['b_count']} dim_w={pl['dim_w']}"
     )
 
+
+# The largest q that spectrum accepts: its output has q - 1 entries, and at
+# 2**20 it takes about 2 s and 290 MB.
+SPECTRUM_Q_MAX = 2**20
 
 # The largest --q-max a scan accepts. Both scans sieve every prime power up
 # to --q-max before the first record, in memory that grows with it.
@@ -134,10 +144,12 @@ def _cmd_genus(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     head = _head(args)
+    if head["q"] > SPECTRUM_Q_MAX:
+        raise ValueError(f"spectrum needs q at most {SPECTRUM_Q_MAX}, got {head['q']}")
     spec = full_spectrum(head["n"], head["q"])
     payload = {
         **head,
-        "multiplicities": {str(i): m for i, m in sorted(spec.multiplicities.items())},
+        "multiplicities": {str(i): m for i, m in spec.multiplicities.items()},
         "total": spec.total(),
         "primitive_total": spec.primitive_total(),
     }
@@ -367,6 +379,7 @@ def _cmd_verify_all(args) -> int:
 # ---- argument plumbing ----
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seljac",
@@ -378,46 +391,42 @@ def build_parser() -> argparse.ArgumentParser:
     q_p_r = (("--q", num), ("--p", num), ("--r", num))
     pair = (("--n", need_num), *q_p_r)
     poly = (("--poly", {"required": True}),)
-    # (name, help, arguments, default format, handler). The table is built on
-    # each call, so main dispatches to whatever cli._cmd_* is bound to then.
+    # (name, help, arguments, default format); subcommand foo-bar is handled
+    # by _cmd_foo_bar.
     table = (
-        ("genus", "genus of y^q = f(x) for deg f = n", pair, "text", _cmd_genus),
-        ("spectrum", "eigenvalue multiplicities on differentials", pair, "text",
-         _cmd_spectrum),
-        ("decompose", "cyclotomic level ledger of the jacobian", pair, "text", _cmd_decompose),
+        ("genus", "genus of y^q = f(x) for deg f = n", pair, "text"),
+        ("spectrum", "eigenvalue multiplicities on differentials", pair, "text"),
+        ("decompose", "cyclotomic level ledger of the jacobian", pair, "text"),
         ("endo", "predicted endomorphism algebra",
          (*pair, ("--galois", {"required": True, "help": "Galois label (S3, S4, A4)"})),
-         "text", _cmd_endo),
+         "text"),
         ("nonisotrivial", "per-level isotriviality forecast",
-         (*pair, ("--galois", {"required": True})), "text", _cmd_nonisotrivial),
+         (*pair, ("--galois", {"required": True})), "text"),
         ("cm-scan", "invariant-multiplier sweep (newline JSON)",
-         (("--n", num), ("--n-max", num), ("--q-max", need_num)), "json", _cmd_cm_scan),
+         (("--n", num), ("--n-max", num), ("--q-max", need_num)), "json"),
         ("feasible-scan", "square-case feasibility sweep (newline JSON)",
-         (("--n-max", need_num), ("--q-max", need_num)), "json", _cmd_feasible_scan),
-        ("galois", "Galois group of a cubic/quartic (or g(x) - t family)", poly, "text",
-         _cmd_galois),
-        ("jinv", "j-invariant of y^2 = cubic", poly, "text", _cmd_jinv),
-        ("hp-check", "symbolic prescribed-j family identity", (), "text", _cmd_hp_check),
-        ("model-check", "two-chart model identity for y^q = f(x)", (*poly, *q_p_r), "text",
-         _cmd_model_check),
+         (("--n-max", need_num), ("--q-max", need_num)), "json"),
+        ("galois", "Galois group of a cubic/quartic (or g(x) - t family)", poly, "text"),
+        ("jinv", "j-invariant of y^2 = cubic", poly, "text"),
+        ("hp-check", "symbolic prescribed-j family identity", (), "text"),
+        ("model-check", "two-chart model identity for y^q = f(x)", (*poly, *q_p_r), "text"),
         ("heart", "commutant dimension on the sum-zero module",
-         (("--n", num), ("--galois", {}), ("--p", need_num)), "text", _cmd_heart),
-        ("verify-all", "run the full acceptance suite", (), "text", _cmd_verify_all),
+         (("--n", num), ("--galois", {}), ("--p", need_num)), "text"),
+        ("verify-all", "run the full acceptance suite", (), "text"),
     )
-    for name, help_text, arguments, default, handler in table:
+    for name, help_text, arguments, default in table:
         sub = subs.add_parser(name, help=help_text)
         for flag, kwargs in arguments:
             sub.add_argument(flag, **kwargs)
         sub.add_argument("--format", choices=("text", "json"), default=default)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler="_cmd_" + name.replace("-", "_"))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
+        code = globals()[args.handler](args)
         sys.stdout.flush()  # a closed pipe must raise here, not at exit
         return code
     except BrokenPipeError:

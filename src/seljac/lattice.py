@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .arith import prime_power
 
@@ -37,12 +38,9 @@ def interior_points(n: int, q: int) -> list[tuple[int, int]]:
     validate_pair(n, q)
     out = []
     for j in range(1, n):
-        # q*j + n*i < n*q  <=>  i < q*(n - j)/n
-        for i in range(1, q):
-            if q * j + n * i < n * q:
-                out.append((j, i))
-            else:
-                break
+        # q*j + n*i < n*q  <=>  i < q*(n - j)/n, and n does not divide
+        # q*(n - j), so the largest such i is q*(n - j)//n
+        out.extend(zip(repeat(j), range(1, q * (n - j) // n + 1)))
     return out
 
 
@@ -59,7 +57,8 @@ def genus_formula(n: int, q: int) -> int:
 
 @dataclass
 class EigenSpectrum:
-    """Multiplicity of each nontrivial eigenvalue exponent i = 1..q-1."""
+    """Multiplicity of each nontrivial eigenvalue exponent i = 1..q-1, in
+    ascending order of i (the order `spectrum` prints them in)."""
 
     n: int
     q: int
@@ -69,8 +68,11 @@ class EigenSpectrum:
         return sum(self.multiplicities.values())
 
     def primitive_total(self) -> int:
+        """The total over exponents i prime to p: the total minus the
+        q/p - 1 entries at i = p, 2p, ..."""
         p, _ = prime_power(self.q)
-        return sum(m for i, m in self.multiplicities.items() if i % p != 0)
+        mult = self.multiplicities
+        return self.total() - sum(mult[i] for i in range(p, self.q, p))
 
 
 def full_spectrum(n: int, q: int) -> EigenSpectrum:

@@ -11,6 +11,7 @@ import pytest
 import seljac
 from seljac import cli
 from seljac.acceptance import CriterionResult
+from seljac.parse import MAX_EXPONENT
 
 
 def run(capsys, *argv):
@@ -144,6 +145,34 @@ def test_scan_q_max_cap(capsys, monkeypatch, scan):
     assert sieved == []
     assert run(capsys, *scan, "--q-max", str(cli.SCAN_Q_MAX)) == (0, "", "")
     assert sieved == [cli.SCAN_Q_MAX]
+
+
+def test_spectrum_q_ceiling(capsys, monkeypatch):
+    # a q above the ceiling is rejected before the spectrum is built
+    built = []
+    monkeypatch.setattr(cli, "full_spectrum", lambda n, q: built.append(q))
+    for argv in (("--q", str(2 * cli.SPECTRUM_Q_MAX)), ("--q", str(3**13)),
+                 ("--p", "2", "--r", str(MAX_EXPONENT))):
+        code, out, err = run(capsys, "spectrum", "--n", "3", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: spectrum needs q at most {cli.SPECTRUM_Q_MAX}, got ")
+    assert built == []
+
+
+def test_spectrum_q_ceiling_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SPECTRUM_Q_MAX", 8)
+    code, out, _ = run(capsys, "spectrum", "--n", "3", "--q", "8")
+    assert code == 0 and out.splitlines()[-1] == "total = 7  primitive = 4"
+    assert run(capsys, "spectrum", "--n", "3", "--q", "9") == (
+        2, "", "error: spectrum needs q at most 8, got 9\n"
+    )
+
+
+@pytest.mark.parametrize("r", [MAX_EXPONENT + 1, 10**15])
+def test_exponent_ceiling_before_power(capsys, r):
+    # 3**(10**15) would not fit in memory: the check runs before p**r
+    code, out, err = run(capsys, "genus", "--n", "4", "--p", "3", "--r", str(r))
+    assert (code, out, err) == (2, "", f"error: --r must be at most {MAX_EXPONENT}, got {r}\n")
 
 
 def test_scan_over_pairs_without_coprime_q_is_empty(capsys):
@@ -359,6 +388,31 @@ def test_main_dispatches_through_module_global(capsys, monkeypatch):
     assert cli.main(["genus", "--n", "3", "--q", "2"]) == 0
     assert calls == [3]
     assert capsys.readouterr().out == ""
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    assert run(capsys, "genus", "--n", "3", "--q", "2") == (0, "1\n", "")
+    assert run(capsys, "genus", "--n", "4", "--q", "9") == (0, "12\n", "")
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_usage_error_leaves_the_parser_reusable(capsys):
+    cli.build_parser.cache_clear()
+    with pytest.raises(SystemExit) as fresh:
+        cli.main(["genus", "--q", "7"])
+    fresh_err = capsys.readouterr().err
+    assert run(capsys, "genus", "--n", "3", "--q", "2") == (0, "1\n", "")
+    with pytest.raises(SystemExit) as reused:
+        cli.main(["genus", "--q", "7"])
+    captured = capsys.readouterr()
+    assert fresh.value.code == reused.value.code == 2
+    assert captured.out == ""
+    assert captured.err == fresh_err
+    assert "the following arguments are required: --n" in fresh_err
+    assert run(capsys, "genus", "--n", "3", "--q", "2") == (0, "1\n", "")
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def _stub_results(flags):

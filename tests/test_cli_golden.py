@@ -175,6 +175,21 @@ _MODEL_LATER = [
     ("cm-scan", "--n", "5", "--q-max", "32"),
 ]
 
+# Spectra with q >= 10, where JSON's sorted keys ("10" before "2") and the
+# text's ascending exponents differ; the second is kept as a digest.
+_SPECTRUM_LATER = [
+    ("spectrum", "--n", "4", "--q", "27"),
+    ("spectrum", "--n", "7", "--q", "131072"),
+]
+
+# Inputs above the spectrum q ceiling and the --r ceiling, which exit 2
+# before anything of size q is built.
+_CEILINGS = [
+    ("spectrum", "--n", "3", "--q", "4194304"),
+    ("spectrum", "--n", "4", "--p", "3", "--r", "13"),
+    ("genus", "--n", "3", "--p", "2", "--r", "1001"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -186,6 +201,8 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _INVALID_LATER for v in _both(*argv)),
     *(v for poly in _GALOIS_LARGE for v in _both("galois", "--poly", poly)),
     *(v for argv in _MODEL_LATER for v in _both(*argv)),
+    *(v for argv in _SPECTRUM_LATER for v in _both(*argv)),
+    *(v for argv in _CEILINGS for v in _both(*argv)),
 ]
 
 
@@ -223,7 +240,7 @@ def test_cli_output_is_unchanged(rec):
 
 
 def test_corpus_exit_codes():
-    invalid = {v for argv in (*_INVALID, *_INVALID_LATER) for v in _both(*argv)}
+    invalid = {v for argv in (*_INVALID, *_INVALID_LATER, *_CEILINGS) for v in _both(*argv)}
     for rec in _recorded():
         assert rec["exit"] == (2 if tuple(rec["argv"]) in invalid else 0), rec["argv"]
 

@@ -97,6 +97,43 @@ def test_spectrum_totals(pair):
     assert spec.primitive_total() == (n - 1) * euler_phi_prime_power(p, r) // 2
 
 
+def _interior_points_oracle(n, q):
+    # the per-point scan that interior_points replaced
+    out = []
+    for j in range(1, n):
+        for i in range(1, q):
+            if q * j + n * i < n * q:
+                out.append((j, i))
+            else:
+                break
+    return out
+
+
+def _primitive_total_oracle(spec):
+    # the per-entry filter that primitive_total replaced
+    p, _ = prime_power(spec.q)
+    return sum(m for i, m in spec.multiplicities.items() if i % p != 0)
+
+
+ORACLE_PAIRS = [
+    (n, q)
+    for n in range(3, 13)
+    for q in range(2, 513)
+    if prime_power(q) is not None and math.gcd(n, q) == 1
+]
+
+
+@given(st.sampled_from(ORACLE_PAIRS))
+def test_interior_points_match_oracle(pair):
+    assert interior_points(*pair) == _interior_points_oracle(*pair)
+
+
+@given(st.sampled_from(ORACLE_PAIRS))
+def test_primitive_total_matches_oracle(pair):
+    spec = full_spectrum(*pair)
+    assert spec.primitive_total() == _primitive_total_oracle(spec)
+
+
 def test_primitive_mass_fixtures():
     assert full_spectrum(4, 9).primitive_total() == 9
     assert full_spectrum(3, 5).primitive_total() == 4
