@@ -48,8 +48,8 @@ from .poly import Poly, poly_gcd, reversed_poly
 from .ratfunc import RatFunc
 
 
-def _dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True)
+# The encoder json.dumps(payload, sort_keys=True) would build on each call.
+_dump = json.JSONEncoder(sort_keys=True).encode
 
 
 def _emit(args, payload, text) -> None:
@@ -75,10 +75,12 @@ def _head(args) -> dict:
         if q is not None and q != p**r:
             raise ValueError(f"--q {q} contradicts --p {p} --r {r}")
         q = p**r
-    pr = prime_power(q)
-    if pr is None:
-        raise ValueError(f"q must be a prime power >= 2, got {q}")
-    return {"n": getattr(args, "n", None), "q": q, "p": pr[0], "r": pr[1]}
+    else:
+        pr = prime_power(q)
+        if pr is None:
+            raise ValueError(f"q must be a prime power >= 2, got {q}")
+        p, r = pr
+    return {"n": getattr(args, "n", None), "q": q, "p": p, "r": r}
 
 
 def _header(pl) -> str:

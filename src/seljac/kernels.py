@@ -6,9 +6,16 @@ Sylow parts with O(log q) exact membership tests, instead of testing every
 residue; the feasibility counts are closed-form interval counts. There is
 one implementation, in pure Python; `BACKEND` names it for benchmark
 reports.
+
+The unit-group data of an odd prime p (its least primitive root and the
+primes dividing p - 1) depends on p alone, so `_unit_group` computes it
+once per prime and process, however many degrees n a scan visits at the
+same q. A CLI scan reaches only the primes up to its --q-max, so the memo
+holds at most pi(cli.SCAN_Q_MAX) = 664,579 entries, one small tuple each.
 """
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 BACKEND = "pure-python"
@@ -73,12 +80,11 @@ def _stabilizer(q: int, p: int, member: Callable[[int], bool]) -> list[int]:
             elems += [coset * x % q for x in elems]
     else:
         phi = q - q // p
-        primes = _prime_factors(p - 1)
-        g = _primitive_root(p, primes)
+        g, primes = _unit_group(p)
         if q > p:
             if pow(g, p - 1, p * p) == 1:
                 g += p  # g + p generates (Z/p^r)^* for every r
-            primes = sorted(primes + [p])
+            primes += (p,)  # p exceeds every prime dividing p - 1
         elems = _powers(_cyclic_part(g, phi, primes, q, member)[0], q)
     return sorted(elems)[1:]
 
@@ -125,6 +131,15 @@ def _prime_factors(m: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
+
+
+@functools.cache
+def _unit_group(p: int) -> tuple[int, tuple[int, ...]]:
+    """(g, primes) for the odd prime p: the least primitive root g mod p and
+    the primes dividing p - 1, ascending. Memoized per p; a tuple, so no
+    caller can change a cached value."""
+    primes = tuple(_prime_factors(p - 1))
+    return _primitive_root(p, primes), primes
 
 
 def _primitive_root(p: int, primes: Sequence[int]) -> int:

@@ -11,7 +11,13 @@ Two independent obstructions to extra symmetry of the eigenvalue data:
   primitive i, so every candidate m is still decided exactly;
 * square-case feasibility: necessary conditions for the centralizer
   square scenario, which single out (n, q) = (3, 4); counted in closed
-  form over intervals of residues.
+  form over intervals of residues, and decided in integers.
+
+The unit-group data the multiplier scan needs (the least primitive root
+mod p and the primes dividing p - 1) is computed once per prime p and
+process by `kernels._unit_group`, not once per (n, q). A CLI scan reaches
+only the primes up to its --q-max, so that memo holds at most
+pi(cli.SCAN_Q_MAX) entries.
 """
 from __future__ import annotations
 
@@ -112,11 +118,12 @@ def invariant_automorphisms(n: int, q: int) -> InvariantMultiplierReport:
 def square_case_feasible(n: int, q: int) -> FeasibilityReport:
     p, r = validate_pair(n, q)
     b_count, divisibility_ok = feasibility_counts(n, q, p)
-    dim_w = Fraction(euler_phi_prime_power(p, r), 2)
-    feasible = (
-        dim_w.denominator == 1 and Fraction(b_count) <= dim_w and divisibility_ok
+    phi = euler_phi_prime_power(p, r)
+    # dim_w = phi/2 is integral and at least #B, decided in integers
+    feasible = phi % 2 == 0 and 2 * b_count <= phi and divisibility_ok
+    return FeasibilityReport(
+        n, q, p, r, b_count, Fraction(phi, 2), divisibility_ok, feasible
     )
-    return FeasibilityReport(n, q, p, r, b_count, dim_w, divisibility_ok, feasible)
 
 
 def multiplier_sweep(ns: Iterable[int], q_max: int) -> Iterator[InvariantMultiplierReport]:

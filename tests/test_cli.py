@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import seljac
-from seljac import cli
+from seljac import arith, cli
 from seljac.acceptance import CriterionResult
 from seljac.parse import MAX_EXPONENT
 
@@ -173,6 +175,47 @@ def test_exponent_ceiling_before_power(capsys, r):
     # 3**(10**15) would not fit in memory: the check runs before p**r
     code, out, err = run(capsys, "genus", "--n", "4", "--p", "3", "--r", str(r))
     assert (code, out, err) == (2, "", f"error: --r must be at most {MAX_EXPONENT}, got {r}\n")
+
+
+def test_p_r_path_does_not_factor_q(capsys, monkeypatch):
+    # --p/--r give q = p**r already: only is_prime(p) may trial-divide,
+    # never q, whose trial division costs sqrt(q) = p steps. A bare --q is
+    # factored once.
+    calls = []
+
+    def counting(m, real=arith.prime_power):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(arith, "prime_power", counting)
+    monkeypatch.setattr(cli, "prime_power", counting)
+    code, out, err = run(capsys, "spectrum", "--n", "3", "--p", "1000003", "--r", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: spectrum needs q at most {cli.SPECTRUM_Q_MAX}, got {1000003**2}\n"
+    assert calls == [1000003]
+    calls.clear()
+    assert run_json(capsys, "genus", "--n", "4", "--q", "9", "--format", "json")["p"] == 3
+    assert calls == [9]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**200), 2**200) | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+@given(_JSON_VALUES)
+def test_shared_encoder_matches_dumps(value):
+    assert cli._dump(value) == json.dumps(value, sort_keys=True)
+
+
+def test_shared_encoder_after_a_failed_call():
+    with pytest.raises(TypeError):
+        cli._dump({"dim_w": Fraction(1, 2)})
+    assert cli._dump({"\u00e9": [2**70, None], "a": True}) == (
+        '{"a": true, "\\u00e9": [1180591620717411303424, null]}'
+    )
 
 
 def test_scan_over_pairs_without_coprime_q_is_empty(capsys):

@@ -190,6 +190,13 @@ _CEILINGS = [
     ("genus", "--n", "3", "--p", "2", "--r", "1001"),
 ]
 
+# --p/--r with a large prime: q = p**r comes from the flags and is not
+# factored again, so both reach the spectrum ceiling and exit 2 at once.
+_LARGE_P = [
+    ("spectrum", "--n", "3", "--p", "1000003", "--r", "2"),
+    ("spectrum", "--n", "3", "--p", "1000000007", "--r", "2"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -203,6 +210,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _MODEL_LATER for v in _both(*argv)),
     *(v for argv in _SPECTRUM_LATER for v in _both(*argv)),
     *(v for argv in _CEILINGS for v in _both(*argv)),
+    *(v for argv in _LARGE_P for v in _both(*argv)),
 ]
 
 
@@ -240,7 +248,11 @@ def test_cli_output_is_unchanged(rec):
 
 
 def test_corpus_exit_codes():
-    invalid = {v for argv in (*_INVALID, *_INVALID_LATER, *_CEILINGS) for v in _both(*argv)}
+    invalid = {
+        v
+        for argv in (*_INVALID, *_INVALID_LATER, *_CEILINGS, *_LARGE_P)
+        for v in _both(*argv)
+    }
     for rec in _recorded():
         assert rec["exit"] == (2 if tuple(rec["argv"]) in invalid else 0), rec["argv"]
 

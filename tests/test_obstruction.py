@@ -254,3 +254,37 @@ def test_stabilizer_lifts_the_primitive_root():
     p = 40487
     found = kernels._stabilizer(p * p, p, lambda m: m % p == 1)
     assert found == list(range(p + 1, p * p, p))
+
+
+def _order(a, p):
+    """Multiplicative order of a mod p, by repeated multiplication."""
+    x, k = a % p, 1
+    while x != 1:
+        x, k = x * a % p, k + 1
+    return k
+
+
+def test_unit_group_memo_is_the_least_primitive_root():
+    for _, p, r in prime_powers_upto(3000):
+        if p == 2 or r > 1:
+            continue
+        g, primes = kernels._unit_group(p)
+        assert _order(g, p) == p - 1, p
+        assert all(_order(a, p) < p - 1 for a in range(1, g)), p
+        assert primes == tuple(
+            l for l in range(2, p) if (p - 1) % l == 0 and prime_power(l) == (l, 1)
+        )
+
+
+def test_multiplier_scan_same_with_memo_cold_and_warm():
+    pairs = list(coprime_pairs(range(3, 13), 512))
+    cold = []
+    for n, q, p, _ in pairs:
+        kernels._unit_group.cache_clear()
+        cold.append(kernels.multiplier_scan(n, q, p))
+    # n = 3 fills the memo for every p but 3, and n = 4 adds p = 3, so
+    # each later degree reads what an earlier scan left in it
+    kernels._unit_group.cache_clear()
+    warm = [kernels.multiplier_scan(n, q, p) for n, q, p, _ in pairs]
+    assert kernels._unit_group.cache_info().hits > 0
+    assert warm == cold
