@@ -318,14 +318,12 @@ def _random_squarefree(rng: random.Random, n: int, zero_constant: bool) -> Poly:
 def criterion_10():
     """Chart identity on randomized inputs; chart automorphism order q."""
     rng = random.Random(61803)
-    pps = prime_powers_upto(9)
     failures = []
     trials = 0
     zero_constant_done = False
     while trials < 200:
         n = rng.randint(3, 6)
-        qs = [q for q, p, _ in pps if n % p != 0]
-        q = rng.choice(qs)
+        q = rng.choice([q for _, q, _, _ in coprime_pairs((n,), 9)])
         f = _random_squarefree(rng, n, zero_constant=not zero_constant_done)
         if f.coeff(0) == 0:
             zero_constant_done = True

@@ -38,13 +38,14 @@ from .galois import (
     classify_quartic_geometric,
     classify_quartic_rational,
     discriminant_in_t,
+    require_squarefree,
 )
-from .heart import PermGroup, heart_centralizer_dim, is_doubly_transitive
+from .heart import GROUPS, PermGroup, heart_centralizer_dim, is_doubly_transitive
 from .lattice import full_spectrum, genus_formula, genus_lattice, validate_pair
 from .model import chart_identity_check, delta_chart_order, gluing_exponents, hurwitz_genus
 from .obstruction import feasibility_sweep, multiplier_sweep
 from .parse import MAX_EXPONENT, parse_q_poly, parse_x_poly, t_linear_base
-from .poly import Poly, poly_gcd, reversed_poly
+from .poly import Poly, reversed_poly
 from .ratfunc import RatFunc
 
 
@@ -57,17 +58,16 @@ def _emit(args, payload, text) -> None:
     print(_dump(payload) if args.format == "json" else text(payload))
 
 
-def _head(args) -> dict:
+def _head(args, q_max: int | None = None) -> dict:
     """The payload head {n, q, p, r}: n from --n (None without one), and
-    q = p**r from --q and/or --p/--r, consistency enforced."""
+    q = p**r from --q and/or --p/--r, consistency enforced. A q above
+    q_max is rejected before p or q is trial-divided."""
     q, p, r = args.q, args.p, args.r
     if (p is None) != (r is None):
         raise ValueError("--p and --r must be given together")
     if q is None and p is None:
         raise ValueError("need --q or the pair --p/--r")
     if p is not None:
-        if not is_prime(p):
-            raise ValueError(f"--p must be prime, got {p}")
         if r < 1:
             raise ValueError(f"--r must be >= 1, got {r}")
         if r > MAX_EXPONENT:
@@ -75,11 +75,15 @@ def _head(args) -> dict:
         if q is not None and q != p**r:
             raise ValueError(f"--q {q} contradicts --p {p} --r {r}")
         q = p**r
-    else:
+    if q_max is not None and q > q_max:
+        raise ValueError(f"{args.subcommand} needs q at most {q_max}, got {q}")
+    if p is None:
         pr = prime_power(q)
         if pr is None:
             raise ValueError(f"q must be a prime power >= 2, got {q}")
         p, r = pr
+    elif not is_prime(p):
+        raise ValueError(f"--p must be prime, got {p}")
     return {"n": getattr(args, "n", None), "q": q, "p": p, "r": r}
 
 
@@ -94,8 +98,8 @@ def _word(flag: bool | None) -> str:
 
 def _cm_text(pl) -> str:
     return (
-        f"n={pl['n']} q={pl['q']} invariant_ms={pl['invariant_ms']} "
-        f"zero_set_ms={pl['zero_set_ms']}"
+        f"n={pl['n']} q={pl['q']} invariant_ms={list(pl['invariant_ms'])} "
+        f"zero_set_ms={list(pl['zero_set_ms'])}"
     )
 
 
@@ -109,6 +113,10 @@ def _feasible_text(pl) -> str:
 # The largest q that spectrum accepts: its output has q - 1 entries, and at
 # 2**20 it takes about 2 s and 290 MB.
 SPECTRUM_Q_MAX = 2**20
+
+# The most lattice points (n-1)(q-1)/2 that genus enumerates: at 2**22 it
+# takes about 1 s and 430 MB.
+GENUS_POINTS_MAX = 2**22
 
 # The largest --q-max a scan accepts. Both scans sieve every prime power up
 # to --q-max before the first record, in memory that grows with it.
@@ -133,6 +141,8 @@ def _check_scan_limits(n_top: int, q_max: int) -> None:
 def _cmd_genus(args) -> int:
     head = _head(args)
     n, q = head["n"], head["q"]
+    if (n - 1) * (q - 1) // 2 > GENUS_POINTS_MAX:
+        raise ValueError(f"genus needs (n-1)(q-1)/2 at most {GENUS_POINTS_MAX} lattice points")
     lattice = genus_lattice(n, q)
     formula = genus_formula(n, q)
     hurwitz = hurwitz_genus(n, q)
@@ -145,9 +155,7 @@ def _cmd_genus(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    head = _head(args)
-    if head["q"] > SPECTRUM_Q_MAX:
-        raise ValueError(f"spectrum needs q at most {SPECTRUM_Q_MAX}, got {head['q']}")
+    head = _head(args, SPECTRUM_Q_MAX)
     spec = full_spectrum(head["n"], head["q"])
     payload = {
         **head,
@@ -168,7 +176,7 @@ def _cmd_decompose(args) -> int:
     n, q = head["n"], head["q"]
     payload = {
         **head,
-        "levels": [lv.to_json() for lv in decomposition_ledger(n, q)],
+        "levels": [vars(lv) for lv in decomposition_ledger(n, q)],
         "genus": genus_formula(n, q),
     }
     _emit(args, payload, lambda pl: "\n".join([
@@ -216,7 +224,7 @@ def _cmd_cm_scan(args) -> int:
     ns = range(args.n, args.n + 1) if args.n is not None else range(3, args.n_max + 1)
     _check_scan_limits(ns.stop - 1, args.q_max)
     for report in multiplier_sweep(ns, args.q_max):
-        _emit(args, report.to_json(), _cm_text)
+        _emit(args, vars(report), _cm_text)
     return 0
 
 
@@ -296,8 +304,7 @@ def _cmd_model_check(args) -> int:
     n = head["n"] = f.degree
     q = head["q"]
     validate_pair(n, q)
-    if poly_gcd(f, f.derivative()).degree != 0:
-        raise ValueError("polynomial has multiple roots")
+    require_squarefree(f)
     a, b = gluing_exponents(n, q)
     payload = {
         **head,
@@ -322,26 +329,14 @@ def _cmd_model_check(args) -> int:
     return 0
 
 
-_HEART_GROUPS = {
-    "S3": lambda: PermGroup.symmetric(3),
-    "C3": lambda: PermGroup.cyclic(3),
-    "S4": lambda: PermGroup.symmetric(4),
-    "A4": lambda: PermGroup.alternating(4),
-    "C4": lambda: PermGroup.cyclic(4),
-    "V4": lambda: PermGroup(4, ((1, 0, 3, 2), (2, 3, 0, 1))),
-    "D4": lambda: PermGroup(4, ((1, 2, 3, 0), (2, 1, 0, 3))),
-}
-
-
 def _cmd_heart(args) -> int:
     if args.galois is not None:
-        maker = _HEART_GROUPS.get(args.galois)
-        if maker is None:
+        group = GROUPS.get(args.galois)
+        if group is None:
             raise ValueError(
                 f"no group attached to label {args.galois!r}; "
-                f"choose from {sorted(_HEART_GROUPS)}"
+                f"choose from {sorted(GROUPS)}"
             )
-        group = maker()
         name = args.galois
         if args.n is not None and args.n != group.degree:
             raise ValueError(f"label {args.galois} acts on {group.degree} points, not {args.n}")

@@ -7,7 +7,8 @@ parts of dimension (n-1)(p^i - p^(i-1))/2. For f of degree 3 or 4 with
 full (doubly transitive) Galois group, the endomorphism algebra of each
 new part is known exactly; the only non-field factor in the supported
 range appears at (n, p^i) = (3, 4), where the level contributes
-Q x Mat_2(Q(zeta_4)) in place of two field levels.
+Q x Mat_2(Q(zeta_4)) in place of two field levels. Double transitivity is
+read from the label's group in `heart.GROUPS` alone.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 from .arith import euler_phi_prime_power, prime_power
 from .galois import GaloisLabel
+from .heart import GROUPS, is_doubly_transitive
 from .lattice import validate_pair
 from .poly import Poly, cyclotomic_poly, geometric_poly
 
@@ -79,9 +81,6 @@ class DecompositionLevel:
     modulus: int
     new_dim: int
 
-    def to_json(self) -> dict:
-        return {"level": self.level, "modulus": self.modulus, "new_dim": self.new_dim}
-
 
 @dataclass(frozen=True)
 class EndAlgebraDescription:
@@ -108,7 +107,7 @@ class EndAlgebraDescription:
             "n": self.n,
             "q": self.q,
             "factors": [f.to_json() for f in self.factors],
-            "levels": [lv.to_json() for lv in self.levels],
+            "levels": [vars(lv) for lv in self.levels],
             "integral": [{"modulus": m, "ring": ring} for m, ring in self.integral],
             "asserted": True,
         }
@@ -124,37 +123,29 @@ def factor_geometric_poly(q: int) -> list[Poly]:
     return [cyclotomic_poly(p, i) for i in range(1, r + 1)]
 
 
-def new_part_dim(n: int, q: int) -> int:
-    """(n-1)(q - q/p)/2 for q = p^r: the dimension new at level q."""
-    p, r = validate_pair(n, q)
-    return (n - 1) * (q - q // p) // 2
-
-
 def decomposition_ledger(n: int, q: int) -> list[DecompositionLevel]:
-    """All levels i = 1..r with their new dimensions; they sum to the
-    genus (n-1)(q-1)/2."""
+    """All levels i = 1..r, each with its new dimension
+    (n-1)(p^i - p^(i-1))/2; they sum to the genus (n-1)(q-1)/2."""
     p, r = validate_pair(n, q)
     return [
-        DecompositionLevel(i, p**i, new_part_dim(n, p**i)) for i in range(1, r + 1)
+        DecompositionLevel(i, p**i, (n - 1) * (p**i - p ** (i - 1)) // 2)
+        for i in range(1, r + 1)
     ]
 
 
-_DOUBLY_TRANSITIVE_LABELS = {
-    GaloisLabel.S3: 3,
-    GaloisLabel.S4: 4,
-    GaloisLabel.A4: 4,
-}
-
-
-def _coerce_label(label) -> GaloisLabel:
-    if isinstance(label, GaloisLabel):
-        return label
-    if isinstance(label, str):
-        try:
-            return GaloisLabel(label)
-        except ValueError:
-            raise ValueError(f"unknown Galois label {label!r}") from None
-    raise TypeError(f"not a Galois label: {label!r}")
+def _doubly_transitive(n: int, label) -> bool:
+    """The theorems' hypothesis: n is 3 or 4 and the group that
+    `heart.GROUPS` gives `label` (a GaloisLabel or its name) acts doubly
+    transitively on n points."""
+    if not isinstance(label, (GaloisLabel, str)):
+        raise TypeError(f"not a Galois label: {label!r}")
+    try:
+        group = GROUPS[GaloisLabel(label).value]
+    except ValueError:
+        raise ValueError(f"unknown Galois label {label!r}") from None
+    except KeyError:  # Reducible: no transitive group
+        return False
+    return n in (3, 4) and group.degree == n and is_doubly_transitive(group)
 
 
 def predict_end_algebra(n: int, q: int, label) -> EndAlgebraDescription:
@@ -167,8 +158,7 @@ def predict_end_algebra(n: int, q: int, label) -> EndAlgebraDescription:
     levels carry the maximal order Z[zeta_{p^i}] as integral refinement.
     Raises outside the supported (n, label) pairs."""
     p, r = validate_pair(n, q)
-    label = _coerce_label(label)
-    if _DOUBLY_TRANSITIVE_LABELS.get(label) != n:
+    if not _doubly_transitive(n, label):
         raise ValueError(
             f"outside theorem hypotheses: no asserted prediction for n={n}, "
             f"Galois group {label}"
@@ -221,14 +211,12 @@ def predict_nonisotrivial(n: int, q: int, label) -> IsotrivialityForecast:
     constant CM square (the (3, 4) part) while level 1 and levels >= 3
     still move; (3, 2) itself is fully non-isotrivial."""
     p, r = validate_pair(n, q)
-    label = _coerce_label(label)
-    if _DOUBLY_TRANSITIVE_LABELS.get(label) != n:
+    if not _doubly_transitive(n, label):
         levels = tuple((i, "unknown") for i in range(1, r + 1))
         return IsotrivialityForecast(n, q, None, levels)
-    if n == 3 and p == 2 and r >= 2:
-        levels = []
-        for i in range(1, r + 1):
-            levels.append((i, "constant_cm" if i == 2 else "completely_nonisotrivial"))
-        return IsotrivialityForecast(n, q, False, tuple(levels))
-    levels = tuple((i, "completely_nonisotrivial") for i in range(1, r + 1))
-    return IsotrivialityForecast(n, q, True, levels)
+    constant = 2 if n == 3 and p == 2 and r >= 2 else None
+    levels = tuple(
+        (i, "constant_cm" if i == constant else "completely_nonisotrivial")
+        for i in range(1, r + 1)
+    )
+    return IsotrivialityForecast(n, q, constant is None, levels)

@@ -95,7 +95,7 @@ def rational_roots(f: Poly) -> list[Fraction]:
     return [Fraction(a, lc) for a in _root_cuts(g, bound) if _homogeneous(g, a, 1) == 0]
 
 
-def _require_squarefree(f: Poly) -> None:
+def require_squarefree(f: Poly) -> None:
     if poly_gcd(f, f.derivative()).degree != 0:
         raise ValueError("polynomial has multiple roots")
 
@@ -104,7 +104,7 @@ def classify_cubic_rational(f: Poly) -> GaloisLabel:
     """S3 / C3 / Reducible for a squarefree cubic over Q."""
     if f.degree != 3:
         raise ValueError(f"expected degree 3, got {f.degree}")
-    _require_squarefree(f)
+    require_squarefree(f)
     w = f.monic()
     if rational_roots(w):
         return GaloisLabel.REDUCIBLE
@@ -159,7 +159,7 @@ def classify_quartic_rational(f: Poly) -> GaloisLabel:
     """S4 / A4 / D4 / C4 / V4 / Reducible for a squarefree quartic over Q."""
     if f.degree != 4:
         raise ValueError(f"expected degree 4, got {f.degree}")
-    _require_squarefree(f)
+    require_squarefree(f)
     w = f.monic()
     if rational_roots(w):
         return GaloisLabel.REDUCIBLE

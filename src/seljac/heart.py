@@ -7,7 +7,8 @@ transitivity (commutant dimension 1).
 
 A permutation is the tuple of its images of 0..n-1, and its action on
 the sum-zero module is a tuple of integer rows; the commutant equations
-are reduced mod p once, when `rank_fp` takes their rank.
+are reduced mod p once, when `rank_fp` takes their rank. `decompose` reads
+its hypothesis, double transitivity, from the label groups in `GROUPS` alone.
 """
 from __future__ import annotations
 
@@ -57,6 +58,17 @@ class PermGroup:
     @classmethod
     def trivial(cls, n: int) -> PermGroup:
         return cls(n, ())
+
+
+GROUPS = {
+    "S3": PermGroup.symmetric(3),
+    "C3": PermGroup.cyclic(3),
+    "S4": PermGroup.symmetric(4),
+    "A4": PermGroup.alternating(4),
+    "C4": PermGroup.cyclic(4),
+    "V4": PermGroup(4, ((1, 0, 3, 2), (2, 3, 0, 1))),
+    "D4": PermGroup(4, ((1, 2, 3, 0), (2, 1, 0, 3))),
+}
 
 
 def is_doubly_transitive(group: PermGroup) -> bool:

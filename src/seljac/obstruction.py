@@ -63,16 +63,6 @@ class InvariantMultiplierReport:
         invariant = set(self.invariant_ms)
         return tuple(m for m in self.zero_set_ms if m not in invariant)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "p": self.p,
-            "r": self.r,
-            "invariant_ms": list(self.invariant_ms),
-            "zero_set_ms": list(self.zero_set_ms),
-        }
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:

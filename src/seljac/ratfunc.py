@@ -8,15 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly, poly_gcd
-
-
-def _promote(v) -> Poly | None:
-    if isinstance(v, Poly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Poly.const(v)
-    return None
+from .poly import Poly, _promote, poly_gcd
 
 
 class RatFunc:
@@ -25,7 +17,7 @@ class RatFunc:
     def __init__(self, num, den=1):
         pn = _promote(num)
         pd = _promote(den)
-        if pn is None or pd is None:
+        if pn is NotImplemented or pd is NotImplemented:
             raise TypeError("numerator/denominator must be Poly, int or Fraction")
         if not pd:
             raise ZeroDivisionError("zero denominator")

@@ -1,7 +1,9 @@
 """End-to-end exercises of the seljac command line."""
 import argparse
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -179,7 +181,8 @@ def test_exponent_ceiling_before_power(capsys, r):
 
 def test_p_r_path_does_not_factor_q(capsys, monkeypatch):
     # --p/--r give q = p**r already: only is_prime(p) may trial-divide,
-    # never q, whose trial division costs sqrt(q) = p steps. A bare --q is
+    # never q, whose trial division costs sqrt(q) = p steps, and a q above
+    # the spectrum ceiling is rejected before p is tested. A bare --q is
     # factored once.
     calls = []
 
@@ -192,10 +195,65 @@ def test_p_r_path_does_not_factor_q(capsys, monkeypatch):
     code, out, err = run(capsys, "spectrum", "--n", "3", "--p", "1000003", "--r", "2")
     assert (code, out) == (2, "")
     assert err == f"error: spectrum needs q at most {cli.SPECTRUM_Q_MAX}, got {1000003**2}\n"
-    assert calls == [1000003]
+    assert calls == []
     calls.clear()
     assert run_json(capsys, "genus", "--n", "4", "--q", "9", "--format", "json")["p"] == 3
     assert calls == [9]
+
+
+def _count_prime_power(monkeypatch) -> list[int]:
+    """Route every module's binding of arith.prime_power through a counter,
+    so calls made through lattice, decompose or poly are seen too."""
+    calls, real = [], arith.prime_power
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    for info in pkgutil.iter_modules(seljac.__path__):
+        module = importlib.import_module(f"seljac.{info.name}")
+        if getattr(module, "prime_power", None) is real:
+            monkeypatch.setattr(module, "prime_power", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (("decompose", "--n", "4", "--q", "81"), 3),
+        (("endo", "--n", "4", "--q", "81", "--galois", "S4"), 7),
+        (("spectrum", "--n", "4", "--q", "81"), 3),
+        (("spectrum", "--n", "3", "--q", "1000000000000037"), 0),
+        (("spectrum", "--n", "3", "--p", "1000000000000037", "--r", "1"), 0),
+    ],
+)
+def test_prime_power_calls(capsys, monkeypatch, argv, count):
+    calls = _count_prime_power(monkeypatch)
+    cli.main(list(argv))
+    capsys.readouterr()
+    assert len(calls) == count, calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--n", "3", "--p", "2", "--r", "1000"), ("--n", "100000001", "--q", "2")],
+)
+def test_genus_points_ceiling(capsys, monkeypatch, argv):
+    # a lattice above the ceiling is rejected before any point is enumerated
+    built = []
+    monkeypatch.setattr(cli, "genus_lattice", lambda n, q: built.append(q))
+    code, out, err = run(capsys, "genus", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: genus needs (n-1)(q-1)/2 at most {cli.GENUS_POINTS_MAX} lattice points\n"
+    assert built == []
+
+
+def test_genus_points_ceiling_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "GENUS_POINTS_MAX", 6)
+    assert run(capsys, "genus", "--n", "4", "--q", "5") == (0, "6\n", "")
+    assert run(capsys, "genus", "--n", "3", "--q", "8") == (
+        2, "", "error: genus needs (n-1)(q-1)/2 at most 6 lattice points\n"
+    )
 
 
 _JSON_VALUES = st.recursive(

@@ -197,6 +197,13 @@ _LARGE_P = [
     ("spectrum", "--n", "3", "--p", "1000000007", "--r", "2"),
 ]
 
+# Lattices above the genus ceiling of (n-1)(q-1)/2 points, at a large q
+# and at a large n: both exit 2 before a point is enumerated.
+_GENUS_CEILING = [
+    ("genus", "--n", "3", "--p", "2", "--r", "1000"),
+    ("genus", "--n", "100000001", "--q", "2"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -211,6 +218,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _SPECTRUM_LATER for v in _both(*argv)),
     *(v for argv in _CEILINGS for v in _both(*argv)),
     *(v for argv in _LARGE_P for v in _both(*argv)),
+    *(v for argv in _GENUS_CEILING for v in _both(*argv)),
 ]
 
 
@@ -250,7 +258,7 @@ def test_cli_output_is_unchanged(rec):
 def test_corpus_exit_codes():
     invalid = {
         v
-        for argv in (*_INVALID, *_INVALID_LATER, *_CEILINGS, *_LARGE_P)
+        for argv in (*_INVALID, *_INVALID_LATER, *_CEILINGS, *_LARGE_P, *_GENUS_CEILING)
         for v in _both(*argv)
     }
     for rec in _recorded():

@@ -9,7 +9,6 @@ from seljac.decompose import (
     AlgebraFactor,
     decomposition_ledger,
     factor_geometric_poly,
-    new_part_dim,
     predict_end_algebra,
     predict_nonisotrivial,
 )
@@ -96,12 +95,9 @@ def test_factor_geometric_poly_reassembles(q):
 
 
 def test_new_part_dim_fixtures():
-    assert new_part_dim(3, 2) == 1
-    assert new_part_dim(3, 4) == 2
-    assert new_part_dim(3, 8) == 4
-    assert new_part_dim(4, 3) == 3
-    assert new_part_dim(4, 9) == 9
-    assert new_part_dim(5, 7) == 12
+    # the dimension new at the top level q = p^r: (n-1)(q - q/p)/2
+    for n, q, dim in [(3, 2, 1), (3, 4, 2), (3, 8, 4), (4, 3, 3), (4, 9, 9), (5, 7, 12)]:
+        assert decomposition_ledger(n, q)[-1].new_dim == dim
 
 
 def test_ledger_fixtures():
@@ -113,7 +109,7 @@ def test_ledger_fixtures():
     ]
     lv = decomposition_ledger(4, 9)
     assert [(x.level, x.modulus, x.new_dim) for x in lv] == [(1, 3, 3), (2, 9, 9)]
-    assert lv[0].to_json() == {"level": 1, "modulus": 3, "new_dim": 3}
+    assert vars(lv[0]) == {"level": 1, "modulus": 3, "new_dim": 3}
 
 
 @given(st.sampled_from(VALID_PAIRS))
@@ -195,6 +191,33 @@ def test_predict_json_shape():
 def test_predict_rejects(n, q, label, exc):
     with pytest.raises(exc):
         predict_end_algebra(n, q, label)
+
+
+# The hand-written table the hypothesis was once read from; heart.GROUPS
+# and is_doubly_transitive must give the same answer on every label.
+_DOUBLY_TRANSITIVE_LABELS = {GaloisLabel.S3: 3, GaloisLabel.S4: 4, GaloisLabel.A4: 4}
+
+
+@pytest.mark.parametrize("label", list(GaloisLabel))
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_hypothesis_comes_from_the_group_table(n, label):
+    asserted = _DOUBLY_TRANSITIVE_LABELS.get(label) == n
+    for q in (7, 121):  # coprime to every n here
+        for given_label in (label, label.value):
+            if asserted:
+                assert predict_end_algebra(n, q, given_label).levels
+            else:
+                with pytest.raises(ValueError, match="outside theorem hypotheses"):
+                    predict_end_algebra(n, q, given_label)
+            assert (predict_nonisotrivial(n, q, given_label).fully is None) == (not asserted)
+
+
+@pytest.mark.parametrize("predict", [predict_end_algebra, predict_nonisotrivial])
+def test_label_errors_are_unchanged(predict):
+    with pytest.raises(ValueError, match=r"^unknown Galois label 'G7'$"):
+        predict(3, 4, "G7")
+    with pytest.raises(TypeError, match=r"^not a Galois label: 42$"):
+        predict(3, 4, 42)
 
 
 def test_nonisotrivial_constant_level():

@@ -68,13 +68,13 @@ def test_multiplier_sweep_order_and_json():
     reps = list(multiplier_sweep([3, 4], 5))
     keys = [(r.n, r.q) for r in reps]
     assert keys == [(3, 2), (3, 4), (3, 5), (4, 3), (4, 5)]
-    assert reps[1].to_json() == {
+    assert vars(reps[1]) == {
         "n": 3,
         "q": 4,
         "p": 2,
         "r": 2,
-        "invariant_ms": [],
-        "zero_set_ms": [],
+        "invariant_ms": (),
+        "zero_set_ms": (),
     }
 
 
