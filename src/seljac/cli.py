@@ -4,13 +4,14 @@ with deterministic text or JSON output.
 Each handler builds one payload per output record and passes it to `_emit`
 with a text renderer: `--format json` prints the payload itself, `--format
 text` prints the renderer's reading of it, so both formats come from the
-same payload. The subcommands keyed by (n, q) share the payload head
-{n, q, p, r} and its text header. The parser is built from one table, once
-per process, on the first `main` call; each subcommand stores its handler's
-name, and `main` looks that name up in the module at dispatch, so a handler
-rebound on the module (a tracer wrapping `cli._cmd_*`) sees every call.
-Library users import from the submodules (`seljac.poly`, `seljac.galois`,
-...); the package root re-exports nothing.
+same payload, and one encoder writes every JSON record: a report dataclass
+as its fields, an exact Fraction as its text. The subcommands keyed by
+(n, q) share the payload head {n, q, p, r} and its text header. The parser
+is built from one table, once per process, on the first `main` call; each
+subcommand stores its handler's name, and `main` looks that name up in the
+module at dispatch, so a handler rebound on the module (a tracer wrapping
+`cli._cmd_*`) sees every call. Library users import from the submodules
+(`seljac.poly`, `seljac.galois`, ...); the package root re-exports nothing.
 
 Exit codes: 0 success, 1 invariant failure (a verification subcommand
 found a violated identity), 2 usage or input error. A reader that closes
@@ -23,6 +24,8 @@ import functools
 import json
 import os
 import sys
+from dataclasses import is_dataclass
+from fractions import Fraction
 
 from .acceptance import run_all
 from .arith import is_prime, prime_power
@@ -49,8 +52,20 @@ from .poly import Poly, reversed_poly
 from .ratfunc import RatFunc
 
 
-# The encoder json.dumps(payload, sort_keys=True) would build on each call.
-_dump = json.JSONEncoder(sort_keys=True).encode
+def _plain(value):
+    """The JSON form of the two non-JSON values a payload may hold: a
+    report dataclass is its fields, an exact Fraction is its text."""
+    if is_dataclass(value):
+        return vars(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# One encoder for every record, built once rather than on each call. A
+# payload is a tree built afresh per record, so the cycle check is skipped:
+# it would cost a scan record more than the default hook itself.
+_dump = json.JSONEncoder(sort_keys=True, check_circular=False, default=_plain).encode
 
 
 def _emit(args, payload, text) -> None:
@@ -58,10 +73,15 @@ def _emit(args, payload, text) -> None:
     print(_dump(payload) if args.format == "json" else text(payload))
 
 
+# The most decimal digits q = p**r may have: Python's default int-to-str
+# limit, past which q could not be printed.
+Q_DIGITS_MAX = 4300
+
+
 def _head(args, q_max: int | None = None) -> dict:
     """The payload head {n, q, p, r}: n from --n (None without one), and
-    q = p**r from --q and/or --p/--r, consistency enforced. A q above
-    q_max is rejected before p or q is trial-divided."""
+    q = p**r from --q and/or --p/--r, consistency enforced. A q too long to
+    print, or above q_max, is rejected before p or q is trial-divided."""
     q, p, r = args.q, args.p, args.r
     if (p is None) != (r is None):
         raise ValueError("--p and --r must be given together")
@@ -75,6 +95,8 @@ def _head(args, q_max: int | None = None) -> dict:
         if q is not None and q != p**r:
             raise ValueError(f"--q {q} contradicts --p {p} --r {r}")
         q = p**r
+        if q >= 10**Q_DIGITS_MAX:
+            raise ValueError(f"q = {p}^{r} has more than {Q_DIGITS_MAX} digits")
     if q_max is not None and q > q_max:
         raise ValueError(f"{args.subcommand} needs q at most {q_max}, got {q}")
     if p is None:
@@ -96,17 +118,17 @@ def _word(flag: bool | None) -> str:
     return "unknown" if flag is None else str(flag).lower()
 
 
-def _cm_text(pl) -> str:
+def _cm_text(rep) -> str:
     return (
-        f"n={pl['n']} q={pl['q']} invariant_ms={list(pl['invariant_ms'])} "
-        f"zero_set_ms={list(pl['zero_set_ms'])}"
+        f"n={rep.n} q={rep.q} invariant_ms={list(rep.invariant_ms)} "
+        f"zero_set_ms={list(rep.zero_set_ms)}"
     )
 
 
-def _feasible_text(pl) -> str:
+def _feasible_text(rep) -> str:
     return (
-        f"n={pl['n']} q={pl['q']} feasible={pl['feasible']} "
-        f"b_count={pl['b_count']} dim_w={pl['dim_w']}"
+        f"n={rep.n} q={rep.q} feasible={rep.feasible} "
+        f"b_count={rep.b_count} dim_w={rep.dim_w}"
     )
 
 
@@ -176,12 +198,12 @@ def _cmd_decompose(args) -> int:
     n, q = head["n"], head["q"]
     payload = {
         **head,
-        "levels": [vars(lv) for lv in decomposition_ledger(n, q)],
+        "levels": decomposition_ledger(n, q),
         "genus": genus_formula(n, q),
     }
     _emit(args, payload, lambda pl: "\n".join([
         _header(pl),
-        *(f"level {lv['level']}  modulus {lv['modulus']}  new_dim {lv['new_dim']}"
+        *(f"level {lv.level}  modulus {lv.modulus}  new_dim {lv.new_dim}"
           for lv in pl["levels"]),
         f"genus = {pl['genus']}",
     ]))
@@ -207,7 +229,12 @@ def _cmd_endo(args) -> int:
 def _cmd_nonisotrivial(args) -> int:
     head = _head(args)
     forecast = predict_nonisotrivial(head["n"], head["q"], args.galois)
-    _emit(args, {**head, **forecast.to_json()}, lambda pl: "\n".join([
+    payload = {
+        **head,
+        "fully_nonisotrivial": forecast.fully,
+        "levels": {str(i): status for i, status in forecast.levels},
+    }
+    _emit(args, payload, lambda pl: "\n".join([
         f"{_header(pl)}  galois = {args.galois}",
         f"fully_nonisotrivial: {_word(pl['fully_nonisotrivial'])}",
         *(f"level {i} (modulus {pl['p'] ** int(i)}): {status}"
@@ -224,14 +251,14 @@ def _cmd_cm_scan(args) -> int:
     ns = range(args.n, args.n + 1) if args.n is not None else range(3, args.n_max + 1)
     _check_scan_limits(ns.stop - 1, args.q_max)
     for report in multiplier_sweep(ns, args.q_max):
-        _emit(args, vars(report), _cm_text)
+        _emit(args, report, _cm_text)
     return 0
 
 
 def _cmd_feasible_scan(args) -> int:
     _check_scan_limits(args.n_max, args.q_max)
     for report in feasibility_sweep(args.n_max, args.q_max):
-        _emit(args, report.to_json(), _feasible_text)
+        _emit(args, report, _feasible_text)
     return 0
 
 

@@ -7,8 +7,9 @@ parts of dimension (n-1)(p^i - p^(i-1))/2. For f of degree 3 or 4 with
 full (doubly transitive) Galois group, the endomorphism algebra of each
 new part is known exactly; the only non-field factor in the supported
 range appears at (n, p^i) = (3, 4), where the level contributes
-Q x Mat_2(Q(zeta_4)) in place of two field levels. Double transitivity is
-read from the label's group in `heart.GROUPS` alone.
+Q x Mat_2(Q(zeta_4)) in place of two field levels and is the constant CM
+square; `_level_rule` is the one place this exception is written. Double
+transitivity is read from the label's group in `heart.GROUPS` alone.
 """
 from __future__ import annotations
 
@@ -49,13 +50,6 @@ class AlgebraFactor:
         if self.kind == "cyclotomic":
             return phi
         return self.size * self.size * phi
-
-    def to_json(self) -> dict:
-        if self.kind == "Q":
-            return {"kind": "Q"}
-        if self.kind == "cyclotomic":
-            return {"kind": "cyclotomic", "modulus": self.modulus}
-        return {"kind": "matrix", "size": self.size, "modulus": self.modulus}
 
     def label(self) -> str:
         if self.kind == "Q":
@@ -106,7 +100,10 @@ class EndAlgebraDescription:
         return {
             "n": self.n,
             "q": self.q,
-            "factors": [f.to_json() for f in self.factors],
+            # a factor is its fields that are set; __post_init__ fixes which
+            "factors": [
+                {k: v for k, v in vars(f).items() if v is not None} for f in self.factors
+            ],
             "levels": [vars(lv) for lv in self.levels],
             "integral": [{"modulus": m, "ring": ring} for m, ring in self.integral],
             "asserted": True,
@@ -148,39 +145,36 @@ def _doubly_transitive(n: int, label) -> bool:
     return n in (3, 4) and group.degree == n and is_doubly_transitive(group)
 
 
+def _level_rule(n: int, m: int) -> tuple[AlgebraFactor, str | None, str]:
+    """The factor, maximal order (None for the matrix level) and
+    isotriviality status of the level of modulus m, for doubly transitive
+    f of degree n: Q(zeta_m), Z[zeta_m] and moving with f, except that
+    (3, 2) gives Q and Z, and (3, 4) the constant CM square Mat_2(Q(zeta_4))."""
+    if n == 3 and m == 2:
+        return AlgebraFactor("Q"), "Z", "completely_nonisotrivial"
+    if n == 3 and m == 4:
+        return AlgebraFactor("matrix", modulus=4, size=2), None, "constant_cm"
+    return AlgebraFactor("cyclotomic", modulus=m), f"Z[zeta_{m}]", "completely_nonisotrivial"
+
+
 def predict_end_algebra(n: int, q: int, label) -> EndAlgebraDescription:
     """Endomorphism algebra of the jacobian of y^q = f(x) for deg f = n
-    in {3, 4} with doubly transitive Galois group (S3, S4 or A4).
-
-    Per level p^i the new part contributes Q(zeta_{p^i}), except that
-    (n, p^i) = (3, 2) contributes Q and (n, p^i) = (3, 4) contributes
-    Q x Mat_2(Q(zeta_4)) replacing the two 2-power field levels. Field
-    levels carry the maximal order Z[zeta_{p^i}] as integral refinement.
-    Raises outside the supported (n, label) pairs."""
-    p, r = validate_pair(n, q)
+    in {3, 4} with doubly transitive Galois group (S3, S4 or A4): the
+    levels' factors, with the field levels' maximal orders as integral
+    refinement. Raises outside the supported (n, label) pairs."""
+    levels = decomposition_ledger(n, q)
     if not _doubly_transitive(n, label):
         raise ValueError(
             f"outside theorem hypotheses: no asserted prediction for n={n}, "
             f"Galois group {label}"
         )
-    factors: list[AlgebraFactor] = []
-    integral: list[tuple[int, str]] = []
-    for i in range(1, r + 1):
-        m = p**i
-        if n == 3 and m == 2:
-            factors.append(AlgebraFactor("Q"))
-            integral.append((2, "Z"))
-        elif n == 3 and m == 4:
-            factors.append(AlgebraFactor("matrix", modulus=4, size=2))
-        else:
-            factors.append(AlgebraFactor("cyclotomic", modulus=m))
-            integral.append((m, f"Z[zeta_{m}]"))
+    rules = {lv.modulus: _level_rule(n, lv.modulus) for lv in levels}
     return EndAlgebraDescription(
         n=n,
         q=q,
-        factors=tuple(factors),
-        levels=tuple(decomposition_ledger(n, q)),
-        integral=tuple(integral),
+        factors=tuple(factor for factor, _, _ in rules.values()),
+        levels=tuple(levels),
+        integral=tuple((m, order) for m, (_, order, _) in rules.items() if order is not None),
     )
 
 
@@ -194,29 +188,17 @@ class IsotrivialityForecast:
     fully: bool | None
     levels: tuple[tuple[int, str], ...]
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "fully_nonisotrivial": self.fully,
-            "levels": {str(i): s for i, s in self.levels},
-        }
-
 
 def predict_nonisotrivial(n: int, q: int, label) -> IsotrivialityForecast:
     """Which levels of the decomposition move with f.
 
-    For doubly transitive Galois group: every level is completely
-    non-isotrivial unless (n, p) = (3, 2) with r >= 2, where level 2 is a
-    constant CM square (the (3, 4) part) while level 1 and levels >= 3
-    still move; (3, 2) itself is fully non-isotrivial."""
-    p, r = validate_pair(n, q)
+    For doubly transitive Galois group only the (3, 4) level, reached when
+    (n, p) = (3, 2) and r >= 2, is a constant CM square; every other level
+    is completely non-isotrivial."""
+    levels = decomposition_ledger(n, q)
     if not _doubly_transitive(n, label):
-        levels = tuple((i, "unknown") for i in range(1, r + 1))
-        return IsotrivialityForecast(n, q, None, levels)
-    constant = 2 if n == 3 and p == 2 and r >= 2 else None
-    levels = tuple(
-        (i, "constant_cm" if i == constant else "completely_nonisotrivial")
-        for i in range(1, r + 1)
+        return IsotrivialityForecast(n, q, None, tuple((lv.level, "unknown") for lv in levels))
+    statuses = tuple((lv.level, _level_rule(n, lv.modulus)[2]) for lv in levels)
+    return IsotrivialityForecast(
+        n, q, all(status != "constant_cm" for _, status in statuses), statuses
     )
-    return IsotrivialityForecast(n, q, constant is None, levels)

@@ -58,10 +58,11 @@ def genus_formula(n: int, q: int) -> int:
 @dataclass
 class EigenSpectrum:
     """Multiplicity of each nontrivial eigenvalue exponent i = 1..q-1, in
-    ascending order of i (the order `spectrum` prints them in)."""
+    ascending order of i (the order `spectrum` prints them in); q = p**r."""
 
     n: int
     q: int
+    p: int
     multiplicities: dict[int, int]
 
     def total(self) -> int:
@@ -70,12 +71,11 @@ class EigenSpectrum:
     def primitive_total(self) -> int:
         """The total over exponents i prime to p: the total minus the
         q/p - 1 entries at i = p, 2p, ..."""
-        p, _ = prime_power(self.q)
         mult = self.multiplicities
-        return self.total() - sum(mult[i] for i in range(p, self.q, p))
+        return self.total() - sum(mult[i] for i in range(self.p, self.q, self.p))
 
 
 def full_spectrum(n: int, q: int) -> EigenSpectrum:
-    validate_pair(n, q)
+    p, _ = validate_pair(n, q)
     mult = {i: (n * i) // q for i in range(1, q)}
-    return EigenSpectrum(n, q, mult)
+    return EigenSpectrum(n, q, p, mult)

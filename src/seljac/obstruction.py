@@ -82,18 +82,6 @@ class FeasibilityReport:
     divisibility_ok: bool
     feasible: bool
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "p": self.p,
-            "r": self.r,
-            "b_count": self.b_count,
-            "dim_w": str(self.dim_w),
-            "divisibility_ok": self.divisibility_ok,
-            "feasible": self.feasible,
-        }
-
 
 def invariant_automorphisms(n: int, q: int) -> InvariantMultiplierReport:
     """Decide every m coprime to q with 1 < m < q exactly, through the

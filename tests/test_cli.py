@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 import seljac
 from seljac import arith, cli
 from seljac.acceptance import CriterionResult
+from seljac.obstruction import square_case_feasible
 from seljac.parse import MAX_EXPONENT
 
 
@@ -221,8 +222,8 @@ def _count_prime_power(monkeypatch) -> list[int]:
     "argv,count",
     [
         (("decompose", "--n", "4", "--q", "81"), 3),
-        (("endo", "--n", "4", "--q", "81", "--galois", "S4"), 7),
-        (("spectrum", "--n", "4", "--q", "81"), 3),
+        (("endo", "--n", "4", "--q", "81", "--galois", "S4"), 6),
+        (("spectrum", "--n", "4", "--q", "81"), 2),
         (("spectrum", "--n", "3", "--q", "1000000000000037"), 0),
         (("spectrum", "--n", "3", "--p", "1000000000000037", "--r", "1"), 0),
     ],
@@ -248,6 +249,34 @@ def test_genus_points_ceiling(capsys, monkeypatch, argv):
     assert built == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--n", "3"),
+        ("model-check", "--poly", "x^3 + x + 1"),
+        ("endo", "--n", "3", "--galois", "S3"),
+        ("spectrum", "--n", "3"),
+    ],
+)
+def test_q_digits_ceiling(capsys, monkeypatch, argv):
+    # a q = p**r too long to print is rejected before any work on it
+    calls = _count_prime_power(monkeypatch)
+    code, out, err = run(capsys, *argv, "--p", "1000003", "--r", "1000")
+    assert (code, out) == (2, "")
+    assert err == f"error: q = 1000003^1000 has more than {cli.Q_DIGITS_MAX} digits\n"
+    assert calls == []
+
+
+def test_q_digits_ceiling_is_inclusive(capsys, monkeypatch):
+    # the largest accepted q still prints
+    assert len(str(10**cli.Q_DIGITS_MAX - 1)) == cli.Q_DIGITS_MAX
+    monkeypatch.setattr(cli, "Q_DIGITS_MAX", 3)
+    assert run(capsys, "genus", "--n", "3", "--p", "31", "--r", "2") == (0, "960\n", "")
+    assert run(capsys, "genus", "--n", "3", "--p", "2", "--r", "10") == (
+        2, "", "error: q = 2^10 has more than 3 digits\n"
+    )
+
+
 def test_genus_points_ceiling_is_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(cli, "GENUS_POINTS_MAX", 6)
     assert run(capsys, "genus", "--n", "4", "--q", "5") == (0, "6\n", "")
@@ -270,10 +299,21 @@ def test_shared_encoder_matches_dumps(value):
 
 def test_shared_encoder_after_a_failed_call():
     with pytest.raises(TypeError):
-        cli._dump({"dim_w": Fraction(1, 2)})
+        cli._dump({"value": object()})
     assert cli._dump({"\u00e9": [2**70, None], "a": True}) == (
         '{"a": true, "\\u00e9": [1180591620717411303424, null]}'
     )
+
+
+def test_shared_encoder_writes_fractions_as_text():
+    value = {"a": [Fraction(1, 2), {"b": (Fraction(-3), Fraction(4, 6))}], "c": Fraction(7, 1)}
+    assert cli._dump(value) == '{"a": ["1/2", {"b": ["-3", "2/3"]}], "c": "7"}'
+
+
+def test_shared_encoder_writes_a_report_as_its_fields():
+    report = square_case_feasible(3, 2)
+    assert json.loads(cli._dump(report)) == {**vars(report), "dim_w": "1/2"}
+    assert cli._dump([report]) == f"[{cli._dump(vars(report))}]"
 
 
 def test_scan_over_pairs_without_coprime_q_is_empty(capsys):

@@ -204,6 +204,22 @@ _GENUS_CEILING = [
     ("genus", "--n", "100000001", "--q", "2"),
 ]
 
+# Ten levels at q = 2^10: the JSON level keys sort as text ("1", "10",
+# "2", ...), an order that integer keys would change.
+_TEN_LEVELS = [
+    ("nonisotrivial", "--n", "3", "--q", "1024", "--galois", "S3"),
+    ("endo", "--n", "3", "--q", "1024", "--galois", "S3"),
+]
+
+# q = 1000003^1000 has more than cli.Q_DIGITS_MAX digits, too many to
+# print: each exits 2 before any work on q.
+_Q_DIGITS = [
+    ("decompose", "--n", "3", "--p", "1000003", "--r", "1000"),
+    ("model-check", "--poly", "x^3 + x + 1", "--p", "1000003", "--r", "1000"),
+    ("endo", "--n", "3", "--p", "1000003", "--r", "1000", "--galois", "S3"),
+    ("spectrum", "--n", "3", "--p", "1000003", "--r", "1000"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -219,6 +235,8 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _CEILINGS for v in _both(*argv)),
     *(v for argv in _LARGE_P for v in _both(*argv)),
     *(v for argv in _GENUS_CEILING for v in _both(*argv)),
+    *(v for argv in _TEN_LEVELS for v in _both(*argv)),
+    *(v for argv in _Q_DIGITS for v in _both(*argv)),
 ]
 
 
@@ -258,7 +276,9 @@ def test_cli_output_is_unchanged(rec):
 def test_corpus_exit_codes():
     invalid = {
         v
-        for argv in (*_INVALID, *_INVALID_LATER, *_CEILINGS, *_LARGE_P, *_GENUS_CEILING)
+        for argv in (
+            *_INVALID, *_INVALID_LATER, *_CEILINGS, *_LARGE_P, *_GENUS_CEILING, *_Q_DIGITS
+        )
         for v in _both(*argv)
     }
     for rec in _recorded():

@@ -1,12 +1,15 @@
 """Cyclotomic ledger, endomorphism algebra table, and isotriviality forecasts."""
+import json
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from seljac.arith import prime_power
+from seljac import cli
+from seljac.arith import coprime_pairs, prime_power
 from seljac.decompose import (
     AlgebraFactor,
+    EndAlgebraDescription,
     decomposition_ledger,
     factor_geometric_poly,
     predict_end_algebra,
@@ -37,17 +40,22 @@ def test_algebra_factor_labels():
     assert AlgebraFactor("matrix", modulus=4, size=2).label() == "Mat_2(Q(zeta_4))"
 
 
+def _factors_json(*factors):
+    return EndAlgebraDescription(0, 0, factors, ()).to_json()["factors"]
+
+
 def test_algebra_factor_json():
-    assert AlgebraFactor("Q").to_json() == {"kind": "Q"}
-    assert AlgebraFactor("cyclotomic", modulus=9).to_json() == {
+    # a factor's JSON is the fields it sets
+    assert _factors_json(AlgebraFactor("Q")) == [{"kind": "Q"}]
+    assert _factors_json(AlgebraFactor("cyclotomic", modulus=9)) == [{
         "kind": "cyclotomic",
         "modulus": 9,
-    }
-    assert AlgebraFactor("matrix", modulus=4, size=2).to_json() == {
+    }]
+    assert _factors_json(AlgebraFactor("matrix", modulus=4, size=2)) == [{
         "kind": "matrix",
         "size": 2,
         "modulus": 4,
-    }
+    }]
 
 
 @pytest.mark.parametrize(
@@ -120,7 +128,7 @@ def test_ledger_sums_to_genus(pair):
 
 def test_predict_cubic_field_level():
     d = predict_end_algebra(3, 5, GaloisLabel.S3)
-    assert [f.to_json() for f in d.factors] == [{"kind": "cyclotomic", "modulus": 5}]
+    assert d.to_json()["factors"] == [{"kind": "cyclotomic", "modulus": 5}]
     assert d.integral == ((5, "Z[zeta_5]"),)
     assert d.label() == "Q(zeta_5)"
     assert d.total_reduced_dim == 4
@@ -136,7 +144,7 @@ def test_predict_cubic_q2():
 
 def test_predict_cubic_q4_matrix_level():
     d = predict_end_algebra(3, 4, "S3")
-    assert [f.to_json() for f in d.factors] == [
+    assert d.to_json()["factors"] == [
         {"kind": "Q"},
         {"kind": "matrix", "size": 2, "modulus": 4},
     ]
@@ -220,7 +228,7 @@ def test_label_errors_are_unchanged(predict):
         predict(3, 4, 42)
 
 
-def test_nonisotrivial_constant_level():
+def test_nonisotrivial_constant_level(capsys):
     fc = predict_nonisotrivial(3, 8, "S3")
     assert fc.fully is False
     assert fc.levels == (
@@ -228,7 +236,9 @@ def test_nonisotrivial_constant_level():
         (2, "constant_cm"),
         (3, "completely_nonisotrivial"),
     )
-    assert fc.to_json()["levels"] == {
+    assert cli.main(["nonisotrivial", "--n", "3", "--q", "8", "--galois", "S3",
+                     "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["levels"] == {
         "1": "completely_nonisotrivial",
         "2": "constant_cm",
         "3": "completely_nonisotrivial",
@@ -250,3 +260,23 @@ def test_nonisotrivial_says_nothing_otherwise():
     # label of the wrong degree is also outside the supported statements
     assert predict_nonisotrivial(4, 3, "S3").fully is None
     assert predict_nonisotrivial(3, 4, "S4").fully is None
+
+
+@pytest.mark.parametrize("label", list(GaloisLabel))
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_algebra_and_forecast_read_one_level_rule(n, label):
+    # over every coprime prime power q <= 2^12: a level's factor is a
+    # matrix algebra exactly when the forecast holds it constant, the
+    # integral refinements are exactly the other levels, and the jacobian
+    # is not fully non-isotrivial exactly when some level is constant
+    for _, q, _, _ in coprime_pairs([n], 2**12):
+        fc = predict_nonisotrivial(n, q, label)
+        constant = [i for i, status in fc.levels if status == "constant_cm"]
+        assert (fc.fully is False) == bool(constant)
+        if fc.fully is None:
+            assert {status for _, status in fc.levels} == {"unknown"}
+            continue
+        d = predict_end_algebra(n, q, label)
+        pairs = list(zip(d.levels, d.factors))
+        assert [lv.level for lv, f in pairs if f.kind == "matrix"] == constant
+        assert [m for m, _ in d.integral] == [lv.modulus for lv, f in pairs if f.kind != "matrix"]
