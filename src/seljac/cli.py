@@ -44,7 +44,7 @@ from .galois import (
     require_squarefree,
 )
 from .heart import GROUPS, PermGroup, heart_centralizer_dim, is_doubly_transitive
-from .lattice import full_spectrum, genus_formula, genus_lattice, validate_pair
+from .lattice import full_spectrum, genus_formula, genus_lattice
 from .model import chart_identity_check, delta_chart_order, gluing_exponents, hurwitz_genus
 from .obstruction import feasibility_sweep, multiplier_sweep
 from .parse import MAX_EXPONENT, parse_q_poly, parse_x_poly, t_linear_base
@@ -263,21 +263,19 @@ def _cmd_feasible_scan(args) -> int:
 
 
 def _cmd_galois(args) -> int:
-    coeffs = parse_x_poly(args.poly)
-    if not any(c.degree > 0 for c in coeffs):
-        rational = Poly([c.coeff(0) for c in coeffs])
-        degree = len(coeffs) - 1
-        classify = {3: classify_cubic_rational, 4: classify_quartic_rational}.get(degree)
+    f0, f1 = parse_x_poly(args.poly)
+    if not f1:
+        classify = {3: classify_cubic_rational, 4: classify_quartic_rational}.get(f0.degree)
         if classify is None:
-            raise ValueError(f"rational classification needs degree 3 or 4, got {degree}")
+            raise ValueError(f"rational classification needs degree 3 or 4, got {f0.degree}")
         payload = {
-            "poly": rational.to_text(),
-            "degree": degree,
+            "poly": f0.to_text(),
+            "degree": f0.degree,
             "route": "rational",
-            "label": str(classify(rational)),
+            "label": str(classify(f0)),
         }
     else:
-        base = t_linear_base(coeffs)
+        base = t_linear_base(f0, f1)
         if base is None:
             raise ValueError(
                 "parametric input must have the exact shape g(x) - t with g over Q"
@@ -299,10 +297,10 @@ def _cmd_galois(args) -> int:
 
 
 def _cmd_jinv(args) -> int:
-    coeffs = parse_x_poly(args.poly)
-    if len(coeffs) != 4:
+    f0, f1 = parse_x_poly(args.poly)
+    if max(f0.degree, f1.degree) != 3:
         raise ValueError("need a cubic in x (the right-hand side of y^2 = cubic)")
-    w = depress_cubic([RatFunc(c) for c in coeffs])
+    w = depress_cubic([RatFunc(Poly([f0.coeff(k), f1.coeff(k)])) for k in range(4)])
     j = j_invariant(w)
     payload = {
         "j": j.to_text(),
@@ -330,9 +328,8 @@ def _cmd_model_check(args) -> int:
     f = parse_q_poly(args.poly)
     n = head["n"] = f.degree
     q = head["q"]
-    validate_pair(n, q)
+    a, b = gluing_exponents(n, q)  # validates (n, q) first
     require_squarefree(f)
-    a, b = gluing_exponents(n, q)
     payload = {
         **head,
         "a": a,

@@ -41,12 +41,17 @@ class AlgebraFactor:
         if self.kind == "matrix" and (self.modulus is None or self.size is None):
             raise ValueError("matrix factor needs a modulus and a size")
 
-    @property
-    def q_dimension(self) -> int:
-        """Dimension over Q of the factor."""
+    def q_dimension(self, p: int) -> int:
+        """Dimension over Q of the factor, whose modulus must be a power of
+        the prime p."""
         if self.kind == "Q":
             return 1
-        phi = _phi(self.modulus)
+        m, r = self.modulus, 0
+        while p > 1 and m % p == 0:
+            m, r = m // p, r + 1
+        if m != 1 or r == 0:
+            raise ValueError(f"modulus {self.modulus} is not a power of {p}")
+        phi = euler_phi_prime_power(p, r)
         if self.kind == "cyclotomic":
             return phi
         return self.size * self.size * phi
@@ -57,13 +62,6 @@ class AlgebraFactor:
         if self.kind == "cyclotomic":
             return f"Q(zeta_{self.modulus})"
         return f"Mat_{self.size}(Q(zeta_{self.modulus}))"
-
-
-def _phi(m: int) -> int:
-    pr = prime_power(m)
-    if pr is None:
-        raise ValueError(f"modulus {m} is not a prime power")
-    return euler_phi_prime_power(*pr)
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,8 @@ class EndAlgebraDescription:
 
     @property
     def total_reduced_dim(self) -> int:
-        return sum(f.q_dimension for f in self.factors)
+        p = self.levels[0].modulus  # level 1's modulus is the prime p
+        return sum(f.q_dimension(p) for f in self.factors)
 
     def label(self) -> str:
         return " x ".join(f.label() for f in self.factors)

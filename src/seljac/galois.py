@@ -11,9 +11,9 @@ in time polynomial in the bit size of the coefficients.
 
 Geometric route: for f = g(x) - t the extension is automatically
 irreducible over the closure of Q(t), and everything is decided by
-whether disc_x(f) is a square in that field: `geometric_square_test`
-answers True exactly when no place has odd valuation (finite places at
-squarefree-factor granularity, plus infinity).
+whether disc_x(f), a polynomial in t, is a square in that field:
+`geometric_square_test` answers True exactly when every squarefree
+factor has even multiplicity.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from .poly import (
     poly_gcd,
     squarefree_decomposition,
 )
-from .ratfunc import RatFunc
 
 
 class GaloisLabel(enum.Enum):
@@ -185,22 +184,15 @@ def classify_quartic_rational(f: Poly) -> GaloisLabel:
 # ---- geometric (function field) route ----
 
 
-def geometric_square_test(u: RatFunc) -> bool:
-    """Is u a square in kbar(t) for algebraically closed kbar of char 0?
+def geometric_square_test(u: Poly) -> bool:
+    """Is the nonzero polynomial u in t a square in kbar(t), for kbar
+    algebraically closed of characteristic 0?
 
     Constants are squares in a closed field, so u is a square exactly when
-    every place has even valuation. That holds at each finite place when
-    every squarefree factor of the numerator and of the denominator has
-    even multiplicity; both degrees are then even, so it holds at
-    infinity as well."""
-    if not u:
-        raise ValueError("zero has no square class")
-    return not any(
-        m % 2
-        for part in (u.num, u.den)
-        if part.degree > 0
-        for _, m in squarefree_decomposition(part)
-    )
+    every squarefree factor has even multiplicity: then every finite place
+    has even valuation, and so has infinity, since deg u is even. Zero
+    raises ValueError."""
+    return not any(m % 2 for _, m in squarefree_decomposition(u))
 
 
 def discriminant_in_t(g: Poly) -> Poly:
@@ -233,7 +225,7 @@ def classify_cubic_geometric(g: Poly) -> GaloisLabel:
         raise ValueError(f"expected degree 3, got {g.degree}")
     if g.lc != 1:
         raise ValueError("g must be monic")
-    is_square = geometric_square_test(RatFunc(discriminant_in_t(g)))
+    is_square = geometric_square_test(discriminant_in_t(g))
     return GaloisLabel.C3 if is_square else GaloisLabel.S3
 
 
@@ -255,5 +247,5 @@ def classify_quartic_geometric(g: Poly) -> GaloisLabel:
         raise ValueError(
             "outside supported family: depressed quartic needs a nonzero linear term"
         )
-    is_square = geometric_square_test(RatFunc(discriminant_in_t(g)))
+    is_square = geometric_square_test(discriminant_in_t(g))
     return GaloisLabel.A4 if is_square else GaloisLabel.S4

@@ -1,22 +1,21 @@
 """Text grammar for polynomial input.
 
-A polynomial is a signed sum of terms `c`, `c*x^k`, `x^k`, `x`, where a
-coefficient is an integer, a fraction `a/b`, or the parameter symbol `t`.
-Input mentioning `t` parses to x-coefficients that are polynomials in t;
-pure rational input parses to a Poly over Q.
+A polynomial is a signed sum of terms `c`, `c*x^k`, `x^k`, `x`, `t` and
+`t*x^k`, where a coefficient c is an integer or a fraction `a/b`. The
+parameter t enters only linearly, so every input is f0(x) + t*f1(x) with
+f0 and f1 over Q, and parses to the pair (f0, f1); pure rational input is
+the one with f1 = 0.
 
 >>> parse_q_poly("x^3 - x - 1").to_text()
 'x^3 - x - 1'
->>> [c.to_text("t") for c in parse_x_poly("x^3 - x - t")]
-['-t', '-1', '0', '1']
+>>> [f.to_text() for f in parse_x_poly("x^3 - x - t")]
+['x^3 - x', '-1']
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .poly import Poly
-
-_T_POLY = Poly.x()  # the parameter t as a polynomial in t
 
 # The largest x-exponent accepted. A parsed polynomial is a dense list, so
 # x^k costs k + 1 entries; larger exponents are rejected before any is built.
@@ -78,40 +77,37 @@ def _read_exponent(r: _Reader) -> int:
     return 1
 
 
-def _read_term(r: _Reader) -> tuple[int, Poly]:
-    """One term; returns (x-exponent, coefficient as a polynomial in t)."""
+def _read_term(r: _Reader) -> tuple[int, int, Fraction]:
+    """One term; returns (x-exponent, t-exponent 0 or 1, coefficient)."""
     tok = r.take()
     if tok == "x":
-        return _read_exponent(r), Poly.one()
+        return _read_exponent(r), 0, Fraction(1)
     if tok == "t":
-        coeff = _T_POLY
+        t_exp, c = 1, Fraction(1)
     elif isinstance(tok, int):
-        c = Fraction(tok)
+        t_exp, c = 0, Fraction(tok)
         if r.peek() == "/":
             r.take()
             denom = r.take()
             if not isinstance(denom, int) or denom == 0:
                 raise ValueError("fraction denominator must be a nonzero integer")
             c = Fraction(tok, denom)
-        coeff = Poly.const(c)
     else:
         raise ValueError(f"expected a term, found {tok!r}")
     if r.peek() == "*":
         r.take()
         if r.take() != "x":
             raise ValueError("expected x after '*'")
-        return _read_exponent(r), coeff
-    return 0, coeff
+        return _read_exponent(r), t_exp, c
+    return 0, t_exp, c
 
 
-def parse_x_poly(text: str) -> list[Poly]:
-    """Parse to a list of x-coefficients (index = x-degree), each a Poly in t.
-
-    The zero polynomial parses to []."""
+def parse_x_poly(text: str) -> tuple[Poly, Poly]:
+    """Parse f0(x) + t*f1(x) to the pair (f0, f1) of polynomials over Q."""
     r = _Reader(_tokenize(text))
     if r.done():
         raise ValueError("empty polynomial")
-    terms: dict[int, Poly] = {}
+    parts: tuple[dict, dict] = ({}, {})  # x-exponent -> coefficient, per t-exponent
     first = True
     while not r.done():
         sign = 1
@@ -121,44 +117,22 @@ def parse_x_poly(text: str) -> list[Poly]:
             sign = -1 if tok == "-" else 1
         elif not first:
             raise ValueError("expected '+' or '-' between terms")
-        exp, coeff = _read_term(r)
-        if sign < 0:
-            coeff = -coeff
-        terms[exp] = terms.get(exp, Poly.zero()) + coeff
+        exp, t_exp, c = _read_term(r)
+        part = parts[t_exp]
+        part[exp] = part.get(exp, 0) + sign * c
         first = False
-    if not terms:
-        raise ValueError("empty polynomial")
-    top = max(terms)
-    out = [terms.get(k, Poly.zero()) for k in range(top + 1)]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    f0, f1 = (Poly([part.get(k, 0) for k in range(max(part, default=-1) + 1)]) for part in parts)
+    return f0, f1
 
 
 def parse_q_poly(text: str) -> Poly:
     """Parse a polynomial over Q; the symbol t is rejected."""
-    coeffs = parse_x_poly(text)
-    flat = []
-    for c in coeffs:
-        if c.degree > 0:
-            raise ValueError("parameter t not allowed here")
-        flat.append(c.coeff(0))
-    return Poly(flat)
+    f0, f1 = parse_x_poly(text)
+    if f1:
+        raise ValueError("parameter t not allowed here")
+    return f0
 
 
-def t_linear_base(coeffs: list[Poly]) -> Poly | None:
-    """If the parsed polynomial is exactly g(x) - t with g over Q, return g;
-    otherwise None."""
-    if not coeffs:
-        return None
-    g = []
-    for k, c in enumerate(coeffs):
-        if k == 0:
-            if c.coeff(1) != -1 or c.degree > 1:
-                return None
-            g.append(c.coeff(0))
-        else:
-            if c.degree > 0:
-                return None
-            g.append(c.coeff(0))
-    return Poly(g)
+def t_linear_base(f0: Poly, f1: Poly) -> Poly | None:
+    """If f0(x) + t*f1(x) is exactly g(x) - t, return g = f0; otherwise None."""
+    return f0 if f1 == -1 else None

@@ -222,10 +222,11 @@ def _count_prime_power(monkeypatch) -> list[int]:
     "argv,count",
     [
         (("decompose", "--n", "4", "--q", "81"), 3),
-        (("endo", "--n", "4", "--q", "81", "--galois", "S4"), 6),
+        (("endo", "--n", "4", "--q", "81", "--galois", "S4"), 2),
         (("spectrum", "--n", "4", "--q", "81"), 2),
         (("spectrum", "--n", "3", "--q", "1000000000000037"), 0),
         (("spectrum", "--n", "3", "--p", "1000000000000037", "--r", "1"), 0),
+        (("model-check", "--poly", "x^3 + x + 1", "--q", "125"), 5),
     ],
 )
 def test_prime_power_calls(capsys, monkeypatch, argv, count):

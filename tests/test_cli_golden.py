@@ -220,6 +220,23 @@ _Q_DIGITS = [
     ("spectrum", "--n", "3", "--p", "1000003", "--r", "1000"),
 ]
 
+# t written more than once adds up per x-power: -2t is not g(x) - t, and
+# t - t is the zero polynomial; both exit 2.
+_T_SUMS_INVALID = [
+    ("galois", "--poly", "x^3 - t - t"),
+    ("galois", "--poly", "t - t"),
+]
+
+# t terms that cancel leave g(x) - t or a cubic over Q, and a leading
+# coefficient t; then an endo text that sums 150 levels' dimensions at a
+# large prime.
+_T_SUMS = [
+    ("galois", "--poly", "x^3 + t*x - t*x - t"),
+    ("jinv", "--poly", "t*x^3 + x - t"),
+    ("jinv", "--poly", "x^3 + t - t + x"),
+    ("endo", "--n", "4", "--p", "1000003", "--r", "150", "--galois", "S4"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -237,6 +254,8 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _GENUS_CEILING for v in _both(*argv)),
     *(v for argv in _TEN_LEVELS for v in _both(*argv)),
     *(v for argv in _Q_DIGITS for v in _both(*argv)),
+    *(v for argv in _T_SUMS_INVALID for v in _both(*argv)),
+    *(v for argv in _T_SUMS for v in _both(*argv)),
 ]
 
 
@@ -277,7 +296,8 @@ def test_corpus_exit_codes():
     invalid = {
         v
         for argv in (
-            *_INVALID, *_INVALID_LATER, *_CEILINGS, *_LARGE_P, *_GENUS_CEILING, *_Q_DIGITS
+            *_INVALID, *_INVALID_LATER, *_CEILINGS, *_LARGE_P, *_GENUS_CEILING, *_Q_DIGITS,
+            *_T_SUMS_INVALID,
         )
         for v in _both(*argv)
     }

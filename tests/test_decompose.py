@@ -28,10 +28,11 @@ VALID_PAIRS = [
 
 
 def test_algebra_factor_dimensions():
-    assert AlgebraFactor("Q").q_dimension == 1
-    assert AlgebraFactor("cyclotomic", modulus=4).q_dimension == 2
-    assert AlgebraFactor("cyclotomic", modulus=8).q_dimension == 4
-    assert AlgebraFactor("matrix", modulus=4, size=2).q_dimension == 8
+    assert AlgebraFactor("Q").q_dimension(2) == 1
+    assert AlgebraFactor("cyclotomic", modulus=4).q_dimension(2) == 2
+    assert AlgebraFactor("cyclotomic", modulus=8).q_dimension(2) == 4
+    assert AlgebraFactor("cyclotomic", modulus=27).q_dimension(3) == 18
+    assert AlgebraFactor("matrix", modulus=4, size=2).q_dimension(2) == 8
 
 
 def test_algebra_factor_labels():
@@ -75,8 +76,9 @@ def test_algebra_factor_rejects(kwargs):
 
 
 def test_algebra_factor_modulus_must_be_prime_power():
-    with pytest.raises(ValueError):
-        AlgebraFactor("cyclotomic", modulus=6).q_dimension
+    for modulus, p in ((6, 2), (6, 3), (9, 2), (8, 1), (8, 0)):
+        with pytest.raises(ValueError, match=f"modulus {modulus} is not a power of {p}"):
+            AlgebraFactor("cyclotomic", modulus=modulus).q_dimension(p)
 
 
 def test_factor_geometric_poly():

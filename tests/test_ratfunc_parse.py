@@ -74,11 +74,23 @@ def test_parse_rational_poly():
 
 
 def test_parse_x_poly_with_parameter():
-    coeffs = parse_x_poly("x^3 - x - t")
-    assert [c.to_text("t") for c in coeffs] == ["-t", "-1", "0", "1"]
-    coeffs = parse_x_poly("t*x^2 + 2")
-    assert coeffs[2] == Poly([0, 1])
-    assert coeffs[0] == Poly([2])
+    assert parse_x_poly("x^3 - x - t") == (Poly([0, -1, 0, 1]), Poly([-1]))
+    assert parse_x_poly("t*x^2 + 2") == (Poly([2]), Poly([0, 0, 1]))
+    assert parse_x_poly("x^3 - t - t") == (Poly([0, 0, 0, 1]), Poly([-2]))
+    assert parse_x_poly("x^3 + t*x - t*x - t") == (Poly([0, 0, 0, 1]), Poly([-1]))
+    assert parse_x_poly("t - t") == (Poly.zero(), Poly.zero())
+
+
+@given(
+    st.lists(coeff_st, max_size=5).map(Poly),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=5),
+)
+def test_parse_x_poly_roundtrip(f0, f1_ints):
+    # v*t*x^k is written as |v| copies of t*x^k, the only way the grammar has
+    terms = [f0.to_text()] if f0 else []
+    for k, v in enumerate(f1_ints):
+        terms += [("- " if v < 0 else "+ ") + ("t" if k == 0 else f"t*x^{k}")] * abs(v)
+    assert parse_x_poly(" ".join(terms) or "0") == (f0, Poly(f1_ints))
 
 
 @pytest.mark.parametrize(
@@ -92,7 +104,8 @@ def test_parse_errors(bad):
 
 
 def test_parse_exponent_ceiling():
-    assert len(parse_x_poly(f"x^{MAX_EXPONENT} + 1")) == MAX_EXPONENT + 1
+    assert parse_x_poly(f"x^{MAX_EXPONENT} + 1")[0].degree == MAX_EXPONENT
+    assert parse_x_poly(f"x + t*x^{MAX_EXPONENT}")[1].degree == MAX_EXPONENT
     for text in (f"x^{MAX_EXPONENT + 1}", f"2*x^3 + t*x^{MAX_EXPONENT + 1}"):
         with pytest.raises(ValueError, match=f"exponent must be at most {MAX_EXPONENT}"):
             parse_x_poly(text)
@@ -104,15 +117,15 @@ def test_parse_q_poly_rejects_t():
 
 
 def test_t_linear_base():
-    assert t_linear_base(parse_x_poly("x^3 - x - t")) == Poly([0, -1, 0, 1])
-    assert t_linear_base(parse_x_poly("x^4 - t")) == Poly([0, 0, 0, 0, 1])
-    assert t_linear_base(parse_x_poly("x^3 + t")) is None
-    assert t_linear_base(parse_x_poly("x^3 - t*x")) is None
-    assert t_linear_base(parse_x_poly("x^3 - 1")) is None
-    # shapes the grammar cannot produce: constant coefficient -2*t or -t + t^2
-    assert t_linear_base([Poly([0, -2]), Poly.zero(), Poly.zero(), Poly.one()]) is None
-    assert t_linear_base([Poly([0, -1, 1]), Poly.zero(), Poly.zero(), Poly.one()]) is None
-    assert t_linear_base([]) is None
+    assert t_linear_base(*parse_x_poly("x^3 - x - t")) == Poly([0, -1, 0, 1])
+    assert t_linear_base(*parse_x_poly("x^4 - t")) == Poly([0, 0, 0, 0, 1])
+    assert t_linear_base(*parse_x_poly("x^3 + t*x - t*x - t")) == Poly([0, 0, 0, 1])
+    assert t_linear_base(*parse_x_poly("-t")) == Poly.zero()
+    assert t_linear_base(*parse_x_poly("x^3 + t")) is None
+    assert t_linear_base(*parse_x_poly("x^3 - t*x")) is None
+    assert t_linear_base(*parse_x_poly("x^3 - t - t")) is None
+    assert t_linear_base(*parse_x_poly("x^3 - 1")) is None
+    assert t_linear_base(*parse_x_poly("t - t")) is None
 
 
 @given(st.lists(coeff_st, min_size=1, max_size=6))
