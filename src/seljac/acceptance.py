@@ -97,10 +97,10 @@ def criterion_2():
     for n, q, p, r in coprime_pairs(range(3, 31), 64):
         count += 1
         spec = full_spectrum(n, q)
-        mult = spec.multiplicities
+        mult = list(spec.multiplicities.values())  # mult(i) at index i - 1
         total_ok = spec.total() == (n - 1) * (q - 1) // 2
         prim_ok = spec.primitive_total() == (n - 1) * euler_phi_prime_power(p, r) // 2
-        reflection_ok = all(mult[i] + mult[q - i] == n - 1 for i in range(1, q))
+        reflection_ok = all(a + b == n - 1 for a, b in zip(mult, reversed(mult)))
         if not (total_ok and prim_ok and reflection_ok):
             bad.append((n, q))
     if bad:

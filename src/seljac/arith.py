@@ -41,6 +41,13 @@ def euler_phi_prime_power(p: int, r: int) -> int:
     return p**r - p ** (r - 1)
 
 
+def primitive_count(lo: int, hi: int, p: int) -> int:
+    """Number of i in [lo, hi) with p not dividing i."""
+    if hi <= lo:
+        return 0
+    return (hi - lo) - ((hi - 1) // p - (lo - 1) // p)
+
+
 def prime_powers_upto(limit: int) -> list[tuple[int, int, int]]:
     """All (q, p, r) with q = p**r <= limit, sorted by q."""
     if limit < 2:

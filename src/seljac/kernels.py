@@ -18,6 +18,8 @@ from __future__ import annotations
 import functools
 from typing import Callable, Sequence
 
+from .arith import primitive_count
+
 BACKEND = "pure-python"
 
 
@@ -150,13 +152,6 @@ def _primitive_root(p: int, primes: Sequence[int]) -> int:
     return g
 
 
-def _primitive_count(lo: int, hi: int, p: int) -> int:
-    """Number of i in [lo, hi) with p not dividing i."""
-    if hi <= lo:
-        return 0
-    return (hi - lo) - ((hi - 1) // p - (lo - 1) // p)
-
-
 def feasibility_counts(n: int, q: int, p: int) -> tuple[int, bool]:
     """Over B = {i : q/n < i < q, p does not divide i}: the cardinality of
     B and whether n-1 divides floor(n*i/q) for every i in B.
@@ -169,4 +164,4 @@ def feasibility_counts(n: int, q: int, p: int) -> tuple[int, bool]:
     """
     lo = -(-q // n)
     top = -(-q * (n - 1) // n)
-    return _primitive_count(lo, q, p), _primitive_count(lo, top, p) == 0
+    return primitive_count(lo, q, p), primitive_count(lo, top, p) == 0

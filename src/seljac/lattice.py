@@ -9,14 +9,21 @@ A point is the plain tuple (j, i). The order-q automorphism multiplies y
 by a primitive root of unity; the form indexed by (j, i) picks up
 exponent i, and the eigenvalue with exponent -i appears with
 multiplicity floor(n*i/q).
+
+That multiplicity is constant on runs: floor(n*i/q) = k exactly for
+ceil(k*q/n) <= i < ceil((k+1)*q/n). So a spectrum is held as n, q and p
+alone; its totals are sums over at most min(n, q - 1) runs, and nothing
+of size q is built.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping, ValuesView
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
+from operator import floordiv
 
-from .arith import prime_power
+from .arith import prime_power, primitive_count
 
 
 def validate_pair(n: int, q: int) -> tuple[int, int]:
@@ -55,27 +62,84 @@ def genus_formula(n: int, q: int) -> int:
     return (n - 1) * (q - 1) // 2
 
 
-@dataclass
+class _Multiplicities(Mapping):
+    """The read-only map i -> floor(n*i/q) over i = 1..q-1, computed on
+    lookup: it holds n and q only, so its length is O(1) and it compares
+    equal to the dict it stands for."""
+
+    __slots__ = ("_n", "_q")
+
+    def __init__(self, n: int, q: int):
+        self._n, self._q = n, q
+
+    def __getitem__(self, i: int) -> int:
+        if isinstance(i, int) and 0 < i < self._q:
+            return self._n * i // self._q
+        raise KeyError(i)
+
+    def __len__(self) -> int:
+        return self._q - 1
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(1, self._q))
+
+    def values(self) -> ValuesView[int]:
+        return _MultiplicityValues(self)
+
+
+class _MultiplicityValues(ValuesView):
+    """floor(n*i/q) for i = 1..q-1 in order, made by a C loop rather than
+    one lookup each."""
+
+    def __iter__(self) -> Iterator[int]:
+        n, q = self._mapping._n, self._mapping._q
+        return map(floordiv, range(n, n * q, n), repeat(q))
+
+
+@dataclass(frozen=True)
 class EigenSpectrum:
-    """Multiplicity of each nontrivial eigenvalue exponent i = 1..q-1, in
-    ascending order of i (the order `spectrum` prints them in); q = p**r."""
+    """The multiplicities floor(n*i/q) of the exponents i = 1..q-1, as
+    runs of equal value; q = p**r.
+
+    `runs()` gives the runs, `total()` and `primitive_total()` sum over
+    them, and `multiplicities` reads the same numbers per exponent, in
+    ascending order of i (the order `spectrum` prints them in), from a
+    view that stores nothing of size q.
+    """
 
     n: int
     q: int
     p: int
-    multiplicities: dict[int, int]
+
+    @property
+    def multiplicities(self) -> Mapping[int, int]:
+        return _Multiplicities(self.n, self.q)
+
+    def runs(self) -> Iterator[tuple[int, int, int]]:
+        """(k, start, stop) for each k that some exponent takes, ascending:
+        floor(n*i/q) == k exactly for start <= i < stop, and the runs tile
+        1..q-1 in order. For n < q each k in 0..n-1 has a run, bounded by
+        ceil(k*q/n); for n > q each exponent is a run of its own, and the
+        other k have none. So there are min(n, q - 1) runs, made by C loops
+        rather than one Python step each.
+        """
+        n, q = self.n, self.q
+        if n > q:
+            return zip(self.multiplicities.values(), range(1, q), range(2, q + 1))
+
+        def inner_bounds():  # ceil(k*q/n) = (k*q + n - 1)//n for k = 1..n-1
+            return map(floordiv, range(q + n - 1, (n - 1) * q + n, q), repeat(n))
+
+        return zip(range(n), chain((1,), inner_bounds()), chain(inner_bounds(), (q,)))
 
     def total(self) -> int:
-        return sum(self.multiplicities.values())
+        return sum(k * (stop - start) for k, start, stop in self.runs())
 
     def primitive_total(self) -> int:
-        """The total over exponents i prime to p: the total minus the
-        q/p - 1 entries at i = p, 2p, ..."""
-        mult = self.multiplicities
-        return self.total() - sum(mult[i] for i in range(self.p, self.q, self.p))
+        """The total over exponents i prime to p."""
+        return sum(k * primitive_count(start, stop, self.p) for k, start, stop in self.runs())
 
 
 def full_spectrum(n: int, q: int) -> EigenSpectrum:
     p, _ = validate_pair(n, q)
-    mult = {i: (n * i) // q for i in range(1, q)}
-    return EigenSpectrum(n, q, p, mult)
+    return EigenSpectrum(n, q, p)

@@ -14,6 +14,7 @@ from seljac.arith import (
     is_prime,
     prime_power,
     prime_powers_upto,
+    primitive_count,
 )
 
 
@@ -89,6 +90,11 @@ def test_coprime_pairs_order_and_filter():
         (n, q) for n in range(3, 31) for q in range(2, 65)
         if len(sympy.factorint(q)) == 1 and sympy.gcd(n, q) == 1
     }
+
+
+@given(st.integers(-50, 300), st.integers(-50, 300), st.integers(2, 40))
+def test_primitive_count_matches_a_filter(lo, hi, p):
+    assert primitive_count(lo, hi, p) == sum(1 for i in range(lo, hi) if i % p)
 
 
 def test_is_perfect_square():

@@ -1,7 +1,10 @@
 """End-to-end exercises of the seljac command line."""
 import argparse
+import contextlib
 import importlib
+import io
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -171,6 +174,54 @@ def test_spectrum_q_ceiling_is_inclusive(capsys, monkeypatch):
     assert run(capsys, "spectrum", "--n", "3", "--q", "9") == (
         2, "", "error: spectrum needs q at most 8, got 9\n"
     )
+
+
+def _spectrum_oracle(n, q, fmt):
+    # the per-entry output that spectrum wrote before it wrote from the
+    # runs: a str-keyed dict through the shared encoder, or one f-string
+    # per exponent
+    p, r = arith.prime_power(q)
+    mult = {i: n * i // q for i in range(1, q)}
+    total = sum(mult.values())
+    primitive = sum(m for i, m in mult.items() if i % p)
+    if fmt == "json":
+        payload = {"n": n, "q": q, "p": p, "r": r, "total": total,
+                   "primitive_total": primitive,
+                   "multiplicities": {str(i): m for i, m in mult.items()}}
+        return cli._dump(payload) + "\n"
+    return "\n".join([
+        cli._header({"n": n, "q": q, "p": p, "r": r}),
+        *(f"i={i}  mult={m}" for i, m in mult.items()),
+        f"total = {total}  primitive = {primitive}",
+    ]) + "\n"
+
+
+def _spectrum_out(n, q, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["spectrum", "--n", str(n), "--q", str(q), "--format", fmt]) == 0
+    return out.getvalue()
+
+
+_SPECTRUM_PAIRS = st.tuples(
+    st.integers(3, 40), st.sampled_from([q for q in range(2, 4097) if arith.prime_power(q)])
+).filter(lambda nq: math.gcd(*nq) == 1)
+
+
+# Both ways spectrum writes its entries are covered: one join per run
+# when 8n <= q, and one format per entry when 8n > q; (40, 343) and
+# (40, 317) sit on either side of that line, and n > q (n = 11 at q = 2,
+# 7, 9) leaves some k without a run.
+@pytest.mark.parametrize("n,q", [(3, 2), (11, 2), (3, 1024), (7, 1024), (10, 1009),
+                                 (11, 7), (11, 9), (11, 16), (40, 81), (40, 317), (40, 343)])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_spectrum_bytes_match_per_entry_output(n, q, fmt):
+    assert _spectrum_out(n, q, fmt) == _spectrum_oracle(n, q, fmt)
+
+
+@given(_SPECTRUM_PAIRS, st.sampled_from(["json", "text"]))
+def test_spectrum_bytes_match_per_entry_output_sampled(pair, fmt):
+    assert _spectrum_out(*pair, fmt) == _spectrum_oracle(*pair, fmt)
 
 
 @pytest.mark.parametrize("r", [MAX_EXPONENT + 1, 10**15])

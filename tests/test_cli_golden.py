@@ -237,6 +237,16 @@ _T_SUMS = [
     ("endo", "--n", "4", "--p", "1000003", "--r", "150", "--galois", "S4"),
 ]
 
+# Spectra at the edges of their runs of equal multiplicity: n > q (some
+# k taken by no exponent), a power of two, keys that cross from four to
+# five digits, and the q ceiling itself (kept as a digest).
+_SPECTRUM_RUNS = [
+    ("spectrum", "--n", "11", "--q", "7"),
+    ("spectrum", "--n", "3", "--q", "1024"),
+    ("spectrum", "--n", "10", "--q", "10007"),
+    ("spectrum", "--n", "7", "--q", "1048576"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -256,6 +266,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _Q_DIGITS for v in _both(*argv)),
     *(v for argv in _T_SUMS_INVALID for v in _both(*argv)),
     *(v for argv in _T_SUMS for v in _both(*argv)),
+    *(v for argv in _SPECTRUM_RUNS for v in _both(*argv)),
 ]
 
 

@@ -1,5 +1,6 @@
 """Interior point bookkeeping on the (n, q) triangle."""
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -138,6 +139,64 @@ def test_primitive_mass_fixtures():
     assert full_spectrum(4, 9).primitive_total() == 9
     assert full_spectrum(3, 5).primitive_total() == 4
     assert full_spectrum(3, 2).primitive_total() == 1
+
+
+# n up to 60 against q down to 2, so many pairs have n > q and runs of a
+# single exponent.
+RUN_PAIRS = [
+    (n, q)
+    for n in range(3, 61)
+    for q in range(2, 4097)
+    if prime_power(q) is not None and math.gcd(n, q) == 1
+]
+
+
+@given(st.sampled_from(RUN_PAIRS))
+def test_runs_tile_the_exponents(pair):
+    n, q = pair
+    spec = full_spectrum(n, q)
+    runs = list(spec.runs())
+    assert [start for _, start, _ in runs] == [1, *(stop for _, _, stop in runs[:-1])]
+    assert runs[-1][2] == q
+    assert [k for k, _, _ in runs] == sorted({k for k, _, _ in runs})
+    for k, start, stop in runs:
+        assert start < stop
+        assert all(n * i // q == k for i in range(start, stop))
+    assert len(runs) == min(n, q - 1)
+
+
+@given(st.sampled_from(RUN_PAIRS))
+def test_spectrum_matches_per_entry_oracle(pair):
+    # the per-entry dict that the runs replaced
+    n, q = pair
+    spec = full_spectrum(n, q)
+    mult = {i: n * i // q for i in range(1, q)}
+    assert spec.multiplicities == mult
+    assert dict(spec.multiplicities) == mult and list(spec.multiplicities) == list(mult)
+    assert list(spec.multiplicities.values()) == list(mult.values())
+    assert len(spec.multiplicities) == q - 1
+    assert spec.total() == sum(mult.values())
+    assert spec.primitive_total() == sum(m for i, m in mult.items() if i % spec.p)
+
+
+def test_multiplicities_view_rejects_other_keys():
+    mult = full_spectrum(3, 8).multiplicities
+    for key in (0, 8, -1, "1"):
+        assert key not in mult
+        with pytest.raises(KeyError):
+            mult[key]
+
+
+def test_spectrum_builds_nothing_of_size_q():
+    tracemalloc.start()
+    try:
+        spec = full_spectrum(7, 2**20)
+        totals = spec.total(), spec.primitive_total(), len(spec.multiplicities)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert totals == (6 * (2**20 - 1) // 2, 6 * 2**19 // 2, 2**20 - 1)
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("n,q", [(3, 6), (2, 5), (4, 2), (3, 1), (-1, 2), (3, 12)])
