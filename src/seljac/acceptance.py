@@ -14,6 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .arith import coprime_pairs, euler_phi_prime_power, prime_powers_upto
 from .decompose import decomposition_ledger, factor_geometric_poly, predict_end_algebra
@@ -100,7 +101,7 @@ def criterion_2():
         mult = list(spec.multiplicities.values())  # mult(i) at index i - 1
         total_ok = spec.total() == (n - 1) * (q - 1) // 2
         prim_ok = spec.primitive_total() == (n - 1) * euler_phi_prime_power(p, r) // 2
-        reflection_ok = all(a + b == n - 1 for a, b in zip(mult, reversed(mult)))
+        reflection_ok = set(map(add, mult, reversed(mult))) == {n - 1}
         if not (total_ok and prim_ok and reflection_ok):
             bad.append((n, q))
     if bad:

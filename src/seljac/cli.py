@@ -6,12 +6,12 @@ with a text renderer: `--format json` prints the payload itself, `--format
 text` prints the renderer's reading of it, so both formats come from the
 same payload, and one encoder writes every JSON record: a report dataclass
 as its fields, an exact Fraction as its text. `spectrum` is the exception:
-its up to 2^20 - 1 multiplicities are written straight from the spectrum's
-runs of equal multiplicity, in both formats, and the tests check the JSON
-against the encoder and the text against the per-entry lines, byte for
-byte. The subcommands keyed by (n, q) share the payload head {n, q, p, r}
-and its text header. The parser
-is built from one table, once per process, on the first `main` call; each
+its up to 2^20 - 1 multiplicities are formatted one per exponent by a C
+loop over the spectrum's multiplicity view, with no dict between, and the
+tests check the JSON against the encoder and the text against the
+per-entry lines, byte for byte. The subcommands keyed by (n, q) share the
+payload head {n, q, p, r} and its text header. The parser is built from
+one table, once per process, on the first `main` call; each
 subcommand stores its handler's name, and `main` looks that name up in the
 module at dispatch, so a handler rebound on the module (a tracer wrapping
 `cli._cmd_*`) sees every call. Library users import from the submodules
@@ -30,7 +30,6 @@ import os
 import sys
 from dataclasses import is_dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .acceptance import run_all
 from .arith import is_prime, prime_power
@@ -138,8 +137,8 @@ def _feasible_text(rep) -> str:
 
 
 # The largest q that spectrum accepts: its output has q - 1 entries. At
-# 2**20 and n = 7 it takes about 0.5 s and 35 MB as text, 0.7 s and 135 MB
-# as JSON; up to about 2 s and 185 MB when n is near q.
+# 2**20 and n = 7 it takes about 0.8 s and 120 MB in either format; up to
+# about 1.4 s and 160 MB when n is near q.
 SPECTRUM_Q_MAX = 2**20
 
 # The most lattice points (n-1)(q-1)/2 that genus enumerates: at 2**22 it
@@ -182,43 +181,20 @@ def _cmd_genus(args) -> int:
     return 0
 
 
-def _spectrum_chunks(spec, entry: str) -> Iterator[str]:
-    """entry.format(i, k) for the exponents i = 1..q-1 ascending, with
-    k = floor(n*i/q), in chunks of entries joined by newlines.
-
-    A chunk is one run of equal k, made as one join over the run's decimal
-    exponents: C loops, not one format call per entry. Below about eight
-    exponents per run (8n > q) the per-run step costs more than it saves
-    (measured at q = 2^20), so the entries are then formatted one by one
-    into a single chunk, with the k from a C loop too.
-    """
-    n, q = spec.n, spec.q
-    if 8 * n > q:
-        yield "\n".join(map(entry.format, range(1, q), spec.multiplicities.values()))
-        return
-    before, middle, _ = entry.split("{}")
-    for k, start, stop in spec.runs():
-        after = f"{middle}{k}"
-        yield before + f"{after}\n{before}".join(map(str, range(start, stop))) + after
-
-
 def _cmd_spectrum(args) -> int:
     head = _head(args, SPECTRUM_Q_MAX)
     spec = full_spectrum(head["n"], head["q"])
     rest = {**head, "total": spec.total(), "primitive_total": spec.primitive_total()}
+    exponents, mults = range(1, spec.q), spec.multiplicities.values()
     if args.format == "json":
-        entries = []
-        for chunk in _spectrum_chunks(spec, '"{}": {}'):
-            entries += chunk.split("\n")
         # Sorted as strings, the '"i": k' entries fall in the order that
         # sort_keys gives their keys, since '"' sorts below every digit;
         # and "multiplicities" sorts before every other key of the record.
-        entries.sort()
+        entries = sorted(map('"{}": {}'.format, exponents, mults))
         print('{"multiplicities": {' + ", ".join(entries) + "}, " + _dump(rest)[1:])
     else:
         print(_header(rest))
-        for chunk in _spectrum_chunks(spec, "i={}  mult={}"):
-            print(chunk)
+        print("\n".join(map("i={}  mult={}".format, exponents, mults)))
         print(f"total = {rest['total']}  primitive = {rest['primitive_total']}")
     return 0
 

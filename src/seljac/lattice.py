@@ -12,18 +12,18 @@ multiplicity floor(n*i/q).
 
 That multiplicity is constant on runs: floor(n*i/q) = k exactly for
 ceil(k*q/n) <= i < ceil((k+1)*q/n). So a spectrum is held as n, q and p
-alone; its totals are sums over at most min(n, q - 1) runs, and nothing
-of size q is built.
+alone; its total is a C-loop sum of at most min(n, q - 1) terms, and
+nothing of size q is built.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping, ValuesView
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import floordiv
 
-from .arith import prime_power, primitive_count
+from .arith import prime_power
 
 
 def validate_pair(n: int, q: int) -> tuple[int, int]:
@@ -62,6 +62,11 @@ def genus_formula(n: int, q: int) -> int:
     return (n - 1) * (q - 1) // 2
 
 
+def _multiplicities_every(n: int, q: int, step: int) -> Iterator[int]:
+    """floor(n*i/q) for i = step, 2*step, ... below q, by a C loop."""
+    return map(floordiv, range(n * step, n * q, n * step), repeat(q))
+
+
 class _Multiplicities(Mapping):
     """The read-only map i -> floor(n*i/q) over i = 1..q-1, computed on
     lookup: it holds n and q only, so its length is O(1) and it compares
@@ -92,8 +97,7 @@ class _MultiplicityValues(ValuesView):
     one lookup each."""
 
     def __iter__(self) -> Iterator[int]:
-        n, q = self._mapping._n, self._mapping._q
-        return map(floordiv, range(n, n * q, n), repeat(q))
+        return _multiplicities_every(self._mapping._n, self._mapping._q, 1)
 
 
 @dataclass(frozen=True)
@@ -101,10 +105,11 @@ class EigenSpectrum:
     """The multiplicities floor(n*i/q) of the exponents i = 1..q-1, as
     runs of equal value; q = p**r.
 
-    `runs()` gives the runs, `total()` and `primitive_total()` sum over
-    them, and `multiplicities` reads the same numbers per exponent, in
-    ascending order of i (the order `spectrum` prints them in), from a
-    view that stores nothing of size q.
+    `total()` sums over the runs, and `primitive_total()` takes off the
+    entries at multiples of p; every sum is a C loop. `multiplicities`
+    reads the same numbers per exponent, in ascending order of i (the
+    order `spectrum` prints them in), from a view that stores nothing of
+    size q.
     """
 
     n: int
@@ -115,29 +120,26 @@ class EigenSpectrum:
     def multiplicities(self) -> Mapping[int, int]:
         return _Multiplicities(self.n, self.q)
 
-    def runs(self) -> Iterator[tuple[int, int, int]]:
-        """(k, start, stop) for each k that some exponent takes, ascending:
-        floor(n*i/q) == k exactly for start <= i < stop, and the runs tile
-        1..q-1 in order. For n < q each k in 0..n-1 has a run, bounded by
-        ceil(k*q/n); for n > q each exponent is a run of its own, and the
-        other k have none. So there are min(n, q - 1) runs, made by C loops
-        rather than one Python step each.
-        """
+    def _run_bounds(self) -> Iterator[int]:
+        """ceil(k*q/n) = (k*q + n - 1)//n for k = 1..n-1, by a C loop. With
+        1 before them and q after, they bound the runs: floor(n*i/q) == k
+        exactly from bound k up to, not including, bound k + 1."""
         n, q = self.n, self.q
-        if n > q:
-            return zip(self.multiplicities.values(), range(1, q), range(2, q + 1))
-
-        def inner_bounds():  # ceil(k*q/n) = (k*q + n - 1)//n for k = 1..n-1
-            return map(floordiv, range(q + n - 1, (n - 1) * q + n, q), repeat(n))
-
-        return zip(range(n), chain((1,), inner_bounds()), chain(inner_bounds(), (q,)))
+        return map(floordiv, range(q + n - 1, (n - 1) * q + n, q), repeat(n))
 
     def total(self) -> int:
-        return sum(k * (stop - start) for k, start, stop in self.runs())
+        """The sum over the runs of k times the run's length. For n < q it
+        telescopes to (n-1)*q minus the n - 1 inner bounds; for n > q most
+        runs are empty and the others hold one exponent each, so it sums
+        the q - 1 multiplicities instead, the shorter loop."""
+        if self.n > self.q:
+            return sum(_multiplicities_every(self.n, self.q, 1))
+        return (self.n - 1) * self.q - sum(self._run_bounds())
 
     def primitive_total(self) -> int:
-        """The total over exponents i prime to p."""
-        return sum(k * primitive_count(start, stop, self.p) for k, start, stop in self.runs())
+        """The total over exponents i prime to p: the total minus the
+        q/p - 1 entries at i = p, 2p, ..."""
+        return self.total() - sum(_multiplicities_every(self.n, self.q, self.p))
 
 
 def full_spectrum(n: int, q: int) -> EigenSpectrum:

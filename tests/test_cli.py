@@ -208,10 +208,8 @@ _SPECTRUM_PAIRS = st.tuples(
 ).filter(lambda nq: math.gcd(*nq) == 1)
 
 
-# Both ways spectrum writes its entries are covered: one join per run
-# when 8n <= q, and one format per entry when 8n > q; (40, 343) and
-# (40, 317) sit on either side of that line, and n > q (n = 11 at q = 2,
-# 7, 9) leaves some k without a run.
+# Pinned: q = 2, keys that cross digit lengths (1009, 1024), n > q (n = 11
+# at q = 2, 7, 9), and n close to q (40 at 81, 317, 343).
 @pytest.mark.parametrize("n,q", [(3, 2), (11, 2), (3, 1024), (7, 1024), (10, 1009),
                                  (11, 7), (11, 9), (11, 16), (40, 81), (40, 317), (40, 343)])
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -141,8 +141,7 @@ def test_primitive_mass_fixtures():
     assert full_spectrum(3, 2).primitive_total() == 1
 
 
-# n up to 60 against q down to 2, so many pairs have n > q and runs of a
-# single exponent.
+# n up to 60 against q down to 2, so many pairs have n > q and empty runs.
 RUN_PAIRS = [
     (n, q)
     for n in range(3, 61)
@@ -152,17 +151,16 @@ RUN_PAIRS = [
 
 
 @given(st.sampled_from(RUN_PAIRS))
-def test_runs_tile_the_exponents(pair):
+def test_run_bounds_split_the_exponents(pair):
+    # 1, the n - 1 inner bounds and q split 1..q-1 into the n runs, where
+    # floor(n*i/q) is k on run k; for n > q some runs are empty
     n, q = pair
     spec = full_spectrum(n, q)
-    runs = list(spec.runs())
-    assert [start for _, start, _ in runs] == [1, *(stop for _, _, stop in runs[:-1])]
-    assert runs[-1][2] == q
-    assert [k for k, _, _ in runs] == sorted({k for k, _, _ in runs})
-    for k, start, stop in runs:
-        assert start < stop
-        assert all(n * i // q == k for i in range(start, stop))
-    assert len(runs) == min(n, q - 1)
+    bounds = [1, *spec._run_bounds(), q]
+    assert len(bounds) == n + 1 and bounds == sorted(bounds)
+    for k in range(n):
+        assert all(n * i // q == k for i in range(bounds[k], bounds[k + 1]))
+    assert spec.total() == sum(k * (bounds[k + 1] - bounds[k]) for k in range(n))
 
 
 @given(st.sampled_from(RUN_PAIRS))
