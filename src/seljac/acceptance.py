@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 from .arith import coprime_pairs, euler_phi_prime_power, prime_powers_upto
 from .decompose import decomposition_ledger, factor_geometric_poly, predict_end_algebra
@@ -33,8 +33,7 @@ from .poly import Poly, geometric_poly, poly_gcd
 from .ratfunc import RatFunc
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     title: str
     passed: bool

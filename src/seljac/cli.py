@@ -4,18 +4,23 @@ with deterministic text or JSON output.
 Each handler builds one payload per output record and passes it to `_emit`
 with a text renderer: `--format json` prints the payload itself, `--format
 text` prints the renderer's reading of it, so both formats come from the
-same payload, and one encoder writes every JSON record: a report dataclass
-as its fields, an exact Fraction as its text. `spectrum` is the exception:
-its up to 2^20 - 1 multiplicities are formatted one per exponent by a C
-loop over the spectrum's multiplicity view, with no dict between, and the
-tests check the JSON against the encoder and the text against the
-per-entry lines, byte for byte. The subcommands keyed by (n, q) share the
-payload head {n, q, p, r} and its text header. The parser is built from
-one table, once per process, on the first `main` call; each
-subcommand stores its handler's name, and `main` looks that name up in the
-module at dispatch, so a handler rebound on the module (a tracer wrapping
-`cli._cmd_*`) sees every call. Library users import from the submodules
-(`seljac.poly`, `seljac.galois`, ...); the package root re-exports nothing.
+same payload, and one encoder writes every JSON record, an exact Fraction
+as its text. A library result is an immutable named tuple, which the
+encoder would write as an array, so a payload holds its fields,
+`record._asdict()`, and a text renderer reads the record's attributes;
+the two scans print each report that way through `_emit_records`.
+`spectrum` is the exception: its up to 2^20 - 1 multiplicities are
+formatted one per exponent by a C loop over the spectrum's multiplicity
+view, with no dict between, and the tests check the JSON against the
+encoder and the text against the per-entry lines, byte for byte. The
+subcommands keyed by (n, q) share the payload head {n, q, p, r} and its
+text header; `genus` and `spectrum` check their ceilings on it before q
+is factored. The parser is built from one table, once per process, on the
+first `main` call; each subcommand stores its handler's name, and `main`
+looks that name up in the module at dispatch, so a handler rebound on the
+module (a tracer wrapping `cli._cmd_*`) sees every call. Library users
+import from the submodules (`seljac.poly`, `seljac.galois`, ...); the
+package root re-exports nothing.
 
 Exit codes: 0 success, 1 invariant failure (a verification subcommand
 found a violated identity), 2 usage or input error. A reader that closes
@@ -28,7 +33,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import is_dataclass
 from fractions import Fraction
 
 from .acceptance import run_all
@@ -57,10 +61,9 @@ from .ratfunc import RatFunc
 
 
 def _plain(value):
-    """The JSON form of the two non-JSON values a payload may hold: a
-    report dataclass is its fields, an exact Fraction is its text."""
-    if is_dataclass(value):
-        return vars(value)
+    """The JSON form of the one non-JSON value a payload may hold: an exact
+    Fraction is its text. A record never reaches this hook: the encoder
+    writes any tuple as an array, so a payload holds a record's `_asdict()`."""
     if isinstance(value, Fraction):
         return str(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -77,15 +80,23 @@ def _emit(args, payload, text) -> None:
     print(_dump(payload) if args.format == "json" else text(payload))
 
 
+def _emit_records(args, records, text) -> None:
+    """Print one line per library record: its fields as JSON, or
+    text(record) as text."""
+    for record in records:
+        print(_dump(record._asdict()) if args.format == "json" else text(record))
+
+
 # The most decimal digits q = p**r may have: Python's default int-to-str
 # limit, past which q could not be printed.
 Q_DIGITS_MAX = 4300
 
 
-def _head(args, q_max: int | None = None) -> dict:
+def _head(args, ceiling=None) -> dict:
     """The payload head {n, q, p, r}: n from --n (None without one), and
     q = p**r from --q and/or --p/--r, consistency enforced. A q too long to
-    print, or above q_max, is rejected before p or q is trial-divided."""
+    print, or one that ceiling(n, q) rejects by raising, is refused before
+    p or q is trial-divided."""
     q, p, r = args.q, args.p, args.r
     if (p is None) != (r is None):
         raise ValueError("--p and --r must be given together")
@@ -101,8 +112,9 @@ def _head(args, q_max: int | None = None) -> dict:
         q = p**r
         if q >= 10**Q_DIGITS_MAX:
             raise ValueError(f"q = {p}^{r} has more than {Q_DIGITS_MAX} digits")
-    if q_max is not None and q > q_max:
-        raise ValueError(f"{args.subcommand} needs q at most {q_max}, got {q}")
+    n = getattr(args, "n", None)
+    if ceiling is not None:
+        ceiling(n, q)
     if p is None:
         pr = prime_power(q)
         if pr is None:
@@ -110,7 +122,7 @@ def _head(args, q_max: int | None = None) -> dict:
         p, r = pr
     elif not is_prime(p):
         raise ValueError(f"--p must be prime, got {p}")
-    return {"n": getattr(args, "n", None), "q": q, "p": p, "r": r}
+    return {"n": n, "q": q, "p": p, "r": r}
 
 
 def _header(pl) -> str:
@@ -145,6 +157,17 @@ SPECTRUM_Q_MAX = 2**20
 # takes about 1 s and 430 MB.
 GENUS_POINTS_MAX = 2**22
 
+
+def _spectrum_ceiling(n: int, q: int) -> None:
+    if q > SPECTRUM_Q_MAX:
+        raise ValueError(f"spectrum needs q at most {SPECTRUM_Q_MAX}, got {q}")
+
+
+def _genus_ceiling(n: int, q: int) -> None:
+    if (n - 1) * (q - 1) // 2 > GENUS_POINTS_MAX:
+        raise ValueError(f"genus needs (n-1)(q-1)/2 at most {GENUS_POINTS_MAX} lattice points")
+
+
 # The largest --q-max a scan accepts. Both scans sieve every prime power up
 # to --q-max before the first record, in memory that grows with it.
 SCAN_Q_MAX = 10**7
@@ -166,10 +189,8 @@ def _check_scan_limits(n_top: int, q_max: int) -> None:
 
 
 def _cmd_genus(args) -> int:
-    head = _head(args)
+    head = _head(args, _genus_ceiling)
     n, q = head["n"], head["q"]
-    if (n - 1) * (q - 1) // 2 > GENUS_POINTS_MAX:
-        raise ValueError(f"genus needs (n-1)(q-1)/2 at most {GENUS_POINTS_MAX} lattice points")
     lattice = genus_lattice(n, q)
     formula = genus_formula(n, q)
     hurwitz = hurwitz_genus(n, q)
@@ -182,7 +203,7 @@ def _cmd_genus(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    head = _head(args, SPECTRUM_Q_MAX)
+    head = _head(args, _spectrum_ceiling)
     spec = full_spectrum(head["n"], head["q"])
     rest = {**head, "total": spec.total(), "primitive_total": spec.primitive_total()}
     exponents, mults = range(1, spec.q), spec.multiplicities.values()
@@ -202,15 +223,15 @@ def _cmd_spectrum(args) -> int:
 def _cmd_decompose(args) -> int:
     head = _head(args)
     n, q = head["n"], head["q"]
+    levels = decomposition_ledger(n, q)
     payload = {
         **head,
-        "levels": decomposition_ledger(n, q),
+        "levels": [lv._asdict() for lv in levels],
         "genus": genus_formula(n, q),
     }
     _emit(args, payload, lambda pl: "\n".join([
         _header(pl),
-        *(f"level {lv.level}  modulus {lv.modulus}  new_dim {lv.new_dim}"
-          for lv in pl["levels"]),
+        *(f"level {lv.level}  modulus {lv.modulus}  new_dim {lv.new_dim}" for lv in levels),
         f"genus = {pl['genus']}",
     ]))
     return 0
@@ -256,20 +277,23 @@ def _cmd_cm_scan(args) -> int:
         raise ValueError("give --n or --n-max, not both")
     ns = range(args.n, args.n + 1) if args.n is not None else range(3, args.n_max + 1)
     _check_scan_limits(ns.stop - 1, args.q_max)
-    for report in multiplier_sweep(ns, args.q_max):
-        _emit(args, report, _cm_text)
+    _emit_records(args, multiplier_sweep(ns, args.q_max), _cm_text)
     return 0
 
 
 def _cmd_feasible_scan(args) -> int:
     _check_scan_limits(args.n_max, args.q_max)
-    for report in feasibility_sweep(args.n_max, args.q_max):
-        _emit(args, report, _feasible_text)
+    _emit_records(args, feasibility_sweep(args.n_max, args.q_max), _feasible_text)
     return 0
 
 
 def _cmd_galois(args) -> int:
     f0, f1 = parse_x_poly(args.poly)
+    base = t_linear_base(f0, f1) if f1 else f0
+    if base is None:
+        raise ValueError("parametric input must have the exact shape g(x) - t with g over Q")
+    if not base:
+        raise ValueError("classification needs degree 3 or 4, got the zero polynomial")
     if not f1:
         classify = {3: classify_cubic_rational, 4: classify_quartic_rational}.get(f0.degree)
         if classify is None:
@@ -281,11 +305,6 @@ def _cmd_galois(args) -> int:
             "label": str(classify(f0)),
         }
     else:
-        base = t_linear_base(f0, f1)
-        if base is None:
-            raise ValueError(
-                "parametric input must have the exact shape g(x) - t with g over Q"
-            )
         classify = {3: classify_cubic_geometric, 4: classify_quartic_geometric}.get(base.degree)
         if classify is None:
             raise ValueError(

@@ -13,7 +13,7 @@ transitivity is read from the label's group in `heart.GROUPS` alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import euler_phi_prime_power, prime_power
 from .galois import GaloisLabel
@@ -22,24 +22,32 @@ from .lattice import validate_pair
 from .poly import Poly, cyclotomic_poly, geometric_poly
 
 
-@dataclass(frozen=True)
-class AlgebraFactor:
-    """One simple factor: Q, a cyclotomic field, or a matrix algebra over
-    a cyclotomic field."""
+class _AlgebraFactorFields(NamedTuple):
+    """The fields of `AlgebraFactor`, which checks them on construction."""
 
     kind: str  # "Q" | "cyclotomic" | "matrix"
     modulus: int | None = None
     size: int | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("Q", "cyclotomic", "matrix"):
-            raise ValueError(f"unknown factor kind {self.kind!r}")
-        if self.kind == "Q" and (self.modulus is not None or self.size is not None):
+
+class AlgebraFactor(_AlgebraFactorFields):
+    """One simple factor: Q, a cyclotomic field, or a matrix algebra over
+    a cyclotomic field."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, kind: str, modulus: int | None = None, size: int | None = None
+    ) -> AlgebraFactor:
+        if kind not in ("Q", "cyclotomic", "matrix"):
+            raise ValueError(f"unknown factor kind {kind!r}")
+        if kind == "Q" and (modulus is not None or size is not None):
             raise ValueError("Q factor carries no modulus or size")
-        if self.kind == "cyclotomic" and (self.modulus is None or self.size is not None):
+        if kind == "cyclotomic" and (modulus is None or size is not None):
             raise ValueError("cyclotomic factor needs a modulus only")
-        if self.kind == "matrix" and (self.modulus is None or self.size is None):
+        if kind == "matrix" and (modulus is None or size is None):
             raise ValueError("matrix factor needs a modulus and a size")
+        return super().__new__(cls, kind, modulus, size)
 
     def q_dimension(self, p: int) -> int:
         """Dimension over Q of the factor, whose modulus must be a power of
@@ -64,8 +72,7 @@ class AlgebraFactor:
         return f"Mat_{self.size}(Q(zeta_{self.modulus}))"
 
 
-@dataclass(frozen=True)
-class DecompositionLevel:
+class DecompositionLevel(NamedTuple):
     """Level i of q = p^r: the part new at p^i, of dimension
     (n-1)(p^i - p^(i-1))/2."""
 
@@ -74,8 +81,7 @@ class DecompositionLevel:
     new_dim: int
 
 
-@dataclass(frozen=True)
-class EndAlgebraDescription:
+class EndAlgebraDescription(NamedTuple):
     """Predicted endomorphism algebra as an ordered product of simple
     factors, with the level ledger and integral refinements (orders) for
     the field levels. Every description is asserted by the supported
@@ -99,11 +105,11 @@ class EndAlgebraDescription:
         return {
             "n": self.n,
             "q": self.q,
-            # a factor is its fields that are set; __post_init__ fixes which
+            # a factor is its fields that are set; __new__ fixes which
             "factors": [
-                {k: v for k, v in vars(f).items() if v is not None} for f in self.factors
+                {k: v for k, v in f._asdict().items() if v is not None} for f in self.factors
             ],
-            "levels": [vars(lv) for lv in self.levels],
+            "levels": [lv._asdict() for lv in self.levels],
             "integral": [{"modulus": m, "ring": ring} for m, ring in self.integral],
             "asserted": True,
         }
@@ -177,8 +183,7 @@ def predict_end_algebra(n: int, q: int, label) -> EndAlgebraDescription:
     )
 
 
-@dataclass(frozen=True)
-class IsotrivialityForecast:
+class IsotrivialityForecast(NamedTuple):
     """Per-level isotriviality of the decomposition as f varies with full
     Galois group; fully=None means the supported results say nothing."""
 

@@ -7,9 +7,8 @@ exactly when its j-invariant is constant.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .poly import Poly
 from .ratfunc import RatFunc
@@ -19,8 +18,7 @@ def _as_ratfunc(v) -> RatFunc:
     return v if isinstance(v, RatFunc) else RatFunc(v)
 
 
-@dataclass(frozen=True)
-class WeierstrassShort:
+class WeierstrassShort(NamedTuple):
     """y^2 = x^3 + a4 x + a6, with absorbed_lc recording the leading
     coefficient divided out of the original equation (a quadratic twist;
     the j-invariant does not see it)."""

@@ -12,25 +12,31 @@ its hypothesis, double transitivity, from the label groups in `GROUPS` alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import is_prime
 from .fpmatrix import rank_fp
 
 
-@dataclass(frozen=True)
-class PermGroup:
-    """A permutation group given by generators on {0..degree-1}."""
+class _PermGroupFields(NamedTuple):
+    """The fields of `PermGroup`, which checks them on construction."""
 
     degree: int
     generators: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.degree < 1:
+
+class PermGroup(_PermGroupFields):
+    """A permutation group given by generators on {0..degree-1}."""
+
+    __slots__ = ()
+
+    def __new__(cls, degree: int, generators: tuple[tuple[int, ...], ...]) -> PermGroup:
+        if degree < 1:
             raise ValueError("degree must be >= 1")
-        for g in self.generators:
-            if sorted(g) != list(range(self.degree)):
-                raise ValueError(f"not a permutation of 0..{self.degree - 1}: {g}")
+        for g in generators:
+            if sorted(g) != list(range(degree)):
+                raise ValueError(f"not a permutation of 0..{degree - 1}: {g}")
+        return super().__new__(cls, degree, generators)
 
     @classmethod
     def symmetric(cls, n: int) -> PermGroup:

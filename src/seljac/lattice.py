@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping, ValuesView
-from dataclasses import dataclass
 from itertools import repeat
 from operator import floordiv
+from typing import NamedTuple
 
 from .arith import prime_power
 
@@ -100,8 +100,7 @@ class _MultiplicityValues(ValuesView):
         return _multiplicities_every(self._mapping._n, self._mapping._q, 1)
 
 
-@dataclass(frozen=True)
-class EigenSpectrum:
+class EigenSpectrum(NamedTuple):
     """The multiplicities floor(n*i/q) of the exponents i = 1..q-1, as
     runs of equal value; q = p**r.
 

@@ -21,24 +21,17 @@ pi(cli.SCAN_Q_MAX) entries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .arith import coprime_pairs, euler_phi_prime_power
 from .kernels import feasibility_counts, multiplier_scan
 from .lattice import validate_pair
 
 
-@dataclass(frozen=True)
-class InvariantMultiplierReport:
-    """Multipliers preserving the multiplicity data for one (n, q).
-
-    invariant_ms is the function-level set (floor(n*i/q) preserved at
-    every primitive i); zero_set_ms only requires the zero set
-    {i : n*i < q} to be preserved. The function-level set is contained
-    in the zero-set one; a strict gap is worth reporting, never an error.
-    """
+class _InvariantMultiplierFields(NamedTuple):
+    """The fields of `InvariantMultiplierReport`, which checks them on
+    construction."""
 
     n: int
     q: int
@@ -47,16 +40,32 @@ class InvariantMultiplierReport:
     invariant_ms: tuple[int, ...]
     zero_set_ms: tuple[int, ...]
 
-    def __post_init__(self):
-        if not set(self.invariant_ms) <= set(self.zero_set_ms):
+
+class InvariantMultiplierReport(_InvariantMultiplierFields):
+    """Multipliers preserving the multiplicity data for one (n, q).
+
+    invariant_ms is the function-level set (floor(n*i/q) preserved at
+    every primitive i); zero_set_ms only requires the zero set
+    {i : n*i < q} to be preserved. The function-level set is contained
+    in the zero-set one; a strict gap is worth reporting, never an error.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, n: int, q: int, p: int, r: int,
+        invariant_ms: tuple[int, ...], zero_set_ms: tuple[int, ...],
+    ) -> InvariantMultiplierReport:
+        if not set(invariant_ms) <= set(zero_set_ms):
             raise AssertionError("function-level invariance must imply zero-set invariance")
         # invariance under m forces invariance under powers of m
-        ms = set(self.invariant_ms)
+        ms = set(invariant_ms)
         for m1 in ms:
             for m2 in ms:
-                prod = (m1 * m2) % self.q
+                prod = (m1 * m2) % q
                 if prod != 1 and prod not in ms:
                     raise AssertionError("invariant multiplier set must be power-closed")
+        return super().__new__(cls, n, q, p, r, invariant_ms, zero_set_ms)
 
     @property
     def divergence(self) -> tuple[int, ...]:
@@ -64,8 +73,7 @@ class InvariantMultiplierReport:
         return tuple(m for m in self.zero_set_ms if m not in invariant)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     """Necessary-condition screen for the square centralizer case.
 
     B = {i : q/n < i < q, p does not divide i}; feasible requires

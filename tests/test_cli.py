@@ -287,16 +287,24 @@ def test_prime_power_calls(capsys, monkeypatch, argv, count):
 
 @pytest.mark.parametrize(
     "argv",
-    [("--n", "3", "--p", "2", "--r", "1000"), ("--n", "100000001", "--q", "2")],
+    [
+        ("--n", "3", "--p", "2", "--r", "1000"),
+        ("--n", "100000001", "--q", "2"),
+        ("--n", "3", "--q", "1000000000000037"),
+        ("--n", "3", "--p", "1000000000000037", "--r", "1"),
+    ],
 )
 def test_genus_points_ceiling(capsys, monkeypatch, argv):
-    # a lattice above the ceiling is rejected before any point is enumerated
-    built = []
+    # a lattice above the ceiling is rejected before any point is
+    # enumerated, and before q is factored or p is tested for primality
+    built, tested = [], []
     monkeypatch.setattr(cli, "genus_lattice", lambda n, q: built.append(q))
+    monkeypatch.setattr(cli, "is_prime", lambda p: tested.append(p) or True)
+    calls = _count_prime_power(monkeypatch)
     code, out, err = run(capsys, "genus", *argv)
     assert (code, out) == (2, "")
     assert err == f"error: genus needs (n-1)(q-1)/2 at most {cli.GENUS_POINTS_MAX} lattice points\n"
-    assert built == []
+    assert built == calls == tested == []
 
 
 @pytest.mark.parametrize(
@@ -360,10 +368,14 @@ def test_shared_encoder_writes_fractions_as_text():
     assert cli._dump(value) == '{"a": ["1/2", {"b": ["-3", "2/3"]}], "c": "7"}'
 
 
-def test_shared_encoder_writes_a_report_as_its_fields():
+def test_shared_encoder_writes_a_report_as_its_fields(capsys):
+    # A report is a named tuple, which the encoder alone writes as an array;
+    # the scan's JSON line is its _asdict() fields, the Fraction as text.
     report = square_case_feasible(3, 2)
-    assert json.loads(cli._dump(report)) == {**vars(report), "dim_w": "1/2"}
-    assert cli._dump([report]) == f"[{cli._dump(vars(report))}]"
+    assert cli._dump(report) == cli._dump(list(report))
+    code, out, _ = run(capsys, "feasible-scan", "--n-max", "3", "--q-max", "2")
+    assert (code, out) == (0, cli._dump(report._asdict()) + "\n")
+    assert json.loads(out) == {**report._asdict(), "dim_w": "1/2"}
 
 
 def test_scan_over_pairs_without_coprime_q_is_empty(capsys):

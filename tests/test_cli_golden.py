@@ -247,6 +247,19 @@ _SPECTRUM_RUNS = [
     ("spectrum", "--n", "7", "--q", "1048576"),
 ]
 
+# A lattice above the genus ceiling at a large prime q, given as --q and
+# as --p/--r: both exit 2 before q is factored or p tested for primality.
+_GENUS_LARGE_PRIME = [
+    ("genus", "--n", "3", "--q", "1000000000000037"),
+    ("genus", "--n", "3", "--p", "1000000000000037", "--r", "1"),
+]
+
+# The zero polynomial, over Q and as g(x) - t with g = 0: each exits 2.
+_ZERO_POLY = [
+    ("galois", "--poly", "0"),
+    ("galois", "--poly=-t"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -267,6 +280,8 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _T_SUMS_INVALID for v in _both(*argv)),
     *(v for argv in _T_SUMS for v in _both(*argv)),
     *(v for argv in _SPECTRUM_RUNS for v in _both(*argv)),
+    *(v for argv in _GENUS_LARGE_PRIME for v in _both(*argv)),
+    *(v for argv in _ZERO_POLY for v in _both(*argv)),
 ]
 
 
@@ -308,7 +323,7 @@ def test_corpus_exit_codes():
         v
         for argv in (
             *_INVALID, *_INVALID_LATER, *_CEILINGS, *_LARGE_P, *_GENUS_CEILING, *_Q_DIGITS,
-            *_T_SUMS_INVALID,
+            *_T_SUMS_INVALID, *_GENUS_LARGE_PRIME, *_ZERO_POLY,
         )
         for v in _both(*argv)
     }

@@ -119,7 +119,7 @@ def test_ledger_fixtures():
     ]
     lv = decomposition_ledger(4, 9)
     assert [(x.level, x.modulus, x.new_dim) for x in lv] == [(1, 3, 3), (2, 9, 9)]
-    assert vars(lv[0]) == {"level": 1, "modulus": 3, "new_dim": 3}
+    assert lv[0]._asdict() == {"level": 1, "modulus": 3, "new_dim": 3}
 
 
 @given(st.sampled_from(VALID_PAIRS))

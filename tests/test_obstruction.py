@@ -69,7 +69,7 @@ def test_multiplier_sweep_order_and_json():
     reps = list(multiplier_sweep([3, 4], 5))
     keys = [(r.n, r.q) for r in reps]
     assert keys == [(3, 2), (3, 4), (3, 5), (4, 3), (4, 5)]
-    assert vars(reps[1]) == {
+    assert reps[1]._asdict() == {
         "n": 3,
         "q": 4,
         "p": 2,
@@ -121,8 +121,9 @@ def test_feasibility_fixtures():
 
 
 def test_feasibility_json():
-    # a report prints through the CLI's encoder: its fields, the Fraction as text
-    js = json.loads(cli._dump(square_case_feasible(3, 4)))
+    # a report prints through the CLI's encoder as its _asdict() fields, the
+    # Fraction as text
+    js = json.loads(cli._dump(square_case_feasible(3, 4)._asdict()))
     assert js == {
         "n": 3,
         "q": 4,
@@ -133,7 +134,7 @@ def test_feasibility_json():
         "divisibility_ok": True,
         "feasible": True,
     }
-    assert json.loads(cli._dump(square_case_feasible(3, 2)))["dim_w"] == "1/2"
+    assert json.loads(cli._dump(square_case_feasible(3, 2)._asdict()))["dim_w"] == "1/2"
 
 
 def test_feasibility_sweep_singles_out_3_4():
