@@ -49,6 +49,11 @@ class AlgebraFactor(_AlgebraFactorFields):
             raise ValueError("matrix factor needs a modulus and a size")
         return super().__new__(cls, kind, modulus, size)
 
+    @classmethod
+    def _make(cls, iterable) -> AlgebraFactor:
+        # through the checks above, for _replace as well
+        return cls(*iterable)
+
     def q_dimension(self, p: int) -> int:
         """Dimension over Q of the factor, whose modulus must be a power of
         the prime p."""

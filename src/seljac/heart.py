@@ -39,6 +39,11 @@ class PermGroup(_PermGroupFields):
         return super().__new__(cls, degree, generators)
 
     @classmethod
+    def _make(cls, iterable) -> PermGroup:
+        # through the checks above, for _replace as well
+        return cls(*iterable)
+
+    @classmethod
     def symmetric(cls, n: int) -> PermGroup:
         if n == 1:
             return cls(1, ())

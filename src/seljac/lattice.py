@@ -5,7 +5,10 @@ For y^q = f(x), deg f = n, gcd(n, q) = 1, q a prime power, the forms
 x^(j-1) dx / y^(q-i) indexed by interior lattice points (j, i) of the
 triangle q*j + n*i < n*q (j, i >= 1) are a basis of the holomorphic
 differentials, so the genus is the interior point count (n-1)(q-1)/2.
-A point is the plain tuple (j, i). The order-q automorphism multiplies y
+A point is the plain tuple (j, i). Column j holds the points i = 1, ...,
+q*(n - j)//n, so the points are held as n and q alone: their count is a
+C-loop sum of the n - 1 column heights, and they are made one at a time
+only when iterated. The order-q automorphism multiplies y
 by a primitive root of unity; the form indexed by (j, i) picks up
 exponent i, and the eigenvalue with exponent -i appears with
 multiplicity floor(n*i/q).
@@ -39,16 +42,36 @@ def validate_pair(n: int, q: int) -> tuple[int, int]:
     return pr
 
 
-def interior_points(n: int, q: int) -> list[tuple[int, int]]:
+class _InteriorPoints:
+    """The interior points (j, i) of the (n, q) triangle in lexicographic
+    order, as a view: it holds n and q only, and makes the points one at a
+    time as it is iterated."""
+
+    __slots__ = ("_n", "_q")
+
+    def __init__(self, n: int, q: int):
+        self._n, self._q = n, q
+
+    def _heights(self) -> Iterator[int]:
+        """q*(n - j)//n for j = 1..n-1, by a C loop: column j holds the
+        points i = 1..q*(n - j)//n, since q*j + n*i < n*q <=> i < q*(n - j)/n
+        and n does not divide q*(n - j)."""
+        n, q = self._n, self._q
+        return map(floordiv, range(q * (n - 1), 0, -q), repeat(n))
+
+    def __len__(self) -> int:
+        return sum(self._heights())
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for j, height in enumerate(self._heights(), 1):
+            yield from zip(repeat(j), range(1, height + 1))
+
+
+def interior_points(n: int, q: int) -> _InteriorPoints:
     """All interior points (j, i), j >= 1, i >= 1, q*j + n*i < n*q, ordered
-    lexicographically."""
+    lexicographically, as a view that stores none of them."""
     validate_pair(n, q)
-    out = []
-    for j in range(1, n):
-        # q*j + n*i < n*q  <=>  i < q*(n - j)/n, and n does not divide
-        # q*(n - j), so the largest such i is q*(n - j)//n
-        out.extend(zip(repeat(j), range(1, q * (n - j) // n + 1)))
-    return out
+    return _InteriorPoints(n, q)
 
 
 def genus_lattice(n: int, q: int) -> int:

@@ -67,6 +67,11 @@ class InvariantMultiplierReport(_InvariantMultiplierFields):
                     raise AssertionError("invariant multiplier set must be power-closed")
         return super().__new__(cls, n, q, p, r, invariant_ms, zero_set_ms)
 
+    @classmethod
+    def _make(cls, iterable) -> InvariantMultiplierReport:
+        # through the checks above, for _replace as well
+        return cls(*iterable)
+
     @property
     def divergence(self) -> tuple[int, ...]:
         invariant = set(self.invariant_ms)

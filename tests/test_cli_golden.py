@@ -260,6 +260,15 @@ _ZERO_POLY = [
     ("galois", "--poly=-t"),
 ]
 
+# Lattices at and near the genus ceiling of 2^22 points, at a large q and
+# at a large n: the count is a sum of n - 1 column heights, and nothing of
+# size q or n is built.
+_GENUS_LARGE = [
+    ("genus", "--n", "5", "--q", "131072"),
+    ("genus", "--n", "3", "--q", "4194304"),
+    ("genus", "--n", "8388609", "--q", "2"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -282,6 +291,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _SPECTRUM_RUNS for v in _both(*argv)),
     *(v for argv in _GENUS_LARGE_PRIME for v in _both(*argv)),
     *(v for argv in _ZERO_POLY for v in _both(*argv)),
+    *(v for argv in _GENUS_LARGE for v in _both(*argv)),
 ]
 
 

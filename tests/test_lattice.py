@@ -26,7 +26,7 @@ pair_st = st.sampled_from(VALID_PAIRS)
 
 
 def test_interior_points_3_4():
-    assert interior_points(3, 4) == [(1, 1), (1, 2), (2, 1)]
+    assert list(interior_points(3, 4)) == [(1, 1), (1, 2), (2, 1)]
 
 
 def test_interior_points_are_interior():
@@ -126,7 +126,27 @@ ORACLE_PAIRS = [
 
 @given(st.sampled_from(ORACLE_PAIRS))
 def test_interior_points_match_oracle(pair):
-    assert interior_points(*pair) == _interior_points_oracle(*pair)
+    # the view's length sums the column heights, some 0 when n > q, and its
+    # iteration makes the points; both must agree with the per-point scan,
+    # on every pass
+    points = interior_points(*pair)
+    expected = _interior_points_oracle(*pair)
+    assert len(points) == len(expected)
+    assert list(points) == expected
+    assert list(points) == expected
+
+
+@pytest.mark.parametrize("n,q", [(3, 2**22), (8388609, 2)])
+def test_genus_lattice_builds_nothing_of_size_q_or_n(n, q):
+    # both lattices hold 2^22 points or one fewer, the genus ceiling
+    tracemalloc.start()
+    try:
+        genus = genus_lattice(n, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert genus == genus_formula(n, q)
+    assert peak < 64 * 1024
 
 
 @given(st.sampled_from(ORACLE_PAIRS))

@@ -70,6 +70,33 @@ def test_records_are_immutable_and_check_their_fields():
         assert str(info.value) == message
 
 
+# (record, fields to replace, exception, message): each would break a check
+# of its constructor, which _make and _replace run too
+_REPLACED = [
+    (PermGroup.symmetric(3), {"degree": 0}, ValueError, "degree must be >= 1"),
+    (AlgebraFactor("Q"), {"modulus": 4}, ValueError, "Q factor carries no modulus or size"),
+    (InvariantMultiplierReport(3, 5, 5, 1, (), ()), {"invariant_ms": (2,)}, AssertionError,
+     "function-level invariance must imply zero-set invariance"),
+]
+
+
+def test_make_and_replace_run_the_constructor_checks():
+    for rec, fields, exc, message in _REPLACED:
+        with pytest.raises(exc) as info:
+            rec._replace(**fields)
+        assert str(info.value) == message
+        with pytest.raises(exc) as info:
+            type(rec)._make({**rec._asdict(), **fields}.values())
+        assert str(info.value) == message
+        # a valid record rebuilt through them is equal and of its own type
+        for copy in (rec._replace(), type(rec)._make(rec)):
+            assert copy == rec and type(copy) is type(rec)
+    for make, args, exc, message in _REFUSED:
+        with pytest.raises(exc) as info:
+            make._make(args)
+        assert str(info.value) == message
+
+
 def test_cli_import_loads_no_dataclasses_machinery():
     src = str(Path(seljac.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
