@@ -26,7 +26,7 @@ from .galois import (
     discriminant_in_t,
 )
 from .heart import PermGroup, heart_centralizer_dim
-from .lattice import full_spectrum, genus_formula, genus_lattice
+from .lattice import full_spectrum, genus_formula, genus_lattice, validate_pair
 from .model import chart_identity_check, delta_chart_order, hurwitz_genus
 from .obstruction import invariant_automorphisms, square_case_feasible
 from .poly import Poly, geometric_poly, poly_gcd
@@ -80,7 +80,8 @@ def criterion_1():
     for n, q, _, _ in coprime_pairs(range(3, 31), 64):
         count += 1
         expected = (n - 1) * (q - 1) // 2
-        values = (genus_lattice(n, q), genus_formula(n, q), hurwitz_genus(n, q))
+        pair = validate_pair(n, q)
+        values = (genus_lattice(pair), genus_formula(pair), hurwitz_genus(pair))
         if any(v != expected for v in values):
             bad.append((n, q, values))
     if bad:
@@ -96,7 +97,7 @@ def criterion_2():
     count = 0
     for n, q, p, r in coprime_pairs(range(3, 31), 64):
         count += 1
-        spec = full_spectrum(n, q)
+        spec = full_spectrum(validate_pair(n, q))
         mult = list(spec.multiplicities.values())  # mult(i) at index i - 1
         total_ok = spec.total() == (n - 1) * (q - 1) // 2
         prim_ok = spec.primitive_total() == (n - 1) * euler_phi_prime_power(p, r) // 2
@@ -221,7 +222,7 @@ def criterion_5():
     """Endomorphism algebra fixtures, compared as serialized structures."""
     bad = []
     for n, q, label, expected, expected_label in _expected_end_algebra_json():
-        desc = predict_end_algebra(n, q, label)
+        desc = predict_end_algebra(validate_pair(n, q), label)
         expected = {"n": n, "q": q, "asserted": True, **expected}
         if desc.to_json() != expected or desc.label() != expected_label:
             bad.append((n, q, label, desc.to_json()))
@@ -317,12 +318,12 @@ def criterion_10():
         if f.coeff(0) == 0:
             zero_constant_done = True
         trials += 1
-        if not chart_identity_check(f, q):
+        if not chart_identity_check(f, validate_pair(n, q)):
             failures.append((f, q))
     order_bad = [
         (n, q)
         for n, q, _, _ in coprime_pairs(range(3, 31), 64)
-        if delta_chart_order(n, q) != q
+        if delta_chart_order(validate_pair(n, q)) != q
     ]
     if failures:
         return False, f"identity failed for {failures[0]}"
@@ -338,16 +339,17 @@ def criterion_10():
 def criterion_11():
     """Cyclotomic factor product and ledger dimension sums."""
     bad_products = []
-    for q, _, _ in prime_powers_upto(4096):
+    for q, p, r in prime_powers_upto(4096):
         prod = Poly.one()
-        for factor in factor_geometric_poly(q):
+        for factor in factor_geometric_poly(p, r):
             prod = prod * factor
         if prod != geometric_poly(q):
             bad_products.append(q)
     bad_ledgers = []
     for n, q, _, _ in coprime_pairs(range(3, 31), 64):
-        total = sum(level.new_dim for level in decomposition_ledger(n, q))
-        if total != genus_formula(n, q):
+        pair = validate_pair(n, q)
+        total = sum(level.new_dim for level in decomposition_ledger(pair))
+        if total != genus_formula(pair):
             bad_ledgers.append((n, q))
     if bad_products:
         return False, f"product mismatch at q={bad_products[:3]}"

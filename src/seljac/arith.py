@@ -10,28 +10,31 @@ def is_prime(m: int) -> bool:
     return prime_power(m) == (m, 1)
 
 
+def least_prime_factor(m: int) -> int:
+    """The least prime dividing m >= 2, by trial division: 2, then odd d
+    while d*d <= m; m itself when none divides it."""
+    if m % 2 == 0:
+        return 2
+    d = 3
+    while d * d <= m:
+        if m % d == 0:
+            return d
+        d += 2
+    return m
+
+
 def prime_power(q: int) -> tuple[int, int] | None:
     """Decompose q as p**r with p prime, r >= 1; None if q is not of that form."""
     if q < 2:
         return None
-    p = None
-    m = q
-    if m % 2 == 0:
-        p = 2
-    else:
-        d = 3
-        while d * d <= m:
-            if m % d == 0:
-                p = d
-                break
-            d += 2
-        else:
-            return q, 1  # q itself is prime
+    p = least_prime_factor(q)
+    if p == q:
+        return q, 1
     r = 0
-    while m % p == 0:
-        m //= p
+    while q % p == 0:
+        q //= p
         r += 1
-    if m != 1:
+    if q != 1:
         return None
     return p, r
 

@@ -13,14 +13,15 @@ the two scans print each report that way through `_emit_records`.
 formatted one per exponent by a C loop over the spectrum's multiplicity
 view, with no dict between, and the tests check the JSON against the
 encoder and the text against the per-entry lines, byte for byte. The
-subcommands keyed by (n, q) share the payload head {n, q, p, r} and its
-text header; `genus` and `spectrum` check their ceilings on it before q
-is factored. The parser is built from one table, once per process, on the
-first `main` call; each subcommand stores its handler's name, and `main`
-looks that name up in the module at dispatch, so a handler rebound on the
-module (a tracer wrapping `cli._cmd_*`) sees every call. Library users
-import from the submodules (`seljac.poly`, `seljac.galois`, ...); the
-package root re-exports nothing.
+subcommands keyed by (n, q) get one `lattice.Pair` from `_head`, which
+checks the flags and any ceiling before `validate_pair` factors q, once;
+they pass the pair down and print its `_asdict()` as the payload head.
+The parser is built from one table, once per process, on the first `main`
+call; each subcommand stores its handler's name, and `main` looks that
+name up in the module at dispatch, so a handler rebound on the module (a
+tracer wrapping `cli._cmd_*`) sees every call. Library users import from
+the submodules (`seljac.poly`, `seljac.galois`, ...); the package root
+re-exports nothing.
 
 Exit codes: 0 success, 1 invariant failure (a verification subcommand
 found a violated identity), 2 usage or input error. A reader that closes
@@ -36,7 +37,7 @@ import sys
 from fractions import Fraction
 
 from .acceptance import run_all
-from .arith import is_prime, prime_power
+from .arith import is_prime
 from .decompose import (
     decomposition_ledger,
     predict_end_algebra,
@@ -52,7 +53,7 @@ from .galois import (
     require_squarefree,
 )
 from .heart import GROUPS, PermGroup, heart_centralizer_dim, is_doubly_transitive
-from .lattice import full_spectrum, genus_formula, genus_lattice
+from .lattice import Pair, full_spectrum, genus_formula, genus_lattice, validate_pair
 from .model import chart_identity_check, delta_chart_order, gluing_exponents, hurwitz_genus
 from .obstruction import feasibility_sweep, multiplier_sweep
 from .parse import MAX_EXPONENT, parse_q_poly, parse_x_poly, t_linear_base
@@ -92,11 +93,11 @@ def _emit_records(args, records, text) -> None:
 Q_DIGITS_MAX = 4300
 
 
-def _head(args, ceiling=None) -> dict:
-    """The payload head {n, q, p, r}: n from --n (None without one), and
-    q = p**r from --q and/or --p/--r, consistency enforced. A q too long to
-    print, or one that ceiling(n, q) rejects by raising, is refused before
-    p or q is trial-divided."""
+def _head(args, n: int, ceiling=None) -> Pair:
+    """`validate_pair` of n and q = p**r from --q and/or --p/--r, whose
+    consistency is enforced first. A q too long to print, or one that
+    ceiling(n, q) rejects by raising, is refused before p or q is
+    trial-divided, and a --p that is not prime before q is factored."""
     q, p, r = args.q, args.p, args.r
     if (p is None) != (r is None):
         raise ValueError("--p and --r must be given together")
@@ -112,17 +113,11 @@ def _head(args, ceiling=None) -> dict:
         q = p**r
         if q >= 10**Q_DIGITS_MAX:
             raise ValueError(f"q = {p}^{r} has more than {Q_DIGITS_MAX} digits")
-    n = getattr(args, "n", None)
     if ceiling is not None:
         ceiling(n, q)
-    if p is None:
-        pr = prime_power(q)
-        if pr is None:
-            raise ValueError(f"q must be a prime power >= 2, got {q}")
-        p, r = pr
-    elif not is_prime(p):
+    if p is not None and not is_prime(p):
         raise ValueError(f"--p must be prime, got {p}")
-    return {"n": n, "q": q, "p": p, "r": r}
+    return validate_pair(n, q)
 
 
 def _header(pl) -> str:
@@ -153,10 +148,10 @@ def _feasible_text(rep) -> str:
 # about 1.4 s and 160 MB when n is near q.
 SPECTRUM_Q_MAX = 2**20
 
-# The most lattice points (n-1)(q-1)/2 that genus counts. The count sums
-# the n - 1 column heights and stores no point, so the ceiling bounds that
-# O(n) sum and the trial division of q: at 2**22 it takes about 0.1 s at
-# n = 3 and 0.6 s at n = 2**23 + 1, each in about 15 MB.
+# The most lattice points (n-1)(q-1)/2 that genus counts. The count takes
+# min(n, q) - 1 steps and stores no point, so the ceiling bounds the trial
+# division of q: at 2**22 it takes about 0.1 s at n = 3 and at
+# n = 2**23 + 1, each in about 15 MB.
 GENUS_POINTS_MAX = 2**22
 
 
@@ -191,23 +186,22 @@ def _check_scan_limits(n_top: int, q_max: int) -> None:
 
 
 def _cmd_genus(args) -> int:
-    head = _head(args, _genus_ceiling)
-    n, q = head["n"], head["q"]
-    lattice = genus_lattice(n, q)
-    formula = genus_formula(n, q)
-    hurwitz = hurwitz_genus(n, q)
+    pair = _head(args, args.n, _genus_ceiling)
+    lattice = genus_lattice(pair)
+    formula = genus_formula(pair)
+    hurwitz = hurwitz_genus(pair)
     if not (lattice == formula == hurwitz):
         raise AssertionError(
             f"genus routes disagree: lattice {lattice}, formula {formula}, Hurwitz {hurwitz}"
         )
-    _emit(args, {**head, "genus": formula}, lambda pl: pl["genus"])
+    _emit(args, {**pair._asdict(), "genus": formula}, lambda pl: pl["genus"])
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    head = _head(args, _spectrum_ceiling)
-    spec = full_spectrum(head["n"], head["q"])
-    rest = {**head, "total": spec.total(), "primitive_total": spec.primitive_total()}
+    pair = _head(args, args.n, _spectrum_ceiling)
+    spec = full_spectrum(pair)
+    rest = {**pair._asdict(), "total": spec.total(), "primitive_total": spec.primitive_total()}
     exponents, mults = range(1, spec.q), spec.multiplicities.values()
     if args.format == "json":
         # Sorted as strings, the '"i": k' entries fall in the order that
@@ -225,13 +219,12 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    head = _head(args)
-    n, q = head["n"], head["q"]
-    levels = decomposition_ledger(n, q)
+    pair = _head(args, args.n)
+    levels = decomposition_ledger(pair)
     payload = {
-        **head,
+        **pair._asdict(),
         "levels": [lv._asdict() for lv in levels],
-        "genus": genus_formula(n, q),
+        "genus": genus_formula(pair),
     }
     _emit(args, payload, lambda pl: "\n".join([
         _header(pl),
@@ -242,8 +235,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_endo(args) -> int:
-    head = _head(args)
-    desc = predict_end_algebra(head["n"], head["q"], args.galois)
+    pair = _head(args, args.n)
+    desc = predict_end_algebra(pair, args.galois)
 
     def text(pl) -> str:
         lines = [f"{_header(pl)}  galois = {args.galois}", f"algebra: {desc.label()}"]
@@ -253,15 +246,15 @@ def _cmd_endo(args) -> int:
         lines.append(f"reduced_dim = {desc.total_reduced_dim}")
         return "\n".join(lines)
 
-    _emit(args, {**head, **desc.to_json()}, text)
+    _emit(args, {**pair._asdict(), **desc.to_json()}, text)
     return 0
 
 
 def _cmd_nonisotrivial(args) -> int:
-    head = _head(args)
-    forecast = predict_nonisotrivial(head["n"], head["q"], args.galois)
+    pair = _head(args, args.n)
+    forecast = predict_nonisotrivial(pair, args.galois)
     payload = {
-        **head,
+        **pair._asdict(),
         "fully_nonisotrivial": forecast.fully,
         "levels": {str(i): status for i, status in forecast.levels},
     }
@@ -353,20 +346,18 @@ def _cmd_hp_check(args) -> int:
 
 
 def _cmd_model_check(args) -> int:
-    head = _head(args)  # --q/--p/--r are checked before --poly is parsed
-    f = parse_q_poly(args.poly)
-    n = head["n"] = f.degree
-    q = head["q"]
-    a, b = gluing_exponents(n, q)  # validates (n, q) first
+    f = parse_q_poly(args.poly)  # n is its degree, so --poly is parsed first
+    pair = _head(args, f.degree)
     require_squarefree(f)
+    a, b = gluing_exponents(pair)
     payload = {
-        **head,
+        **pair._asdict(),
         "a": a,
         "b": b,
-        "reversed_f": reversed_poly(f, n).to_text(),
-        "identity": chart_identity_check(f, q),
-        "delta_order": delta_chart_order(n, q),
-        "genus": hurwitz_genus(n, q),
+        "reversed_f": reversed_poly(f, pair.n).to_text(),
+        "identity": chart_identity_check(f, pair),
+        "delta_order": delta_chart_order(pair),
+        "genus": hurwitz_genus(pair),
     }
     _emit(args, payload, lambda pl: "\n".join([
         _header(pl),
@@ -377,7 +368,7 @@ def _cmd_model_check(args) -> int:
     ]))
     if not payload["identity"]:
         raise AssertionError("two-chart identity failed")
-    if payload["delta_order"] != q:
+    if payload["delta_order"] != pair.q:
         raise AssertionError(f"chart automorphism order {payload['delta_order']} != q")
     return 0
 

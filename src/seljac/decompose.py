@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arith import euler_phi_prime_power, prime_power
+from .arith import euler_phi_prime_power
 from .galois import GaloisLabel
 from .heart import GROUPS, is_doubly_transitive
-from .lattice import validate_pair
+from .lattice import Pair
 from .poly import Poly, cyclotomic_poly, geometric_poly
 
 
@@ -120,20 +120,16 @@ class EndAlgebraDescription(NamedTuple):
         }
 
 
-def factor_geometric_poly(q: int) -> list[Poly]:
-    """The cyclotomic factors of 1 + t + ... + t^(q-1), one per level
-    p^i, i = 1..r; their product reassembles the whole."""
-    pr = prime_power(q)
-    if pr is None:
-        raise ValueError(f"{q} is not a prime power >= 2")
-    p, r = pr
+def factor_geometric_poly(p: int, r: int) -> list[Poly]:
+    """The cyclotomic factors of 1 + t + ... + t^(q-1), q = p**r, p prime,
+    one per level p^i, i = 1..r; their product reassembles the whole."""
     return [cyclotomic_poly(p, i) for i in range(1, r + 1)]
 
 
-def decomposition_ledger(n: int, q: int) -> list[DecompositionLevel]:
+def decomposition_ledger(pair: Pair) -> list[DecompositionLevel]:
     """All levels i = 1..r, each with its new dimension
     (n-1)(p^i - p^(i-1))/2; they sum to the genus (n-1)(q-1)/2."""
-    p, r = validate_pair(n, q)
+    n, _, p, r = pair
     return [
         DecompositionLevel(i, p**i, (n - 1) * (p**i - p ** (i - 1)) // 2)
         for i in range(1, r + 1)
@@ -167,21 +163,21 @@ def _level_rule(n: int, m: int) -> tuple[AlgebraFactor, str | None, str]:
     return AlgebraFactor("cyclotomic", modulus=m), f"Z[zeta_{m}]", "completely_nonisotrivial"
 
 
-def predict_end_algebra(n: int, q: int, label) -> EndAlgebraDescription:
+def predict_end_algebra(pair: Pair, label) -> EndAlgebraDescription:
     """Endomorphism algebra of the jacobian of y^q = f(x) for deg f = n
     in {3, 4} with doubly transitive Galois group (S3, S4 or A4): the
     levels' factors, with the field levels' maximal orders as integral
     refinement. Raises outside the supported (n, label) pairs."""
-    levels = decomposition_ledger(n, q)
-    if not _doubly_transitive(n, label):
+    levels = decomposition_ledger(pair)
+    if not _doubly_transitive(pair.n, label):
         raise ValueError(
-            f"outside theorem hypotheses: no asserted prediction for n={n}, "
+            f"outside theorem hypotheses: no asserted prediction for n={pair.n}, "
             f"Galois group {label}"
         )
-    rules = {lv.modulus: _level_rule(n, lv.modulus) for lv in levels}
+    rules = {lv.modulus: _level_rule(pair.n, lv.modulus) for lv in levels}
     return EndAlgebraDescription(
-        n=n,
-        q=q,
+        n=pair.n,
+        q=pair.q,
         factors=tuple(factor for factor, _, _ in rules.values()),
         levels=tuple(levels),
         integral=tuple((m, order) for m, (_, order, _) in rules.items() if order is not None),
@@ -198,13 +194,14 @@ class IsotrivialityForecast(NamedTuple):
     levels: tuple[tuple[int, str], ...]
 
 
-def predict_nonisotrivial(n: int, q: int, label) -> IsotrivialityForecast:
+def predict_nonisotrivial(pair: Pair, label) -> IsotrivialityForecast:
     """Which levels of the decomposition move with f.
 
     For doubly transitive Galois group only the (3, 4) level, reached when
     (n, p) = (3, 2) and r >= 2, is a constant CM square; every other level
     is completely non-isotrivial."""
-    levels = decomposition_ledger(n, q)
+    n, q, _, _ = pair
+    levels = decomposition_ledger(pair)
     if not _doubly_transitive(n, label):
         return IsotrivialityForecast(n, q, None, tuple((lv.level, "unknown") for lv in levels))
     statuses = tuple((lv.level, _level_rule(n, lv.modulus)[2]) for lv in levels)

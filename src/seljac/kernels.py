@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Sequence
 
-from .arith import primitive_count
+from .arith import least_prime_factor, primitive_count
 
 BACKEND = "pure-python"
 
@@ -123,15 +123,11 @@ def _powers(h: int, q: int) -> list[int]:
 def _prime_factors(m: int) -> list[int]:
     """Distinct primes dividing m >= 1, ascending, by trial division."""
     out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
+    while m > 1:
+        d = least_prime_factor(m)
+        out.append(d)
+        while m % d == 0:
+            m //= d
     return out
 
 

@@ -5,18 +5,18 @@ For y^q = f(x), deg f = n, gcd(n, q) = 1, q a prime power, the forms
 x^(j-1) dx / y^(q-i) indexed by interior lattice points (j, i) of the
 triangle q*j + n*i < n*q (j, i >= 1) are a basis of the holomorphic
 differentials, so the genus is the interior point count (n-1)(q-1)/2.
-A point is the plain tuple (j, i). Column j holds the points i = 1, ...,
-q*(n - j)//n, so the points are held as n and q alone: their count is a
-C-loop sum of the n - 1 column heights, and they are made one at a time
-only when iterated. The order-q automorphism multiplies y
-by a primitive root of unity; the form indexed by (j, i) picks up
-exponent i, and the eigenvalue with exponent -i appears with
-multiplicity floor(n*i/q).
+The functions here, in `model` and in `decompose` take (n, q) as a `Pair`
+from `validate_pair(n, q)`, which factors q once; none checks it again.
 
-That multiplicity is constant on runs: floor(n*i/q) = k exactly for
-ceil(k*q/n) <= i < ceil((k+1)*q/n). So a spectrum is held as n, q and p
-alone; its total is a C-loop sum of at most min(n, q - 1) terms, and
-nothing of size q is built.
+A point is the plain tuple (j, i); column j holds i = 1..q*(n - j)//n, so
+the points are held as n and q and made only when iterated. The order-q
+automorphism multiplies y by a primitive root of unity; the form indexed
+by (j, i) picks up exponent i, and the eigenvalue with exponent -i has
+multiplicity floor(n*i/q), the number of points in row q - i. It is
+constant on runs: floor(n*i/q) = k exactly for ceil(k*q/n) <= i <
+ceil((k+1)*q/n). So a spectrum is held as n, q and p, and one count of
+at most min(n, q) - 1 terms over the runs serves the points and the
+spectrum; nothing of size q or n is built.
 """
 from __future__ import annotations
 
@@ -29,65 +29,86 @@ from typing import NamedTuple
 from .arith import prime_power
 
 
-def validate_pair(n: int, q: int) -> tuple[int, int]:
-    """Check n >= 3, q = p**r, gcd(n, q) = 1; return (p, r)."""
-    if n < 3:
-        raise ValueError(f"degree n must be >= 3, got {n}")
+class Pair(NamedTuple):
+    """n >= 3 and q = p**r, p prime, gcd(n, q) = 1, as `validate_pair` checks."""
+
+    n: int
+    q: int
+    p: int
+    r: int
+
+
+def validate_pair(n: int, q: int) -> Pair:
+    """Check that q is a prime power, then n >= 3, then gcd(n, q) = 1,
+    factoring q once; return the pair with its p and r."""
     pr = prime_power(q)
     if pr is None:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
+    if n < 3:
+        raise ValueError(f"degree n must be >= 3, got {n}")
     g = math.gcd(n, q)
     if g != 1:
         raise ValueError(f"n and q must be coprime, got gcd({n}, {q}) = {g}")
-    return pr
+    return Pair(n, q, *pr)
+
+
+def _multiplicities_every(n: int, q: int, step: int) -> Iterator[int]:
+    """floor(n*i/q) for i = step, 2*step, ... below q, by a C loop."""
+    return map(floordiv, range(n * step, n * q, n * step), repeat(q))
+
+
+def _run_bounds(n: int, q: int) -> Iterator[int]:
+    """ceil(k*q/n) = (k*q + n - 1)//n for k = 1..n-1, by a C loop. With 1
+    before them and q after, they bound the runs: floor(n*i/q) == k exactly
+    from bound k up to, not including, bound k + 1."""
+    return map(floordiv, range(q + n - 1, (n - 1) * q + n, q), repeat(n))
+
+
+def _count_below(n: int, q: int) -> int:
+    """The interior point count, which is the sum of floor(n*i/q) over
+    i = 1..q-1. For n < q it telescopes over the runs to (n-1)*q minus the
+    n - 1 inner bounds; for n > q it sums the q - 1 terms, the shorter loop."""
+    if n > q:
+        return sum(_multiplicities_every(n, q, 1))
+    return (n - 1) * q - sum(_run_bounds(n, q))
 
 
 class _InteriorPoints:
     """The interior points (j, i) of the (n, q) triangle in lexicographic
-    order, as a view: it holds n and q only, and makes the points one at a
-    time as it is iterated."""
+    order, as a view: it holds n and q only, counts the points in
+    O(min(n, q)) steps, and makes them one at a time as it is iterated."""
 
     __slots__ = ("_n", "_q")
 
     def __init__(self, n: int, q: int):
         self._n, self._q = n, q
 
-    def _heights(self) -> Iterator[int]:
-        """q*(n - j)//n for j = 1..n-1, by a C loop: column j holds the
-        points i = 1..q*(n - j)//n, since q*j + n*i < n*q <=> i < q*(n - j)/n
-        and n does not divide q*(n - j)."""
-        n, q = self._n, self._q
-        return map(floordiv, range(q * (n - 1), 0, -q), repeat(n))
-
     def __len__(self) -> int:
-        return sum(self._heights())
+        return _count_below(self._n, self._q)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        for j, height in enumerate(self._heights(), 1):
+        # column j holds the points i = 1..q*(n - j)//n, since
+        # q*j + n*i < n*q <=> i < q*(n - j)/n and n does not divide q*(n - j)
+        n, q = self._n, self._q
+        heights = map(floordiv, range(q * (n - 1), 0, -q), repeat(n))
+        for j, height in enumerate(heights, 1):
             yield from zip(repeat(j), range(1, height + 1))
 
 
-def interior_points(n: int, q: int) -> _InteriorPoints:
+def interior_points(pair: Pair) -> _InteriorPoints:
     """All interior points (j, i), j >= 1, i >= 1, q*j + n*i < n*q, ordered
     lexicographically, as a view that stores none of them."""
-    validate_pair(n, q)
-    return _InteriorPoints(n, q)
+    return _InteriorPoints(pair.n, pair.q)
 
 
-def genus_lattice(n: int, q: int) -> int:
+def genus_lattice(pair: Pair) -> int:
     """Genus as the interior lattice point count."""
-    return len(interior_points(n, q))
+    return len(interior_points(pair))
 
 
-def genus_formula(n: int, q: int) -> int:
+def genus_formula(pair: Pair) -> int:
     """(n-1)(q-1)/2."""
-    validate_pair(n, q)
-    return (n - 1) * (q - 1) // 2
-
-
-def _multiplicities_every(n: int, q: int, step: int) -> Iterator[int]:
-    """floor(n*i/q) for i = step, 2*step, ... below q, by a C loop."""
-    return map(floordiv, range(n * step, n * q, n * step), repeat(q))
+    return (pair.n - 1) * (pair.q - 1) // 2
 
 
 class _Multiplicities(Mapping):
@@ -142,21 +163,10 @@ class EigenSpectrum(NamedTuple):
     def multiplicities(self) -> Mapping[int, int]:
         return _Multiplicities(self.n, self.q)
 
-    def _run_bounds(self) -> Iterator[int]:
-        """ceil(k*q/n) = (k*q + n - 1)//n for k = 1..n-1, by a C loop. With
-        1 before them and q after, they bound the runs: floor(n*i/q) == k
-        exactly from bound k up to, not including, bound k + 1."""
-        n, q = self.n, self.q
-        return map(floordiv, range(q + n - 1, (n - 1) * q + n, q), repeat(n))
-
     def total(self) -> int:
-        """The sum over the runs of k times the run's length. For n < q it
-        telescopes to (n-1)*q minus the n - 1 inner bounds; for n > q most
-        runs are empty and the others hold one exponent each, so it sums
-        the q - 1 multiplicities instead, the shorter loop."""
-        if self.n > self.q:
-            return sum(_multiplicities_every(self.n, self.q, 1))
-        return (self.n - 1) * self.q - sum(self._run_bounds())
+        """The sum of the multiplicities, which is the interior point
+        count: see `_count_below`."""
+        return _count_below(self.n, self.q)
 
     def primitive_total(self) -> int:
         """The total over exponents i prime to p: the total minus the
@@ -164,6 +174,5 @@ class EigenSpectrum(NamedTuple):
         return self.total() - sum(_multiplicities_every(self.n, self.q, self.p))
 
 
-def full_spectrum(n: int, q: int) -> EigenSpectrum:
-    p, _ = validate_pair(n, q)
-    return EigenSpectrum(n, q, p)
+def full_spectrum(pair: Pair) -> EigenSpectrum:
+    return EigenSpectrum(pair.n, pair.q, pair.p)

@@ -22,15 +22,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .lattice import validate_pair
+from .lattice import Pair
 from .poly import Poly, reversed_poly
 
 
-def gluing_exponents(n: int, q: int) -> tuple[int, int]:
+def gluing_exponents(pair: Pair) -> tuple[int, int]:
     """Smallest positive (a, b) with b*n - a*q = 1."""
-    validate_pair(n, q)
-    b = pow(n, -1, q)  # least positive inverse of n mod q
-    a = (b * n - 1) // q  # >= 1 since b >= 1 and n >= 3
+    b = pow(pair.n, -1, pair.q)  # least positive inverse of n mod q
+    a = (b * pair.n - 1) // pair.q  # >= 1 since b >= 1 and n >= 3
     return a, b
 
 
@@ -43,11 +42,13 @@ def _side(lead: tuple[int, int], terms) -> dict[tuple[int, int], Fraction]:
     return {key: c for key, c in out.items() if c}
 
 
-def chart_identity_check(f: Poly, q: int) -> bool:
+def chart_identity_check(f: Poly, pair: Pair) -> bool:
     """Build s^(b n) t^(n q) (y^q - f(x)) and s - frev(s^b t^q) from their
-    exponents independently and compare exactly."""
-    n = f.degree
-    a, b = gluing_exponents(n, q)
+    exponents independently and compare exactly; f must have degree n."""
+    n, q = pair.n, pair.q
+    if f.degree != n:
+        raise ValueError(f"f has degree {f.degree}, not the pair's n = {n}")
+    a, b = gluing_exponents(pair)
     cleared_f = ((c, (b * (n - k), q * (n - k))) for k, c in enumerate(f.coeffs))
     lhs = _side((b * n - a * q, 0), cleared_f)
     frev_w = ((c, (b * k, q * k)) for k, c in enumerate(reversed_poly(f, n).coeffs))
@@ -55,18 +56,17 @@ def chart_identity_check(f: Poly, q: int) -> bool:
     return lhs == rhs
 
 
-def delta_chart_order(n: int, q: int) -> int:
+def delta_chart_order(pair: Pair) -> int:
     """Order of the chart automorphism (s, t) -> (s, zeta^-b t): q divided
     by gcd(b, q), which b*n - a*q = 1 forces to be q itself."""
-    _, b = gluing_exponents(n, q)
-    return q // math.gcd(b % q, q)
+    _, b = gluing_exponents(pair)
+    return pair.q // math.gcd(b % pair.q, pair.q)
 
 
-def hurwitz_genus(n: int, q: int) -> int:
+def hurwitz_genus(pair: Pair) -> int:
     """Genus from 2g - 2 = -2q + (n+1)(q-1): q sheets over the line, with
     n+1 branch points of full ramification index q."""
-    validate_pair(n, q)
-    two_g_minus_2 = -2 * q + (n + 1) * (q - 1)
+    two_g_minus_2 = -2 * pair.q + (pair.n + 1) * (pair.q - 1)
     if two_g_minus_2 % 2 != 0:
         raise AssertionError("Hurwitz count must be even")
     return (two_g_minus_2 + 2) // 2

@@ -99,7 +99,7 @@ class FeasibilityReport(NamedTuple):
 def invariant_automorphisms(n: int, q: int) -> InvariantMultiplierReport:
     """Decide every m coprime to q with 1 < m < q exactly, through the
     stabilizer subgroups that `kernels.multiplier_scan` computes."""
-    p, r = validate_pair(n, q)
+    _, _, p, r = validate_pair(n, q)
     function_ms, zero_ms = multiplier_scan(n, q, p)
     return InvariantMultiplierReport(
         n, q, p, r, tuple(function_ms), tuple(zero_ms)
@@ -107,7 +107,7 @@ def invariant_automorphisms(n: int, q: int) -> InvariantMultiplierReport:
 
 
 def square_case_feasible(n: int, q: int) -> FeasibilityReport:
-    p, r = validate_pair(n, q)
+    _, _, p, r = validate_pair(n, q)
     b_count, divisibility_ok = feasibility_counts(n, q, p)
     phi = euler_phi_prime_power(p, r)
     # dim_w = phi/2 is integral and at least #B, decided in integers

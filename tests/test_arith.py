@@ -12,6 +12,7 @@ from seljac.arith import (
     fraction_sqrt,
     is_perfect_square,
     is_prime,
+    least_prime_factor,
     prime_power,
     prime_powers_upto,
     primitive_count,
@@ -23,6 +24,11 @@ def test_is_prime_matches_sympy():
         assert is_prime(m) == sympy.isprime(m)
     for m in (10**9 + 7, 10**9 + 6, 2**31 - 1):
         assert is_prime(m) == sympy.isprime(m)
+
+
+def test_least_prime_factor_matches_sympy():
+    for m in [*range(2, 2000), 10**9 + 7, (10**9 + 7) * 3, 1000003**2]:
+        assert least_prime_factor(m) == min(sympy.factorint(m)), m
 
 
 @pytest.mark.parametrize(

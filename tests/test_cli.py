@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import seljac
-from seljac import arith, cli
+from seljac import arith, cli, decompose, lattice, model
 from seljac.acceptance import CriterionResult
 from seljac.obstruction import square_case_feasible
 from seljac.parse import MAX_EXPONENT
+from seljac.poly import Poly
 
 
 def run(capsys, *argv):
@@ -158,7 +159,7 @@ def test_scan_q_max_cap(capsys, monkeypatch, scan):
 def test_spectrum_q_ceiling(capsys, monkeypatch):
     # a q above the ceiling is rejected before the spectrum is built
     built = []
-    monkeypatch.setattr(cli, "full_spectrum", lambda n, q: built.append(q))
+    monkeypatch.setattr(cli, "full_spectrum", lambda pair: built.append(pair))
     for argv in (("--q", str(2 * cli.SPECTRUM_Q_MAX)), ("--q", str(3**13)),
                  ("--p", "2", "--r", str(MAX_EXPONENT))):
         code, out, err = run(capsys, "spectrum", "--n", "3", *argv)
@@ -230,10 +231,9 @@ def test_exponent_ceiling_before_power(capsys, r):
 
 
 def test_p_r_path_does_not_factor_q(capsys, monkeypatch):
-    # --p/--r give q = p**r already: only is_prime(p) may trial-divide,
-    # never q, whose trial division costs sqrt(q) = p steps, and a q above
-    # the spectrum ceiling is rejected before p is tested. A bare --q is
-    # factored once.
+    # --p/--r give q = p**r already: a q above the spectrum ceiling is
+    # rejected before p is tested or q is factored, whose trial division
+    # costs sqrt(q) = p steps. A bare --q is factored once, by validate_pair.
     calls = []
 
     def counting(m, real=arith.prime_power):
@@ -241,7 +241,7 @@ def test_p_r_path_does_not_factor_q(capsys, monkeypatch):
         return real(m)
 
     monkeypatch.setattr(arith, "prime_power", counting)
-    monkeypatch.setattr(cli, "prime_power", counting)
+    monkeypatch.setattr(lattice, "prime_power", counting)
     code, out, err = run(capsys, "spectrum", "--n", "3", "--p", "1000003", "--r", "2")
     assert (code, out) == (2, "")
     assert err == f"error: spectrum needs q at most {cli.SPECTRUM_Q_MAX}, got {1000003**2}\n"
@@ -270,19 +270,42 @@ def _count_prime_power(monkeypatch) -> list[int]:
 @pytest.mark.parametrize(
     "argv,count",
     [
-        (("decompose", "--n", "4", "--q", "81"), 3),
-        (("endo", "--n", "4", "--q", "81", "--galois", "S4"), 2),
-        (("spectrum", "--n", "4", "--q", "81"), 2),
+        (("decompose", "--n", "4", "--q", "81"), 1),
+        (("endo", "--n", "4", "--q", "81", "--galois", "S4"), 1),
+        (("spectrum", "--n", "4", "--q", "81"), 1),
         (("spectrum", "--n", "3", "--q", "1000000000000037"), 0),
         (("spectrum", "--n", "3", "--p", "1000000000000037", "--r", "1"), 0),
-        (("model-check", "--poly", "x^3 + x + 1", "--q", "125"), 5),
+        (("model-check", "--poly", "x^3 + x + 1", "--q", "125"), 1),
+        (("genus", "--n", "4", "--q", "81"), 1),
+        (("nonisotrivial", "--n", "4", "--q", "81", "--galois", "S4"), 1),
     ],
 )
 def test_prime_power_calls(capsys, monkeypatch, argv, count):
+    # an (n, q) subcommand given --q factors it once, in validate_pair, and
+    # the layers below take the pair without factoring q again
     calls = _count_prime_power(monkeypatch)
-    cli.main(list(argv))
+    assert cli.main(list(argv)) == (0 if count else 2)
     capsys.readouterr()
-    assert len(calls) == count, calls
+    q = int(argv[argv.index("--q") + 1]) if "--q" in argv else None
+    assert calls == [q] * count, calls
+
+
+def test_pair_taking_functions_do_not_factor_q(monkeypatch):
+    pairs = [lattice.validate_pair(n, q) for n, q in ((3, 8), (4, 81), (7, 2), (3, 4))]
+    calls = _count_prime_power(monkeypatch)
+    for pair in pairs:
+        spec = lattice.full_spectrum(pair)
+        label = {3: "S3", 4: "S4"}.get(pair.n, "C3")
+        assert lattice.genus_lattice(pair) == lattice.genus_formula(pair) == spec.total()
+        assert len(list(lattice.interior_points(pair))) == model.hurwitz_genus(pair)
+        assert spec.primitive_total() <= sum(spec.multiplicities.values())
+        assert model.delta_chart_order(pair) == pair.q and model.gluing_exponents(pair)
+        assert model.chart_identity_check(Poly([1] * pair.n + [1]), pair)
+        assert decompose.decomposition_ledger(pair)
+        assert decompose.predict_nonisotrivial(pair, label)
+        if pair.n in (3, 4):
+            assert decompose.predict_end_algebra(pair, label)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -298,7 +321,7 @@ def test_genus_points_ceiling(capsys, monkeypatch, argv):
     # a lattice above the ceiling is rejected before any point is
     # enumerated, and before q is factored or p is tested for primality
     built, tested = [], []
-    monkeypatch.setattr(cli, "genus_lattice", lambda n, q: built.append(q))
+    monkeypatch.setattr(cli, "genus_lattice", lambda pair: built.append(pair))
     monkeypatch.setattr(cli, "is_prime", lambda p: tested.append(p) or True)
     calls = _count_prime_power(monkeypatch)
     code, out, err = run(capsys, "genus", *argv)
@@ -486,8 +509,22 @@ def test_model_check_rejects_multiple_roots(capsys):
     assert "multiple roots" in err
 
 
+@pytest.mark.parametrize(
+    "q_args",
+    [("--q", "6"), ("--p", "4", "--r", "1"), ("--p", "3"), ("--q", "9", "--p", "2", "--r", "3")],
+)
+def test_model_check_parses_poly_before_q(capsys, monkeypatch, q_args):
+    # n is the degree of --poly, so a bad --poly is reported before a bad
+    # --q/--p/--r, and q is not factored
+    calls = _count_prime_power(monkeypatch)
+    code, out, err = run(capsys, "model-check", "--poly", "x^3 +", *q_args)
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected end of polynomial\n"
+    assert calls == []
+
+
 def test_model_check_invariant_exit(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "chart_identity_check", lambda f, q: False)
+    monkeypatch.setattr(cli, "chart_identity_check", lambda f, pair: False)
     code, _, err = run(capsys, "model-check", "--poly", "x^3 - x - 1", "--q", "2")
     assert code == 1
     assert err.startswith("invariant failure:")

@@ -16,7 +16,7 @@ from seljac.decompose import (
     predict_nonisotrivial,
 )
 from seljac.galois import GaloisLabel
-from seljac.lattice import genus_formula
+from seljac.lattice import genus_formula, validate_pair
 from seljac.poly import geometric_poly
 
 VALID_PAIRS = [
@@ -84,22 +84,23 @@ def test_algebra_factor_modulus_must_be_prime_power():
 def test_factor_geometric_poly():
     from seljac.poly import Poly
 
-    assert factor_geometric_poly(8) == [
+    assert factor_geometric_poly(2, 3) == [
         Poly([1, 1]),
         Poly([1, 0, 1]),
         Poly([1, 0, 0, 0, 1]),
     ]
-    assert factor_geometric_poly(2) == [Poly([1, 1])]
+    assert factor_geometric_poly(2, 1) == [Poly([1, 1])]
+    # p must be prime: 6 and 1 are not
     with pytest.raises(ValueError):
-        factor_geometric_poly(6)
+        factor_geometric_poly(6, 1)
     with pytest.raises(ValueError):
-        factor_geometric_poly(1)
+        factor_geometric_poly(1, 1)
 
 
 @pytest.mark.parametrize("q", [q for q in range(2, 200) if prime_power(q)])
 def test_factor_geometric_poly_reassembles(q):
     prod = None
-    for f in factor_geometric_poly(q):
+    for f in factor_geometric_poly(*prime_power(q)):
         prod = f if prod is None else prod * f
     assert prod == geometric_poly(q)
 
@@ -107,29 +108,29 @@ def test_factor_geometric_poly_reassembles(q):
 def test_new_part_dim_fixtures():
     # the dimension new at the top level q = p^r: (n-1)(q - q/p)/2
     for n, q, dim in [(3, 2, 1), (3, 4, 2), (3, 8, 4), (4, 3, 3), (4, 9, 9), (5, 7, 12)]:
-        assert decomposition_ledger(n, q)[-1].new_dim == dim
+        assert decomposition_ledger(validate_pair(n, q))[-1].new_dim == dim
 
 
 def test_ledger_fixtures():
-    lv = decomposition_ledger(3, 8)
+    lv = decomposition_ledger(validate_pair(3, 8))
     assert [(x.level, x.modulus, x.new_dim) for x in lv] == [
         (1, 2, 1),
         (2, 4, 2),
         (3, 8, 4),
     ]
-    lv = decomposition_ledger(4, 9)
+    lv = decomposition_ledger(validate_pair(4, 9))
     assert [(x.level, x.modulus, x.new_dim) for x in lv] == [(1, 3, 3), (2, 9, 9)]
     assert lv[0]._asdict() == {"level": 1, "modulus": 3, "new_dim": 3}
 
 
 @given(st.sampled_from(VALID_PAIRS))
 def test_ledger_sums_to_genus(pair):
-    n, q = pair
-    assert sum(x.new_dim for x in decomposition_ledger(n, q)) == genus_formula(n, q)
+    pair = validate_pair(*pair)
+    assert sum(x.new_dim for x in decomposition_ledger(pair)) == genus_formula(pair)
 
 
 def test_predict_cubic_field_level():
-    d = predict_end_algebra(3, 5, GaloisLabel.S3)
+    d = predict_end_algebra(validate_pair(3, 5), GaloisLabel.S3)
     assert d.to_json()["factors"] == [{"kind": "cyclotomic", "modulus": 5}]
     assert d.integral == ((5, "Z[zeta_5]"),)
     assert d.label() == "Q(zeta_5)"
@@ -138,14 +139,14 @@ def test_predict_cubic_field_level():
 
 
 def test_predict_cubic_q2():
-    d = predict_end_algebra(3, 2, "S3")
+    d = predict_end_algebra(validate_pair(3, 2), "S3")
     assert [f.label() for f in d.factors] == ["Q"]
     assert d.integral == ((2, "Z"),)
     assert d.total_reduced_dim == 1
 
 
 def test_predict_cubic_q4_matrix_level():
-    d = predict_end_algebra(3, 4, "S3")
+    d = predict_end_algebra(validate_pair(3, 4), "S3")
     assert d.to_json()["factors"] == [
         {"kind": "Q"},
         {"kind": "matrix", "size": 2, "modulus": 4},
@@ -156,7 +157,7 @@ def test_predict_cubic_q4_matrix_level():
 
 
 def test_predict_cubic_q8():
-    d = predict_end_algebra(3, 8, GaloisLabel.S3)
+    d = predict_end_algebra(validate_pair(3, 8), GaloisLabel.S3)
     assert d.label() == "Q x Mat_2(Q(zeta_4)) x Q(zeta_8)"
     assert d.total_reduced_dim == 13
     assert d.integral == ((2, "Z"), (8, "Z[zeta_8]"))
@@ -164,7 +165,7 @@ def test_predict_cubic_q8():
 
 def test_predict_quartic():
     for label in (GaloisLabel.S4, GaloisLabel.A4):
-        d = predict_end_algebra(4, 9, label)
+        d = predict_end_algebra(validate_pair(4, 9), label)
         assert d.label() == "Q(zeta_3) x Q(zeta_9)"
         assert d.total_reduced_dim == 8
         assert d.integral == ((3, "Z[zeta_3]"), (9, "Z[zeta_9]"))
@@ -172,7 +173,7 @@ def test_predict_quartic():
 
 
 def test_predict_json_shape():
-    js = predict_end_algebra(3, 4, "S3").to_json()
+    js = predict_end_algebra(validate_pair(3, 4), "S3").to_json()
     assert js == {
         "n": 3,
         "q": 4,
@@ -200,7 +201,7 @@ def test_predict_json_shape():
 )
 def test_predict_rejects(n, q, label, exc):
     with pytest.raises(exc):
-        predict_end_algebra(n, q, label)
+        predict_end_algebra(validate_pair(n, q), label)
 
 
 # The hand-written table the hypothesis was once read from; heart.GROUPS
@@ -215,23 +216,23 @@ def test_hypothesis_comes_from_the_group_table(n, label):
     for q in (7, 121):  # coprime to every n here
         for given_label in (label, label.value):
             if asserted:
-                assert predict_end_algebra(n, q, given_label).levels
+                assert predict_end_algebra(validate_pair(n, q), given_label).levels
             else:
                 with pytest.raises(ValueError, match="outside theorem hypotheses"):
-                    predict_end_algebra(n, q, given_label)
-            assert (predict_nonisotrivial(n, q, given_label).fully is None) == (not asserted)
+                    predict_end_algebra(validate_pair(n, q), given_label)
+            assert (predict_nonisotrivial(validate_pair(n, q), given_label).fully is None) == (not asserted)
 
 
 @pytest.mark.parametrize("predict", [predict_end_algebra, predict_nonisotrivial])
 def test_label_errors_are_unchanged(predict):
     with pytest.raises(ValueError, match=r"^unknown Galois label 'G7'$"):
-        predict(3, 4, "G7")
+        predict(validate_pair(3, 4), "G7")
     with pytest.raises(TypeError, match=r"^not a Galois label: 42$"):
-        predict(3, 4, 42)
+        predict(validate_pair(3, 4), 42)
 
 
 def test_nonisotrivial_constant_level(capsys):
-    fc = predict_nonisotrivial(3, 8, "S3")
+    fc = predict_nonisotrivial(validate_pair(3, 8), "S3")
     assert fc.fully is False
     assert fc.levels == (
         (1, "completely_nonisotrivial"),
@@ -248,20 +249,20 @@ def test_nonisotrivial_constant_level(capsys):
 
 
 def test_nonisotrivial_fixtures():
-    assert predict_nonisotrivial(3, 4, "S3").fully is False
-    assert predict_nonisotrivial(3, 2, "S3").fully is True
-    assert predict_nonisotrivial(3, 5, "S3").fully is True
-    assert predict_nonisotrivial(4, 9, "S4").fully is True
-    assert predict_nonisotrivial(4, 9, "A4").fully is True
+    assert predict_nonisotrivial(validate_pair(3, 4), "S3").fully is False
+    assert predict_nonisotrivial(validate_pair(3, 2), "S3").fully is True
+    assert predict_nonisotrivial(validate_pair(3, 5), "S3").fully is True
+    assert predict_nonisotrivial(validate_pair(4, 9), "S4").fully is True
+    assert predict_nonisotrivial(validate_pair(4, 9), "A4").fully is True
 
 
 def test_nonisotrivial_says_nothing_otherwise():
-    fc = predict_nonisotrivial(3, 4, "C3")
+    fc = predict_nonisotrivial(validate_pair(3, 4), "C3")
     assert fc.fully is None
     assert fc.levels == ((1, "unknown"), (2, "unknown"))
     # label of the wrong degree is also outside the supported statements
-    assert predict_nonisotrivial(4, 3, "S3").fully is None
-    assert predict_nonisotrivial(3, 4, "S4").fully is None
+    assert predict_nonisotrivial(validate_pair(4, 3), "S3").fully is None
+    assert predict_nonisotrivial(validate_pair(3, 4), "S4").fully is None
 
 
 @pytest.mark.parametrize("label", list(GaloisLabel))
@@ -272,13 +273,13 @@ def test_algebra_and_forecast_read_one_level_rule(n, label):
     # integral refinements are exactly the other levels, and the jacobian
     # is not fully non-isotrivial exactly when some level is constant
     for _, q, _, _ in coprime_pairs([n], 2**12):
-        fc = predict_nonisotrivial(n, q, label)
+        fc = predict_nonisotrivial(validate_pair(n, q), label)
         constant = [i for i, status in fc.levels if status == "constant_cm"]
         assert (fc.fully is False) == bool(constant)
         if fc.fully is None:
             assert {status for _, status in fc.levels} == {"unknown"}
             continue
-        d = predict_end_algebra(n, q, label)
+        d = predict_end_algebra(validate_pair(n, q), label)
         pairs = list(zip(d.levels, d.factors))
         assert [lv.level for lv, f in pairs if f.kind == "matrix"] == constant
         assert [m for m, _ in d.integral] == [lv.modulus for lv, f in pairs if f.kind != "matrix"]

@@ -5,7 +5,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from seljac import lattice
 from seljac.lattice import (
+    Pair,
     full_spectrum,
     genus_formula,
     genus_lattice,
@@ -26,11 +28,11 @@ pair_st = st.sampled_from(VALID_PAIRS)
 
 
 def test_interior_points_3_4():
-    assert list(interior_points(3, 4)) == [(1, 1), (1, 2), (2, 1)]
+    assert list(interior_points(validate_pair(3, 4))) == [(1, 1), (1, 2), (2, 1)]
 
 
 def test_interior_points_are_interior():
-    for j, i in interior_points(5, 8):
+    for j, i in interior_points(validate_pair(5, 8)):
         assert j >= 1 and i >= 1
         assert 8 * j + 5 * i < 40
 
@@ -40,18 +42,18 @@ def test_interior_points_are_interior():
     [(3, 2, 1), (3, 4, 3), (4, 3, 3), (5, 2, 2), (4, 9, 12), (3, 8, 7), (7, 5, 12)],
 )
 def test_genus_fixtures(n, q, g):
-    assert genus_formula(n, q) == g
-    assert genus_lattice(n, q) == g
+    assert genus_formula(validate_pair(n, q)) == g
+    assert genus_lattice(validate_pair(n, q)) == g
 
 
 @given(pair_st)
 def test_genus_lattice_matches_formula(pair):
-    n, q = pair
-    assert genus_lattice(n, q) == genus_formula(n, q)
+    pair = validate_pair(*pair)
+    assert genus_lattice(pair) == genus_formula(pair)
 
 
 def test_spectrum_3_4():
-    spec = full_spectrum(3, 4)
+    spec = full_spectrum(validate_pair(3, 4))
     assert spec.multiplicities == {1: 0, 2: 1, 3: 2}
     assert spec.total() == 3
     assert spec.primitive_total() == 2
@@ -61,8 +63,8 @@ def test_spectrum_3_4():
 def test_multiplicity_counts_row(pair):
     # mult of exponent i equals the number of interior points at height q - i
     n, q = pair
-    pts = set(interior_points(n, q))
-    mult = full_spectrum(n, q).multiplicities
+    pts = set(interior_points(validate_pair(n, q)))
+    mult = full_spectrum(validate_pair(n, q)).multiplicities
     for i in range(1, q):
         row = sum(1 for (j, h) in pts if h == q - i)
         assert mult[i] == row
@@ -71,7 +73,7 @@ def test_multiplicity_counts_row(pair):
 @given(pair_st)
 def test_multiplicity_reflection(pair):
     n, q = pair
-    mult = full_spectrum(n, q).multiplicities
+    mult = full_spectrum(validate_pair(n, q)).multiplicities
     for i in range(1, q):
         assert mult[i] + mult[q - i] == n - 1
 
@@ -81,7 +83,7 @@ def test_complement_involution(pair):
     # (j, i) <-> (n - j, q - i) swaps interior and non-interior points of
     # the open box; nothing lands on the diagonal because gcd(n, q) = 1
     n, q = pair
-    pts = set(interior_points(n, q))
+    pts = set(interior_points(validate_pair(n, q)))
     for j in range(1, n):
         for i in range(1, q):
             assert q * j + n * i != n * q
@@ -91,10 +93,9 @@ def test_complement_involution(pair):
 
 @given(pair_st)
 def test_spectrum_totals(pair):
-    n, q = pair
-    spec = full_spectrum(n, q)
-    assert spec.total() == genus_formula(n, q)
-    p, r = validate_pair(n, q)
+    n, q, p, r = pair = validate_pair(*pair)
+    spec = full_spectrum(pair)
+    assert spec.total() == genus_formula(pair)
     assert spec.primitive_total() == (n - 1) * euler_phi_prime_power(p, r) // 2
 
 
@@ -129,7 +130,7 @@ def test_interior_points_match_oracle(pair):
     # the view's length sums the column heights, some 0 when n > q, and its
     # iteration makes the points; both must agree with the per-point scan,
     # on every pass
-    points = interior_points(*pair)
+    points = interior_points(validate_pair(*pair))
     expected = _interior_points_oracle(*pair)
     assert len(points) == len(expected)
     assert list(points) == expected
@@ -139,26 +140,27 @@ def test_interior_points_match_oracle(pair):
 @pytest.mark.parametrize("n,q", [(3, 2**22), (8388609, 2)])
 def test_genus_lattice_builds_nothing_of_size_q_or_n(n, q):
     # both lattices hold 2^22 points or one fewer, the genus ceiling
+    pair = validate_pair(n, q)
     tracemalloc.start()
     try:
-        genus = genus_lattice(n, q)
+        genus = genus_lattice(pair)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert genus == genus_formula(n, q)
+    assert genus == genus_formula(pair)
     assert peak < 64 * 1024
 
 
 @given(st.sampled_from(ORACLE_PAIRS))
 def test_primitive_total_matches_oracle(pair):
-    spec = full_spectrum(*pair)
+    spec = full_spectrum(validate_pair(*pair))
     assert spec.primitive_total() == _primitive_total_oracle(spec)
 
 
 def test_primitive_mass_fixtures():
-    assert full_spectrum(4, 9).primitive_total() == 9
-    assert full_spectrum(3, 5).primitive_total() == 4
-    assert full_spectrum(3, 2).primitive_total() == 1
+    assert full_spectrum(validate_pair(4, 9)).primitive_total() == 9
+    assert full_spectrum(validate_pair(3, 5)).primitive_total() == 4
+    assert full_spectrum(validate_pair(3, 2)).primitive_total() == 1
 
 
 # n up to 60 against q down to 2, so many pairs have n > q and empty runs.
@@ -175,8 +177,8 @@ def test_run_bounds_split_the_exponents(pair):
     # 1, the n - 1 inner bounds and q split 1..q-1 into the n runs, where
     # floor(n*i/q) is k on run k; for n > q some runs are empty
     n, q = pair
-    spec = full_spectrum(n, q)
-    bounds = [1, *spec._run_bounds(), q]
+    spec = full_spectrum(validate_pair(n, q))
+    bounds = [1, *lattice._run_bounds(n, q), q]
     assert len(bounds) == n + 1 and bounds == sorted(bounds)
     for k in range(n):
         assert all(n * i // q == k for i in range(bounds[k], bounds[k + 1]))
@@ -187,7 +189,7 @@ def test_run_bounds_split_the_exponents(pair):
 def test_spectrum_matches_per_entry_oracle(pair):
     # the per-entry dict that the runs replaced
     n, q = pair
-    spec = full_spectrum(n, q)
+    spec = full_spectrum(validate_pair(n, q))
     mult = {i: n * i // q for i in range(1, q)}
     assert spec.multiplicities == mult
     assert dict(spec.multiplicities) == mult and list(spec.multiplicities) == list(mult)
@@ -198,7 +200,7 @@ def test_spectrum_matches_per_entry_oracle(pair):
 
 
 def test_multiplicities_view_rejects_other_keys():
-    mult = full_spectrum(3, 8).multiplicities
+    mult = full_spectrum(validate_pair(3, 8)).multiplicities
     for key in (0, 8, -1, "1"):
         assert key not in mult
         with pytest.raises(KeyError):
@@ -208,7 +210,7 @@ def test_multiplicities_view_rejects_other_keys():
 def test_spectrum_builds_nothing_of_size_q():
     tracemalloc.start()
     try:
-        spec = full_spectrum(7, 2**20)
+        spec = full_spectrum(validate_pair(7, 2**20))
         totals = spec.total(), spec.primitive_total(), len(spec.multiplicities)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -217,16 +219,28 @@ def test_spectrum_builds_nothing_of_size_q():
     assert peak < 64 * 1024
 
 
-@pytest.mark.parametrize("n,q", [(3, 6), (2, 5), (4, 2), (3, 1), (-1, 2), (3, 12)])
+# every invalid pair and its message; the last two have two faults each,
+# since the prime power is checked first, then n, then the gcd
+_REJECTED = {
+    (3, 6): "q must be a prime power >= 2, got 6",
+    (2, 5): "degree n must be >= 3, got 2",
+    (4, 2): "n and q must be coprime, got gcd(4, 2) = 2",
+    (3, 1): "q must be a prime power >= 2, got 1",
+    (-1, 2): "degree n must be >= 3, got -1",
+    (3, 12): "q must be a prime power >= 2, got 12",
+    (2, 6): "q must be a prime power >= 2, got 6",
+    (2, 4): "degree n must be >= 3, got 2",
+}
+
+
+@pytest.mark.parametrize("n,q", list(_REJECTED))
 def test_validate_pair_rejects(n, q):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         validate_pair(n, q)
-    with pytest.raises(ValueError):
-        interior_points(n, q)
-    with pytest.raises(ValueError):
-        genus_lattice(n, q)
+    assert str(info.value) == _REJECTED[n, q]
 
 
 def test_validate_pair_returns_factorization():
-    assert validate_pair(3, 8) == (2, 3)
-    assert validate_pair(4, 9) == (3, 2)
+    assert validate_pair(3, 8) == Pair(3, 8, 2, 3)
+    assert validate_pair(4, 9) == Pair(4, 9, 3, 2)
+    assert validate_pair(4, 9)._asdict() == {"n": 4, "q": 9, "p": 3, "r": 2}

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from seljac import model
 from seljac.arith import prime_power
-from seljac.lattice import genus_formula
+from seljac.lattice import genus_formula, validate_pair
 from seljac.model import (
     chart_identity_check,
     delta_chart_order,
@@ -25,15 +25,15 @@ VALID_PAIRS = [
 
 
 def test_gluing_fixtures():
-    assert gluing_exponents(3, 4) == (2, 3)
-    assert gluing_exponents(3, 2) == (1, 1)
-    assert gluing_exponents(4, 9) == (3, 7)
+    assert gluing_exponents(validate_pair(3, 4)) == (2, 3)
+    assert gluing_exponents(validate_pair(3, 2)) == (1, 1)
+    assert gluing_exponents(validate_pair(4, 9)) == (3, 7)
 
 
 @given(st.sampled_from(VALID_PAIRS))
 def test_gluing_bezout(pair):
     n, q = pair
-    a, b = gluing_exponents(n, q)
+    a, b = gluing_exponents(validate_pair(n, q))
     assert b * n - a * q == 1
     assert 1 <= b < q
     assert a >= 1
@@ -59,37 +59,46 @@ def test_reversed_poly_degree_drop():
     ],
 )
 def test_chart_identity(coeffs, q):
-    assert chart_identity_check(Poly(coeffs), q) is True
+    f = Poly(coeffs)
+    assert chart_identity_check(f, validate_pair(f.degree, q)) is True
 
 
 @given(st.sampled_from([(n, q) for n, q in VALID_PAIRS if q <= 16 and n <= 7]))
 def test_chart_identity_generic(pair):
     n, q = pair
     f = Poly([1] * n + [1])  # 1 + x + ... + x^(n-1) + x^n
-    assert chart_identity_check(f, q) is True
+    assert chart_identity_check(f, validate_pair(n, q)) is True
 
 
 @given(st.sampled_from(VALID_PAIRS))
 def test_delta_chart_order_is_q(pair):
     n, q = pair
-    assert delta_chart_order(n, q) == q
+    assert delta_chart_order(validate_pair(n, q)) == q
 
 
 def test_hurwitz_fixtures():
-    assert hurwitz_genus(3, 4) == 3
-    assert hurwitz_genus(3, 2) == 1
-    assert hurwitz_genus(5, 7) == 12
+    assert hurwitz_genus(validate_pair(3, 4)) == 3
+    assert hurwitz_genus(validate_pair(3, 2)) == 1
+    assert hurwitz_genus(validate_pair(5, 7)) == 12
 
 
 @given(st.sampled_from(VALID_PAIRS))
 def test_hurwitz_matches_lattice_count(pair):
-    n, q = pair
-    assert hurwitz_genus(n, q) == genus_formula(n, q)
+    pair = validate_pair(*pair)
+    assert hurwitz_genus(pair) == genus_formula(pair)
 
 
 def test_hurwitz_validates():
+    # the pair is checked once, where it is built
     with pytest.raises(ValueError):
-        hurwitz_genus(4, 2)
+        hurwitz_genus(validate_pair(4, 2))
+
+
+@pytest.mark.parametrize("coeffs,n", [([1, 1, 0, 1], 4), ([1, 1, 0, 0, 1], 3), ([1, 1], 3)])
+def test_chart_identity_rejects_a_degree_other_than_n(coeffs, n):
+    f = Poly(coeffs)
+    with pytest.raises(ValueError, match=rf"^f has degree {f.degree}, not the pair's n = {n}$"):
+        chart_identity_check(f, validate_pair(n, 5))
 
 
 # ---- what the chart identity catches ----
@@ -99,16 +108,16 @@ def test_chart_identity_catches_wrong_gluing(monkeypatch):
     # b -> b + q keeps b*n = 1 mod q but makes b*n - a*q = 1 + n*q
     real = model.gluing_exponents
     monkeypatch.setattr(
-        model, "gluing_exponents", lambda n, q: (real(n, q)[0], real(n, q)[1] + q)
+        model, "gluing_exponents", lambda pair: (real(pair)[0], real(pair)[1] + pair.q)
     )
-    assert chart_identity_check(Poly([-1, -1, 0, 1]), 4) is False
+    assert chart_identity_check(Poly([-1, -1, 0, 1]), validate_pair(3, 4)) is False
 
 
 def test_chart_identity_catches_unreversed_coefficients(monkeypatch):
     f = Poly([2, -1, 0, 1])  # not palindromic, so frev != f
     assert reversed_poly(f, 3) != f
     monkeypatch.setattr(model, "reversed_poly", lambda g, n: g)
-    assert chart_identity_check(f, 4) is False
+    assert chart_identity_check(f, validate_pair(3, 4)) is False
 
 
 COEFF = st.fractions(min_value=-50, max_value=50, max_denominator=50)
@@ -120,4 +129,4 @@ def test_chart_identity_holds_on_random_rational_f(pair, data):
     constant = data.draw(st.just(Fraction(0)) | COEFF)  # f(0) = 0: frev loses degree
     middle = data.draw(st.lists(COEFF, min_size=n - 1, max_size=n - 1))
     lead = data.draw(COEFF.filter(bool))
-    assert chart_identity_check(Poly([constant, *middle, lead]), q) is True
+    assert chart_identity_check(Poly([constant, *middle, lead]), validate_pair(n, q)) is True

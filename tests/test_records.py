@@ -18,7 +18,7 @@ from seljac.decompose import (
 )
 from seljac.elliptic import depress_cubic
 from seljac.heart import PermGroup
-from seljac.lattice import full_spectrum
+from seljac.lattice import full_spectrum, validate_pair
 from seljac.obstruction import (
     InvariantMultiplierReport,
     invariant_automorphisms,
@@ -29,11 +29,12 @@ _RECORDS = [
     CriterionResult(1, "t", True, 0.0, "d"),
     AlgebraFactor("matrix", modulus=4, size=2),
     DecompositionLevel(1, 3, 3),
-    predict_end_algebra(3, 4, "S3"),
-    predict_nonisotrivial(3, 8, "S3"),
+    predict_end_algebra(validate_pair(3, 4), "S3"),
+    predict_nonisotrivial(validate_pair(3, 8), "S3"),
     depress_cubic([Fraction(-1), Fraction(-1), 0, 1]),
     PermGroup.symmetric(3),
-    full_spectrum(3, 4),
+    full_spectrum(validate_pair(3, 4)),
+    validate_pair(3, 4),
     invariant_automorphisms(3, 4),
     square_case_feasible(3, 4),
 ]
@@ -55,7 +56,7 @@ _REFUSED = [
 
 
 def test_records_are_immutable_and_check_their_fields():
-    assert len({type(rec) for rec in _RECORDS}) == 10
+    assert len({type(rec) for rec in _RECORDS}) == 11
     for rec in _RECORDS:
         field = rec._fields[0]
         with pytest.raises(AttributeError):
