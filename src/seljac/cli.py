@@ -10,8 +10,11 @@ encoder would write as an array, so a payload holds its fields,
 `record._asdict()`, and a text renderer reads the record's attributes;
 the two scans print each report that way through `_emit_records`.
 `spectrum` is the exception: its up to 2^20 - 1 multiplicities are
-formatted one per exponent by a C loop over the spectrum's multiplicity
-view, with no dict between, and the tests check the JSON against the
+formatted by C loops over ranges of exponents, with no dict between, and
+written as they are made, so its memory does not grow with q: the text
+`SPECTRUM_SLICE` lines at a time, the JSON one group of keys at a time
+(`_key_groups`), each group sorted on its own into the order that the
+encoder's sort_keys would give. The tests check the JSON against the
 encoder and the text against the per-entry lines, byte for byte. The
 subcommands keyed by (n, q) get one `lattice.Pair` from `_head`, which
 checks the flags and any ceiling before `validate_pair` factors q, once;
@@ -34,7 +37,9 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain
 
 from .acceptance import run_all
 from .arith import is_prime
@@ -143,10 +148,14 @@ def _feasible_text(rep) -> str:
     )
 
 
-# The largest q that spectrum accepts: its output has q - 1 entries. At
-# 2**20 and n = 7 it takes about 0.8 s and 120 MB in either format; up to
-# about 1.4 s and 160 MB when n is near q.
+# The largest q that spectrum accepts: its output has q - 1 entries, 13-23
+# MB at 2**20. Written as it is made, it takes about 0.95 s at n = 7 and
+# 1.0-1.4 s when n is near q, on a 2-core VM with Python 3.11, in either
+# format; the process peaks at about 16 MB, 1 MB above `genus --n 3 --q 2`.
 SPECTRUM_Q_MAX = 2**20
+
+# spectrum writes its text this many lines at a time.
+SPECTRUM_SLICE = 2**12
 
 # The most lattice points (n-1)(q-1)/2 that genus counts. The count takes
 # min(n, q) - 1 steps and stores no point, so the ceiling bounds the trial
@@ -198,23 +207,52 @@ def _cmd_genus(args) -> int:
     return 0
 
 
+def _key_groups(q: int) -> Iterator[list[range]]:
+    """The exponents 1..q-1 as groups of ranges, in the order that
+    sort_keys gives their decimal keys: sorted as text, the keys of a group
+    all come before those of the next. With D the digit count of q - 1 and
+    d = max(D - 4, 0), a group holds the keys that start with one d-digit
+    prefix s (for d = 0, every key), at most 11,111 of them, and the keys
+    shorter than d digits that s extends by zeros alone, which sort just
+    before s and start no earlier prefix."""
+    top = len(str(q - 1))
+    d = max(top - 4, 0)
+    for s in range(10**d // 10, 10**d):
+        shorter = [range(s // 10**k, s // 10**k + 1) for k in range(d - 1, 0, -1)
+                   if s % 10**k == 0]
+        yield shorter + [
+            range(max(s * 10 ** (length - d), 10 ** (length - 1)),
+                  min((s + 1) * 10 ** (length - d), q))
+            for length in range(max(d, 1), top + 1)
+        ]
+
+
 def _cmd_spectrum(args) -> int:
     pair = _head(args, args.n, _spectrum_ceiling)
     spec = full_spectrum(pair)
     rest = {**pair._asdict(), "total": spec.total(), "primitive_total": spec.primitive_total()}
-    exponents, mults = range(1, spec.q), spec.multiplicities.values()
+    write = sys.stdout.write
     if args.format == "json":
-        # Sorted as strings, the '"i": k' entries fall in the order that
-        # sort_keys gives their keys, since '"' sorts below every digit;
-        # and "multiplicities" sorts before every other key of the record.
-        # The entry list is freed once joined, and the head, body and tail
-        # are written separately, so the body is never copied.
-        body = ", ".join(sorted(map('"{}": {}'.format, exponents, mults)))
-        print('{"multiplicities": {', body, "}, " + _dump(rest)[1:], sep="")
+        # Sorted as strings, a group's '"i": k' entries fall in the order
+        # that sort_keys gives their keys, since '"' sorts below every
+        # digit; and "multiplicities" sorts before every other key of the
+        # record. Each group is formatted, sorted and written on its own.
+        head = '{"multiplicities": {'
+        for group in _key_groups(spec.q):
+            exponents = chain.from_iterable(group)
+            mults = chain.from_iterable(map(spec.multiplicities_over, group))
+            write(head)
+            write(", ".join(sorted(map('"{}": {}'.format, exponents, mults))))
+            head = ", "
+        write("}, " + _dump(rest)[1:] + "\n")
     else:
-        print(_header(rest))
-        print("\n".join(map("i={}  mult={}".format, exponents, mults)))
-        print(f"total = {rest['total']}  primitive = {rest['primitive_total']}")
+        write(_header(rest) + "\n")
+        for start in range(1, spec.q, SPECTRUM_SLICE):
+            exponents = range(start, min(start + SPECTRUM_SLICE, spec.q))
+            write("\n".join(map("i={}  mult={}".format, exponents,
+                                spec.multiplicities_over(exponents))))
+            write("\n")
+        write(f"total = {rest['total']}  primitive = {rest['primitive_total']}\n")
     return 0
 
 

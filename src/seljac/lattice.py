@@ -52,9 +52,11 @@ def validate_pair(n: int, q: int) -> Pair:
     return Pair(n, q, *pr)
 
 
-def _multiplicities_every(n: int, q: int, step: int) -> Iterator[int]:
-    """floor(n*i/q) for i = step, 2*step, ... below q, by a C loop."""
-    return map(floordiv, range(n * step, n * q, n * step), repeat(q))
+def _multiplicities_over(n: int, q: int, exponents: range) -> Iterator[int]:
+    """floor(n*i/q) for each i in exponents, a range within 1..q-1, by a
+    C loop."""
+    start, stop, step = exponents.start, exponents.stop, exponents.step
+    return map(floordiv, range(n * start, n * stop, n * step), repeat(q))
 
 
 def _run_bounds(n: int, q: int) -> Iterator[int]:
@@ -69,7 +71,7 @@ def _count_below(n: int, q: int) -> int:
     i = 1..q-1. For n < q it telescopes over the runs to (n-1)*q minus the
     n - 1 inner bounds; for n > q it sums the q - 1 terms, the shorter loop."""
     if n > q:
-        return sum(_multiplicities_every(n, q, 1))
+        return sum(_multiplicities_over(n, q, range(1, q)))
     return (n - 1) * q - sum(_run_bounds(n, q))
 
 
@@ -84,6 +86,10 @@ class _InteriorPoints:
         self._n, self._q = n, q
 
     def __len__(self) -> int:
+        return self.total()
+
+    def total(self) -> int:
+        """The point count, which `len` cannot give past sys.maxsize."""
         return _count_below(self._n, self._q)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
@@ -102,8 +108,9 @@ def interior_points(pair: Pair) -> _InteriorPoints:
 
 
 def genus_lattice(pair: Pair) -> int:
-    """Genus as the interior lattice point count."""
-    return len(interior_points(pair))
+    """Genus as the interior lattice point count, which may exceed
+    sys.maxsize."""
+    return interior_points(pair).total()
 
 
 def genus_formula(pair: Pair) -> int:
@@ -141,7 +148,8 @@ class _MultiplicityValues(ValuesView):
     one lookup each."""
 
     def __iter__(self) -> Iterator[int]:
-        return _multiplicities_every(self._mapping._n, self._mapping._q, 1)
+        n, q = self._mapping._n, self._mapping._q
+        return _multiplicities_over(n, q, range(1, q))
 
 
 class EigenSpectrum(NamedTuple):
@@ -150,9 +158,9 @@ class EigenSpectrum(NamedTuple):
 
     `total()` sums over the runs, and `primitive_total()` takes off the
     entries at multiples of p; every sum is a C loop. `multiplicities`
-    reads the same numbers per exponent, in ascending order of i (the
-    order `spectrum` prints them in), from a view that stores nothing of
-    size q.
+    reads the same numbers per exponent, in ascending order of i, from a
+    view that stores nothing of size q; `multiplicities_over` reads them
+    over any range of exponents, which is how `spectrum` prints them.
     """
 
     n: int
@@ -168,10 +176,15 @@ class EigenSpectrum(NamedTuple):
         count: see `_count_below`."""
         return _count_below(self.n, self.q)
 
+    def multiplicities_over(self, exponents: range) -> Iterator[int]:
+        """floor(n*i/q) for each i in exponents, a range within 1..q-1, by
+        a C loop."""
+        return _multiplicities_over(self.n, self.q, exponents)
+
     def primitive_total(self) -> int:
         """The total over exponents i prime to p: the total minus the
         q/p - 1 entries at i = p, 2p, ..."""
-        return self.total() - sum(_multiplicities_every(self.n, self.q, self.p))
+        return self.total() - sum(self.multiplicities_over(range(self.p, self.q, self.p)))
 
 
 def full_spectrum(pair: Pair) -> EigenSpectrum:

@@ -3,12 +3,14 @@ import argparse
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import math
 import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -210,9 +212,14 @@ _SPECTRUM_PAIRS = st.tuples(
 
 
 # Pinned: q = 2, keys that cross digit lengths (1009, 1024), n > q (n = 11
-# at q = 2, 7, 9), and n close to q (40 at 81, 317, 343).
+# at q = 2, 7, 9), and n close to q (40 at 81, 317, 343). Past q = 10^4 the
+# JSON is written in several decimal-prefix groups: keys up to five digits
+# under one prefix digit (10007, 59049, 65536, 100003) and six digits under
+# two (131072), with n > q at 65536, as n = q + 1.
 @pytest.mark.parametrize("n,q", [(3, 2), (11, 2), (3, 1024), (7, 1024), (10, 1009),
-                                 (11, 7), (11, 9), (11, 16), (40, 81), (40, 317), (40, 343)])
+                                 (11, 7), (11, 9), (11, 16), (40, 81), (40, 317), (40, 343),
+                                 (10, 10007), (7, 59049), (65537, 65536), (3, 100003),
+                                 (7, 131072)])
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_spectrum_bytes_match_per_entry_output(n, q, fmt):
     assert _spectrum_out(n, q, fmt) == _spectrum_oracle(n, q, fmt)
@@ -221,6 +228,63 @@ def test_spectrum_bytes_match_per_entry_output(n, q, fmt):
 @given(_SPECTRUM_PAIRS, st.sampled_from(["json", "text"]))
 def test_spectrum_bytes_match_per_entry_output_sampled(pair, fmt):
     assert _spectrum_out(*pair, fmt) == _spectrum_oracle(*pair, fmt)
+
+
+def _decimal_key_order(qs):
+    """For each q in qs, the exponents 1..q-1 in the order sort_keys gives
+    their keys: one sort of the largest q, filtered for the others."""
+    order = sorted(range(1, max(qs)), key='"{}"'.format)
+    return {q: [i for i in order if i < q] for q in qs}
+
+
+def _group_order(q):
+    return [i for group in cli._key_groups(q)
+            for i in sorted(itertools.chain.from_iterable(group), key='"{}"'.format)]
+
+
+@pytest.mark.parametrize("qs", [
+    range(2, 3001),
+    [q for k in range(1, 7) for q in (10**k - 1, 10**k, 10**k + 1)],
+    [2**k for k in range(1, 21)],
+])
+def test_key_groups_follow_sorted_key_order(qs):
+    # each group's keys, sorted on their own, continue the order of the
+    # keys sorted all at once, across every prefix and shorter key (up to
+    # 4-digit keys the one group is every exponent)
+    for q, order in _decimal_key_order(qs).items():
+        assert _group_order(q) == order, q
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _spectrum_peak(n, q, fmt) -> int:
+    """The most memory that spectrum holds at once beyond what it started
+    with, its output discarded as it is written."""
+    tracemalloc.reset_peak()
+    before, _ = tracemalloc.get_traced_memory()
+    with contextlib.redirect_stdout(_Discard()):
+        assert cli.main(["spectrum", "--n", str(n), "--q", str(q), "--format", fmt]) == 0
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_spectrum_memory_is_flat_in_q(fmt):
+    # the output is written a group or slice at a time, so 32 times the
+    # exponents (2.1 MB of text at 2^17) cost less than 1 MB more
+    tracemalloc.start()
+    try:
+        _spectrum_peak(7, 2**12, fmt)  # the parser is built on the first call
+        small = _spectrum_peak(7, 2**12, fmt)
+        large = _spectrum_peak(7, 2**17, fmt)
+    finally:
+        tracemalloc.stop()
+    assert large - small < 2**20, (small, large)
 
 
 @pytest.mark.parametrize("r", [MAX_EXPONENT + 1, 10**15])
@@ -698,4 +762,20 @@ def test_closed_pipe_exits_0(tmp_path):
         err.seek(0)
         stderr = err.read()
     assert code == 0, stderr
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_pipe_mid_spectrum_exits_0(fmt):
+    # spectrum at its q ceiling writes 15-17 MB in pieces; the reader of
+    # `| head -c 100` leaves while the child is still among them
+    src = str(Path(seljac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "seljac.cli", "spectrum", "--n", "7",
+            "--q", str(cli.SPECTRUM_Q_MAX), "--format", fmt]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    stderr = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 0, stderr
     assert "Traceback" not in stderr

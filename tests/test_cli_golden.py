@@ -269,6 +269,15 @@ _GENUS_LARGE = [
     ("genus", "--n", "8388609", "--q", "2"),
 ]
 
+# Spectra whose JSON is written in many decimal-prefix groups: the q
+# ceiling at n = q + 1, where every multiplicity differs from its
+# neighbour's run, and a prime q whose keys run to seven digits (both kept
+# as digests).
+_SPECTRUM_GROUPS = [
+    ("spectrum", "--n", "1048577", "--q", "1048576"),
+    ("spectrum", "--n", "3", "--q", "1000003"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -292,6 +301,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _GENUS_LARGE_PRIME for v in _both(*argv)),
     *(v for argv in _ZERO_POLY for v in _both(*argv)),
     *(v for argv in _GENUS_LARGE for v in _both(*argv)),
+    *(v for argv in _SPECTRUM_GROUPS for v in _both(*argv)),
 ]
 
 

@@ -1,5 +1,6 @@
 """Interior point bookkeeping on the (n, q) triangle."""
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -49,6 +50,14 @@ def test_genus_fixtures(n, q, g):
 @given(pair_st)
 def test_genus_lattice_matches_formula(pair):
     pair = validate_pair(*pair)
+    assert genus_lattice(pair) == genus_formula(pair)
+
+
+@pytest.mark.parametrize("n,q", [(3, 2**64), (4, 3**41)])
+def test_genus_lattice_past_maxsize(n, q):
+    # the count exceeds sys.maxsize, which len() cannot return
+    pair = validate_pair(n, q)
+    assert genus_formula(pair) > sys.maxsize
     assert genus_lattice(pair) == genus_formula(pair)
 
 
