@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .arith import coprime_pairs, euler_phi_prime_power, prime_powers_upto
+from .arith import euler_phi_prime_power, prime_powers_upto
 from .decompose import decomposition_ledger, factor_geometric_poly, predict_end_algebra
 from .elliptic import depress_cubic, is_isotrivial, j_invariant, verify_prescribed_j_family
 from .galois import (
@@ -26,7 +26,7 @@ from .galois import (
     discriminant_in_t,
 )
 from .heart import PermGroup, heart_centralizer_dim
-from .lattice import full_spectrum, genus_formula, genus_lattice, validate_pair
+from .lattice import coprime_pairs, full_spectrum, genus_formula, genus_lattice, validate_pair
 from .model import chart_identity_check, delta_chart_order, hurwitz_genus
 from .obstruction import invariant_automorphisms, square_case_feasible
 from .poly import Poly, geometric_poly, poly_gcd
@@ -77,10 +77,10 @@ def criterion_1():
     """Genus triple agreement on the coprime sweep 3<=n<=30, q<=64."""
     bad = []
     count = 0
-    for n, q, _, _ in coprime_pairs(range(3, 31), 64):
+    for pair in coprime_pairs(range(3, 31), 64):
         count += 1
+        n, q, _, _ = pair
         expected = (n - 1) * (q - 1) // 2
-        pair = validate_pair(n, q)
         values = (genus_lattice(pair), genus_formula(pair), hurwitz_genus(pair))
         if any(v != expected for v in values):
             bad.append((n, q, values))
@@ -95,9 +95,10 @@ def criterion_2():
     on the same sweep."""
     bad = []
     count = 0
-    for n, q, p, r in coprime_pairs(range(3, 31), 64):
+    for pair in coprime_pairs(range(3, 31), 64):
         count += 1
-        spec = full_spectrum(validate_pair(n, q))
+        n, q, p, r = pair
+        spec = full_spectrum(pair)
         mult = list(spec.multiplicities.values())  # mult(i) at index i - 1
         total_ok = spec.total() == (n - 1) * (q - 1) // 2
         prim_ok = spec.primitive_total() == (n - 1) * euler_phi_prime_power(p, r) // 2
@@ -313,17 +314,17 @@ def criterion_10():
     zero_constant_done = False
     while trials < 200:
         n = rng.randint(3, 6)
-        q = rng.choice([q for _, q, _, _ in coprime_pairs((n,), 9)])
+        pair = rng.choice(list(coprime_pairs((n,), 9)))
         f = _random_squarefree(rng, n, zero_constant=not zero_constant_done)
         if f.coeff(0) == 0:
             zero_constant_done = True
         trials += 1
-        if not chart_identity_check(f, validate_pair(n, q)):
-            failures.append((f, q))
+        if not chart_identity_check(f, pair):
+            failures.append((f, pair.q))
     order_bad = [
-        (n, q)
-        for n, q, _, _ in coprime_pairs(range(3, 31), 64)
-        if delta_chart_order(validate_pair(n, q)) != q
+        (pair.n, pair.q)
+        for pair in coprime_pairs(range(3, 31), 64)
+        if delta_chart_order(pair) != pair.q
     ]
     if failures:
         return False, f"identity failed for {failures[0]}"
@@ -346,11 +347,10 @@ def criterion_11():
         if prod != geometric_poly(q):
             bad_products.append(q)
     bad_ledgers = []
-    for n, q, _, _ in coprime_pairs(range(3, 31), 64):
-        pair = validate_pair(n, q)
+    for pair in coprime_pairs(range(3, 31), 64):
         total = sum(level.new_dim for level in decomposition_ledger(pair))
         if total != genus_formula(pair):
-            bad_ledgers.append((n, q))
+            bad_ledgers.append((pair.n, pair.q))
     if bad_products:
         return False, f"product mismatch at q={bad_products[:3]}"
     if bad_ledgers:

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 
 def is_prime(m: int) -> bool:
@@ -72,16 +71,6 @@ def prime_powers_upto(limit: int) -> list[tuple[int, int, int]]:
             r += 1
     out.sort()
     return out
-
-
-def coprime_pairs(ns: Iterable[int], q_max: int) -> Iterator[tuple[int, int, int, int]]:
-    """(n, q, p, r) for each n in ns (in the given order) and each prime
-    power q = p**r <= q_max with p not dividing n, q ascending."""
-    pps = prime_powers_upto(q_max)
-    for n in ns:
-        for q, p, r in pps:
-            if n % p != 0:
-                yield n, q, p, r
 
 
 def is_perfect_square(m: int) -> bool:

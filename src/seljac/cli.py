@@ -17,8 +17,9 @@ written as they are made, so its memory does not grow with q: the text
 encoder's sort_keys would give. The tests check the JSON against the
 encoder and the text against the per-entry lines, byte for byte. The
 subcommands keyed by (n, q) get one `lattice.Pair` from `_head`, which
-checks the flags and any ceiling before `validate_pair` factors q, once;
-they pass the pair down and print its `_asdict()` as the payload head.
+checks the flags and any ceiling first, then builds the pair from --p/--r
+once p is proved prime, or factors --q once; they pass the pair down and
+print its `_asdict()` as the payload head.
 The parser is built from one table, once per process, on the first `main`
 call; each subcommand stores its handler's name, and `main` looks that
 name up in the module at dispatch, so a handler rebound on the module (a
@@ -58,7 +59,7 @@ from .galois import (
     require_squarefree,
 )
 from .heart import GROUPS, PermGroup, heart_centralizer_dim, is_doubly_transitive
-from .lattice import Pair, full_spectrum, genus_formula, genus_lattice, validate_pair
+from .lattice import Pair, full_spectrum, genus_formula, genus_lattice, prime_pair, validate_pair
 from .model import chart_identity_check, delta_chart_order, gluing_exponents, hurwitz_genus
 from .obstruction import feasibility_sweep, multiplier_sweep
 from .parse import MAX_EXPONENT, parse_q_poly, parse_x_poly, t_linear_base
@@ -99,10 +100,12 @@ Q_DIGITS_MAX = 4300
 
 
 def _head(args, n: int, ceiling=None) -> Pair:
-    """`validate_pair` of n and q = p**r from --q and/or --p/--r, whose
+    """The pair of n and q = p**r from --q and/or --p/--r, whose
     consistency is enforced first. A q too long to print, or one that
     ceiling(n, q) rejects by raising, is refused before p or q is
-    trial-divided, and a --p that is not prime before q is factored."""
+    trial-divided. With --p/--r the pair is `prime_pair` once p is proved
+    prime, a test of about sqrt(p) steps, and q is never factored; a bare
+    --q is factored once by `validate_pair`, about sqrt(q) steps."""
     q, p, r = args.q, args.p, args.r
     if (p is None) != (r is None):
         raise ValueError("--p and --r must be given together")
@@ -120,9 +123,11 @@ def _head(args, n: int, ceiling=None) -> Pair:
             raise ValueError(f"q = {p}^{r} has more than {Q_DIGITS_MAX} digits")
     if ceiling is not None:
         ceiling(n, q)
-    if p is not None and not is_prime(p):
+    if p is None:
+        return validate_pair(n, q)
+    if not is_prime(p):
         raise ValueError(f"--p must be prime, got {p}")
-    return validate_pair(n, q)
+    return prime_pair(n, p, r)
 
 
 def _header(pl) -> str:

@@ -5,8 +5,11 @@ For y^q = f(x), deg f = n, gcd(n, q) = 1, q a prime power, the forms
 x^(j-1) dx / y^(q-i) indexed by interior lattice points (j, i) of the
 triangle q*j + n*i < n*q (j, i >= 1) are a basis of the holomorphic
 differentials, so the genus is the interior point count (n-1)(q-1)/2.
-The functions here, in `model` and in `decompose` take (n, q) as a `Pair`
-from `validate_pair(n, q)`, which factors q once; none checks it again.
+The functions here, in `model` and in `decompose` take (n, q) as a `Pair`,
+checked once and never again: `prime_pair(n, p, r)` checks n and
+coprimality for a p the caller has proved prime, `validate_pair(n, q)`
+factors q once and then does the same, and `coprime_pairs` yields the
+pairs of a sweep from its sieve of prime powers.
 
 A point is the plain tuple (j, i); column j holds i = 1..q*(n - j)//n, so
 the points are held as n and q and made only when iterated. The order-q
@@ -21,16 +24,16 @@ spectrum; nothing of size q or n is built.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, ValuesView
+from collections.abc import Iterable, Iterator, Mapping, ValuesView
 from itertools import repeat
 from operator import floordiv
 from typing import NamedTuple
 
-from .arith import prime_power
+from .arith import prime_power, prime_powers_upto
 
 
 class Pair(NamedTuple):
-    """n >= 3 and q = p**r, p prime, gcd(n, q) = 1, as `validate_pair` checks."""
+    """n >= 3 and q = p**r, p prime, gcd(n, q) = 1, as `prime_pair` checks."""
 
     n: int
     q: int
@@ -38,18 +41,39 @@ class Pair(NamedTuple):
     r: int
 
 
-def validate_pair(n: int, q: int) -> Pair:
-    """Check that q is a prime power, then n >= 3, then gcd(n, q) = 1,
-    factoring q once; return the pair with its p and r."""
-    pr = prime_power(q)
-    if pr is None:
-        raise ValueError(f"q must be a prime power >= 2, got {q}")
+def prime_pair(n: int, p: int, r: int) -> Pair:
+    """Check that n >= 3, then that gcd(n, q) = 1 for q = p**r, where the
+    caller has proved p prime; return the pair."""
     if n < 3:
         raise ValueError(f"degree n must be >= 3, got {n}")
+    q = p**r
     g = math.gcd(n, q)
     if g != 1:
         raise ValueError(f"n and q must be coprime, got gcd({n}, {q}) = {g}")
-    return Pair(n, q, *pr)
+    return Pair(n, q, p, r)
+
+
+def validate_pair(n: int, q: int) -> Pair:
+    """Check that q is a prime power, factoring it once, then hand its p and
+    r to `prime_pair`."""
+    pr = prime_power(q)
+    if pr is None:
+        raise ValueError(f"q must be a prime power >= 2, got {q}")
+    return prime_pair(n, *pr)
+
+
+def coprime_pairs(ns: Iterable[int], q_max: int) -> Iterator[Pair]:
+    """The pair (n, q) for each n in ns (in the given order, read lazily)
+    and each prime power q = p**r <= q_max with p not dividing n, q
+    ascending. Each n is checked to be >= 3 once, before its pairs; the
+    sieve gives p and r, so no q is factored."""
+    pps = prime_powers_upto(q_max)
+    for n in ns:
+        if n < 3:
+            raise ValueError(f"degree n must be >= 3, got {n}")
+        for q, p, r in pps:
+            if n % p != 0:
+                yield Pair(n, q, p, r)
 
 
 def _multiplicities_over(n: int, q: int, exponents: range) -> Iterator[int]:

@@ -24,9 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import coprime_pairs, euler_phi_prime_power
+from .arith import euler_phi_prime_power
 from .kernels import feasibility_counts, multiplier_scan
-from .lattice import validate_pair
+from .lattice import coprime_pairs, validate_pair
 
 
 class _InvariantMultiplierFields(NamedTuple):

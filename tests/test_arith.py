@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seljac.arith import (
-    coprime_pairs,
     euler_phi_prime_power,
     fraction_is_square,
     fraction_sqrt,
@@ -17,6 +16,7 @@ from seljac.arith import (
     prime_powers_upto,
     primitive_count,
 )
+from seljac.lattice import coprime_pairs
 
 
 def test_is_prime_matches_sympy():

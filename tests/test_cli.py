@@ -148,7 +148,7 @@ def test_scan_without_any_pair_exits_2(capsys, argv, message):
 @pytest.mark.parametrize("scan", [("cm-scan", "--n", "3"), ("feasible-scan", "--n-max", "3")])
 def test_scan_q_max_cap(capsys, monkeypatch, scan):
     sieved = []
-    monkeypatch.setattr("seljac.arith.prime_powers_upto", lambda limit: sieved.append(limit) or [])
+    monkeypatch.setattr("seljac.lattice.prime_powers_upto", lambda limit: sieved.append(limit) or [])
     for q_max in (cli.SCAN_Q_MAX + 1, 10**10):
         code, out, err = run(capsys, *scan, "--q-max", str(q_max))
         assert (code, out) == (2, "")
@@ -342,16 +342,24 @@ def _count_prime_power(monkeypatch) -> list[int]:
         (("model-check", "--poly", "x^3 + x + 1", "--q", "125"), 1),
         (("genus", "--n", "4", "--q", "81"), 1),
         (("nonisotrivial", "--n", "4", "--q", "81", "--galois", "S4"), 1),
+        (("decompose", "--n", "4", "--p", "3", "--r", "4"), 1),
+        (("endo", "--n", "4", "--p", "3", "--r", "4", "--galois", "S4"), 1),
+        (("spectrum", "--n", "4", "--p", "3", "--r", "4"), 1),
+        (("model-check", "--poly", "x^3 + x + 1", "--p", "5", "--r", "3"), 1),
+        (("genus", "--n", "4", "--p", "3", "--r", "4"), 1),
+        (("nonisotrivial", "--n", "4", "--p", "3", "--r", "4", "--galois", "S4"), 1),
+        (("decompose", "--n", "3", "--p", "1000000007", "--r", "2"), 1),
     ],
 )
 def test_prime_power_calls(capsys, monkeypatch, argv, count):
-    # an (n, q) subcommand given --q factors it once, in validate_pair, and
+    # an (n, q) subcommand given --q factors it once, in validate_pair;
+    # given --p/--r it only tests p, through is_prime, and never factors q;
     # the layers below take the pair without factoring q again
     calls = _count_prime_power(monkeypatch)
     assert cli.main(list(argv)) == (0 if count else 2)
     capsys.readouterr()
-    q = int(argv[argv.index("--q") + 1]) if "--q" in argv else None
-    assert calls == [q] * count, calls
+    flag = "--q" if "--q" in argv else "--p"
+    assert calls == [int(argv[argv.index(flag) + 1])] * count, calls
 
 
 def test_pair_taking_functions_do_not_factor_q(monkeypatch):

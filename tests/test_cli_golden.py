@@ -278,6 +278,15 @@ _SPECTRUM_GROUPS = [
     ("spectrum", "--n", "3", "--q", "1000003"),
 ]
 
+# --p/--r with a large prime and r = 2: the pair is built from p and r
+# once p is proved prime, and q = p^2 is never factored. While q was still
+# factored these did not finish, so there is no older recording to match;
+# test_large_p_pairs_match_closed_forms checks them against closed forms.
+_LARGE_P_PAIRS = [
+    ("decompose", "--n", "3", "--p", "1000000007", "--r", "2"),
+    ("model-check", "--poly", "x^3 + x + 1", "--p", "1000000007", "--r", "2"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -302,6 +311,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _ZERO_POLY for v in _both(*argv)),
     *(v for argv in _GENUS_LARGE for v in _both(*argv)),
     *(v for argv in _SPECTRUM_GROUPS for v in _both(*argv)),
+    *(v for argv in _LARGE_P_PAIRS for v in _both(*argv)),
 ]
 
 
@@ -349,6 +359,23 @@ def test_corpus_exit_codes():
     }
     for rec in _recorded():
         assert rec["exit"] == (2 if tuple(rec["argv"]) in invalid else 0), rec["argv"]
+
+
+def test_large_p_pairs_match_closed_forms():
+    # new_dim at level i is (n-1)(p^i - p^(i-1))/2, the gluing exponents
+    # satisfy b*n - a*q = 1, and the genus is (n-1)(q-1)/2
+    recorded = {tuple(rec["argv"]): rec for rec in _recorded()}
+    for argv in _LARGE_P_PAIRS:
+        out = json.loads(recorded[(*argv, "--format", "json")]["stdout"])
+        n, q, p, r = out["n"], out["q"], out["p"], out["r"]
+        assert (p, r, q) == (1000000007, 2, 1000000007**2)
+        assert out["genus"] == (n - 1) * (q - 1) // 2
+        if argv[0] == "decompose":
+            assert [level["new_dim"] for level in out["levels"]] == [
+                (n - 1) * (p**i - p ** (i - 1)) // 2 for i in range(1, r + 1)
+            ]
+        else:
+            assert out["b"] * n - out["a"] * q == 1 and out["identity"] is True
 
 
 def test_corpus_reaches_every_galois_label():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seljac import cli
-from seljac.arith import coprime_pairs, prime_power
+from seljac.arith import prime_power
 from seljac.decompose import (
     AlgebraFactor,
     EndAlgebraDescription,
@@ -16,7 +16,7 @@ from seljac.decompose import (
     predict_nonisotrivial,
 )
 from seljac.galois import GaloisLabel
-from seljac.lattice import genus_formula, validate_pair
+from seljac.lattice import coprime_pairs, genus_formula, validate_pair
 from seljac.poly import geometric_poly
 
 VALID_PAIRS = [

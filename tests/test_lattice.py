@@ -9,10 +9,12 @@ from hypothesis import given, strategies as st
 from seljac import lattice
 from seljac.lattice import (
     Pair,
+    coprime_pairs,
     full_spectrum,
     genus_formula,
     genus_lattice,
     interior_points,
+    prime_pair,
     validate_pair,
 )
 from seljac.arith import euler_phi_prime_power, prime_power
@@ -247,9 +249,35 @@ def test_validate_pair_rejects(n, q):
     with pytest.raises(ValueError) as info:
         validate_pair(n, q)
     assert str(info.value) == _REJECTED[n, q]
+    # given p and r of a prime power q, prime_pair says the same
+    if prime_power(q) is not None:
+        with pytest.raises(ValueError) as info:
+            prime_pair(n, *prime_power(q))
+        assert str(info.value) == _REJECTED[n, q]
 
 
 def test_validate_pair_returns_factorization():
     assert validate_pair(3, 8) == Pair(3, 8, 2, 3)
     assert validate_pair(4, 9) == Pair(4, 9, 3, 2)
     assert validate_pair(4, 9)._asdict() == {"n": 4, "q": 9, "p": 3, "r": 2}
+    for n, q in VALID_PAIRS:
+        assert prime_pair(n, *prime_power(q)) == validate_pair(n, q)
+    assert prime_pair(3, 1000000007, 2) == Pair(3, 1000000007**2, 1000000007, 2)
+
+
+def test_coprime_pairs_match_validate_pair():
+    # the sieve's pairs against factoring each q again
+    pairs = list(coprime_pairs(range(3, 31), 512))
+    assert all(type(pair) is Pair for pair in pairs)
+    assert pairs == [
+        validate_pair(n, q)
+        for n in range(3, 31)
+        for q in range(2, 513)
+        if prime_power(q) is not None and math.gcd(n, q) == 1
+    ]
+
+
+def test_coprime_pairs_reject_small_n():
+    pairs = coprime_pairs([2, 3], 9)
+    with pytest.raises(ValueError, match=r"^degree n must be >= 3, got 2$"):
+        next(pairs)

@@ -10,7 +10,8 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from seljac import cli, kernels
-from seljac.arith import coprime_pairs, prime_power, prime_powers_upto
+from seljac.arith import prime_power, prime_powers_upto
+from seljac.lattice import coprime_pairs
 from seljac.obstruction import (
     FeasibilityReport,
     InvariantMultiplierReport,
