@@ -4,12 +4,15 @@ with deterministic text or JSON output.
 Each handler builds one payload per output record and passes it to `_emit`
 with a text renderer: `--format json` prints the payload itself, `--format
 text` prints the renderer's reading of it, so both formats come from the
-same payload, and one encoder writes every JSON record, an exact Fraction
-as its text. A library result is an immutable named tuple, which the
-encoder would write as an array, so a payload holds its fields,
-`record._asdict()`, and a text renderer reads the record's attributes;
-the two scans print each report that way through `_emit_records`.
-`spectrum` is the exception: its up to 2^20 - 1 multiplicities are
+same payload, and one encoder writes each such JSON record, an exact
+Fraction as its text. A library result is an immutable named tuple, which
+the encoder would write as an array, so a payload holds its fields,
+`record._asdict()`, and a text renderer reads the record's attributes.
+The two scans write their reports through `_emit_records`, one line each
+and all through one `writelines`: a text renderer, or a JSON one that
+fills a fixed template with the line the encoder would write for the
+report's `_asdict()`, which the tests check record by record.
+`spectrum` writes its own way too: its up to 2^20 - 1 multiplicities are
 formatted by C loops over ranges of exponents, with no dict between, and
 written as they are made, so its memory does not grow with q: the text
 `SPECTRUM_SLICE` lines at a time, the JSON one group of keys at a time
@@ -87,11 +90,11 @@ def _emit(args, payload, text) -> None:
     print(_dump(payload) if args.format == "json" else text(payload))
 
 
-def _emit_records(args, records, text) -> None:
-    """Print one line per library record: its fields as JSON, or
+def _emit_records(args, records, text, json_line) -> None:
+    """Write one line per library record: json_line(record) as JSON, or
     text(record) as text."""
-    for record in records:
-        print(_dump(record._asdict()) if args.format == "json" else text(record))
+    render = json_line if args.format == "json" else text
+    sys.stdout.writelines(f"{render(record)}\n" for record in records)
 
 
 # The most decimal digits q = p**r may have: Python's default int-to-str
@@ -150,6 +153,25 @@ def _feasible_text(rep) -> str:
     return (
         f"n={rep.n} q={rep.q} feasible={rep.feasible} "
         f"b_count={rep.b_count} dim_w={rep.dim_w}"
+    )
+
+
+# The scans' JSON lines: `_dump(rep._asdict())` filled into a fixed
+# template, keys in sort_keys order. A list of ints prints as its JSON
+# array, and dim_w is the Fraction's text, as `_plain` writes it.
+def _cm_json(rep) -> str:
+    return (
+        f'{{"invariant_ms": {list(rep.invariant_ms)}, "n": {rep.n}, "p": {rep.p}, '
+        f'"q": {rep.q}, "r": {rep.r}, "zero_set_ms": {list(rep.zero_set_ms)}}}'
+    )
+
+
+def _feasible_json(rep) -> str:
+    return (
+        f'{{"b_count": {rep.b_count}, "dim_w": "{rep.dim_w}", '
+        f'"divisibility_ok": {"true" if rep.divisibility_ok else "false"}, '
+        f'"feasible": {"true" if rep.feasible else "false"}, '
+        f'"n": {rep.n}, "p": {rep.p}, "q": {rep.q}, "r": {rep.r}}}'
     )
 
 
@@ -317,13 +339,15 @@ def _cmd_cm_scan(args) -> int:
         raise ValueError("give --n or --n-max, not both")
     ns = range(args.n, args.n + 1) if args.n is not None else range(3, args.n_max + 1)
     _check_scan_limits(ns.stop - 1, args.q_max)
-    _emit_records(args, multiplier_sweep(ns, args.q_max), _cm_text)
+    _emit_records(args, multiplier_sweep(ns, args.q_max), _cm_text, _cm_json)
     return 0
 
 
 def _cmd_feasible_scan(args) -> int:
     _check_scan_limits(args.n_max, args.q_max)
-    _emit_records(args, feasibility_sweep(args.n_max, args.q_max), _feasible_text)
+    _emit_records(
+        args, feasibility_sweep(args.n_max, args.q_max), _feasible_text, _feasible_json
+    )
     return 0
 
 

@@ -1,11 +1,13 @@
 """Kernels for the obstruction scans over q = p**r with gcd(n, q) = 1.
 
 Both work over primitive residues (those not divisible by p). The
-multiplier scan finds its two stabilizer subgroups of (Z/q)^* from their
-Sylow parts with O(log q) exact membership tests, instead of testing every
-residue; the feasibility counts are closed-form interval counts. There is
-one implementation, in pure Python; `BACKEND` names it for benchmark
-reports.
+multiplier scan finds a stabilizer subgroup of (Z/q)^* from its Sylow
+parts with O(log q) exact membership tests, instead of testing every
+residue. It finds the zero-set stabilizer H0 first, and the function
+stabilizer H_f only when H0 is nontrivial: H_f lies in H0, and H0 is
+trivial at nearly every pair, so most pairs take one search, not two. The
+feasibility counts are closed-form interval counts. There is one
+implementation, in pure Python; `BACKEND` names it for benchmark reports.
 
 The unit-group data of an odd prime p (its least primitive root and the
 primes dividing p - 1) depends on p alone, so `_unit_group` computes it
@@ -36,9 +38,13 @@ def multiplier_scan(n: int, q: int, p: int) -> tuple[list[int], list[int]]:
     Each set plus 1 is a subgroup of (Z/q)^*: the first is the stabilizer of
     the function under i -> i*m, the second the setwise stabilizer of the
     finite zero set (m permutes the primitive residues, so "into" is
-    "onto"). `_stabilizer` pins each subgroup down from O(log q) membership
+    "onto"). `_stabilizer` pins a subgroup down from O(log q) membership
     tests; every test is the full check over all primitive i, so each
-    candidate m is still decided exactly.
+    candidate m is still decided exactly. An m fixing the function fixes
+    its zero set, so the first subgroup lies in the second: the zero-set
+    one is found first, and when it is trivial so is the function one,
+    with no test of its own. When q < n the zero set is empty and its
+    stabilizer is the whole group, so the function one is searched too.
     """
 
     def fixes_function(m: int) -> bool:
@@ -55,7 +61,8 @@ def multiplier_scan(n: int, q: int, p: int) -> tuple[list[int], list[int]]:
                 return False
         return True
 
-    return _stabilizer(q, p, fixes_function), _stabilizer(q, p, fixes_zero_set)
+    zero_ms = _stabilizer(q, p, fixes_zero_set)
+    return (_stabilizer(q, p, fixes_function) if zero_ms else []), zero_ms
 
 
 def _stabilizer(q: int, p: int, member: Callable[[int], bool]) -> list[int]:

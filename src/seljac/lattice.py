@@ -181,7 +181,8 @@ class EigenSpectrum(NamedTuple):
     runs of equal value; q = p**r.
 
     `total()` sums over the runs, and `primitive_total()` takes off the
-    entries at multiples of p; every sum is a C loop. `multiplicities`
+    entries at multiples of p, which sum the same way; every sum takes at
+    most min(n, q) - 1 terms in a C loop. `multiplicities`
     reads the same numbers per exponent, in ascending order of i, from a
     view that stores nothing of size q; `multiplicities_over` reads them
     over any range of exponents, which is how `spectrum` prints them.
@@ -207,8 +208,9 @@ class EigenSpectrum(NamedTuple):
 
     def primitive_total(self) -> int:
         """The total over exponents i prime to p: the total minus the
-        q/p - 1 entries at i = p, 2p, ..."""
-        return self.total() - sum(self.multiplicities_over(range(self.p, self.q, self.p)))
+        entries at i = p*k, k = 1..q/p - 1. Since floor(n*p*k/q) =
+        floor(n*k/(q/p)), those sum to the total of the pair (n, q/p)."""
+        return self.total() - _count_below(self.n, self.q // self.p)
 
 
 def full_spectrum(pair: Pair) -> EigenSpectrum:

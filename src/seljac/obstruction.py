@@ -8,7 +8,9 @@ Two independent obstructions to extra symmetry of the eigenvalue data:
   plus 1, form a subgroup of (Z/q)^*, the stabilizer of the function, and
   so do the m preserving its zero set; each subgroup is fixed by its Sylow
   parts from O(log q) membership tests, each an exact check over every
-  primitive i, so every candidate m is still decided exactly;
+  primitive i, so every candidate m is still decided exactly. The first
+  subgroup lies in the second, so it is searched only when the second is
+  nontrivial, which is rare;
 * square-case feasibility: necessary conditions for the centralizer
   square scenario, which single out (n, q) = (3, 4); counted in closed
   form over intervals of residues, and decided in integers.

@@ -20,7 +20,7 @@ from hypothesis import given, strategies as st
 import seljac
 from seljac import arith, cli, decompose, lattice, model
 from seljac.acceptance import CriterionResult
-from seljac.obstruction import square_case_feasible
+from seljac.obstruction import feasibility_sweep, multiplier_sweep, square_case_feasible
 from seljac.parse import MAX_EXPONENT
 from seljac.poly import Poly
 
@@ -471,6 +471,25 @@ def test_shared_encoder_writes_a_report_as_its_fields(capsys):
     code, out, _ = run(capsys, "feasible-scan", "--n-max", "3", "--q-max", "2")
     assert (code, out) == (0, cli._dump(report._asdict()) + "\n")
     assert json.loads(out) == {**report._asdict(), "dim_w": "1/2"}
+
+
+def test_cm_json_template_matches_encoder():
+    # every record of the cm-scan benchmark, the 26 with zero-set-only
+    # multipliers among them, and q < n records with long zero_set_ms
+    records = list(multiplier_sweep(range(3, 13), 2048))
+    assert sum(1 for rep in records if rep.zero_set_ms) == 26
+    long_sets = list(multiplier_sweep([40], 32))
+    assert max(len(rep.zero_set_ms) for rep in long_sets) == 29  # q = 31
+    for rep in records + long_sets:
+        assert cli._cm_json(rep) == cli._dump(rep._asdict()), rep
+
+
+def test_feasible_json_template_matches_encoder():
+    records = list(feasibility_sweep(50, 1024))
+    assert {str(rep.dim_w) for rep in records if rep.q == 2} == {"1/2"}
+    assert any(rep.feasible for rep in records) and any(rep.divisibility_ok for rep in records)
+    for rep in records:
+        assert cli._feasible_json(rep) == cli._dump(rep._asdict()), rep
 
 
 def test_scan_over_pairs_without_coprime_q_is_empty(capsys):

@@ -125,7 +125,7 @@ def _interior_points_oracle(n, q):
 def _primitive_total_oracle(spec):
     # the per-entry filter that primitive_total replaced
     p, _ = prime_power(spec.q)
-    return sum(m for i, m in spec.multiplicities.items() if i % p != 0)
+    return sum(m for i, m in zip(spec.multiplicities, spec.multiplicities.values()) if i % p)
 
 
 ORACLE_PAIRS = [
@@ -166,6 +166,15 @@ def test_genus_lattice_builds_nothing_of_size_q_or_n(n, q):
 def test_primitive_total_matches_oracle(pair):
     spec = full_spectrum(validate_pair(*pair))
     assert spec.primitive_total() == _primitive_total_oracle(spec)
+
+
+def test_primitive_total_matches_oracle_exhaustively():
+    # every pair with n in 3..20 and q <= 2048, so n > q and r >= 2 both occur
+    pairs = list(coprime_pairs(range(3, 21), 2048))
+    assert any(n > q for n, q, _, _ in pairs) and any(r >= 2 for *_, r in pairs)
+    for pair in pairs:
+        spec = full_spectrum(pair)
+        assert spec.primitive_total() == _primitive_total_oracle(spec), pair
 
 
 def test_primitive_mass_fixtures():

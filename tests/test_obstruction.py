@@ -201,6 +201,23 @@ def test_multiplier_scan_matches_loop():
         assert kernels.multiplier_scan(n, q, p) == _multiplier_scan_loop(n, q, p), (n, q)
 
 
+def test_function_stabilizer_searched_only_when_zero_set_one_is_not_trivial(monkeypatch):
+    # the function stabilizer lies in the zero-set one, so a scan searches
+    # it only at pairs whose zero-set stabilizer is nontrivial
+    calls = []
+    stabilizer = kernels._stabilizer
+
+    def counted(q, p, member):
+        calls.append(q)
+        return stabilizer(q, p, member)
+
+    monkeypatch.setattr(kernels, "_stabilizer", counted)
+    reports = list(multiplier_sweep(range(3, 13), 2048))  # the criterion-3 pairs
+    with_zero_set = sum(1 for rep in reports if rep.zero_set_ms)
+    assert with_zero_set == 26
+    assert len(calls) == len(reports) + with_zero_set
+
+
 def _generated(gens, q):
     """The subgroup of (Z/q)^* generated by gens, by closing under products."""
     group = {1}
