@@ -58,7 +58,6 @@ from .galois import (
     classify_cubic_rational,
     classify_quartic_geometric,
     classify_quartic_rational,
-    discriminant_in_t,
     require_squarefree,
 )
 from .heart import GROUPS, PermGroup, heart_centralizer_dim, is_doubly_transitive
@@ -374,12 +373,13 @@ def _cmd_galois(args) -> int:
             raise ValueError(
                 f"geometric classification needs degree 3 or 4, got {base.degree}"
             )
+        label, disc_t = classify(base)
         payload = {
             "poly": f"{base.to_text()} - t",
             "degree": base.degree,
             "route": "geometric",
-            "label": str(classify(base)),
-            "disc_t": discriminant_in_t(base).to_text("t"),
+            "label": str(label),
+            "disc_t": disc_t.to_text("t"),
         }
     _emit(args, payload, lambda pl: pl["label"])
     return 0

@@ -199,9 +199,10 @@ def discriminant_in_t(g: Poly) -> Poly:
     """disc_x(g(x) - t) as an exact polynomial in t.
 
     The degree in t is exactly deg(g) - 1 (one factor g(theta) - t per
-    critical point theta); computed by interpolating resultant-based
-    discriminants at deg(g) + 1 nodes, one node more than needed, so the
-    degree assertion doubles as a consistency check."""
+    critical point theta). It is interpolated in Newton's form from the
+    resultant-based discriminants of g - tau at the deg(g) + 1 nodes
+    tau = 0, ..., deg(g), one node more than needed, so the degree
+    assertion doubles as a consistency check."""
     n = g.degree
     if n < 2:
         raise ValueError("need degree >= 2")
@@ -215,8 +216,9 @@ def discriminant_in_t(g: Poly) -> Poly:
     return out
 
 
-def classify_cubic_geometric(g: Poly) -> GaloisLabel:
-    """Galois group of g(x) - t over the closure of Q(t), g a monic cubic.
+def classify_cubic_geometric(g: Poly) -> tuple[GaloisLabel, Poly]:
+    """Galois group of g(x) - t over the closure of Q(t), g a monic cubic,
+    and the discriminant disc_x(g(x) - t) in t that decides it.
 
     g(x) - t is always irreducible there (linear and primitive in t), and
     always separable over Q(t), so non-squarefree g such as x^3 is fine;
@@ -225,13 +227,14 @@ def classify_cubic_geometric(g: Poly) -> GaloisLabel:
         raise ValueError(f"expected degree 3, got {g.degree}")
     if g.lc != 1:
         raise ValueError("g must be monic")
-    is_square = geometric_square_test(discriminant_in_t(g))
-    return GaloisLabel.C3 if is_square else GaloisLabel.S3
+    disc = discriminant_in_t(g)
+    return (GaloisLabel.C3 if geometric_square_test(disc) else GaloisLabel.S3), disc
 
 
-def classify_quartic_geometric(g: Poly) -> GaloisLabel:
+def classify_quartic_geometric(g: Poly) -> tuple[GaloisLabel, Poly]:
     """Galois group of g(x) - t over the closure of Q(t), g a monic quartic
-    whose depressed form has a nonzero linear coefficient.
+    whose depressed form has a nonzero linear coefficient, and the
+    discriminant disc_x(g(x) - t) in t that decides it.
 
     That coefficient certifies the resolvent cubic of the family stays
     irreducible (its two t-coefficients A(z) = 4(z - P) and
@@ -247,5 +250,5 @@ def classify_quartic_geometric(g: Poly) -> GaloisLabel:
         raise ValueError(
             "outside supported family: depressed quartic needs a nonzero linear term"
         )
-    is_square = geometric_square_test(discriminant_in_t(g))
-    return GaloisLabel.A4 if is_square else GaloisLabel.S4
+    disc = discriminant_in_t(g)
+    return (GaloisLabel.A4 if geometric_square_test(disc) else GaloisLabel.S4), disc

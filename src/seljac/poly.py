@@ -8,6 +8,12 @@ structurally equal, and the ring operations run on Python ints; only the
 contents are `Fraction`s. `coeffs` gives the rational coefficients as
 `Fraction`s, built on each access.
 
+Division and the gcd share one integer pseudo-division loop: `divmod`
+scales its quotient and remainder by one `Fraction` at the end, and
+`poly_gcd` runs a primitive pseudo-remainder sequence that builds no
+`Fraction` until its monic result. `lagrange_interpolate` uses Newton's
+divided differences and one Horner pass.
+
 >>> f = Poly([-1, -1, 0, 1])     # x^3 - x - 1
 >>> f.to_text()
 'x^3 - x - 1'
@@ -53,6 +59,34 @@ def _scaled(vec: list[int], scale: Fraction) -> Poly:
     """The polynomial scale * vec, for any integer vector."""
     ints, g = _primitive(vec)
     return Poly._make(ints, scale * g)
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(quot, rem, scale) with scale * a = quot * b + rem over the integers
+    and len(rem) = len(b) - 1, for integer vectors with len(a) >= len(b)
+    and b[-1] != 0. quot, rem and scale are multiplied by lc(b)/gcd only
+    when a leading term is not divisible by lc(b)."""
+    n = len(b)
+    dq = len(a) - n
+    lb = b[-1]
+    rem = list(a)
+    quot = [0] * (dq + 1)
+    scale = 1
+    for k in range(dq, -1, -1):
+        r = rem[k + n - 1]
+        if not r:
+            continue
+        g = math.gcd(r, lb)
+        m = lb // g
+        if m != 1:
+            rem = [m * v for v in rem]
+            quot = [m * v for v in quot]
+            scale *= m
+        c = r // g
+        quot[k] = c
+        rem[k : k + n] = map(sub, rem[k : k + n], map(c.__mul__, b))
+    del rem[n - 1 :]
+    return quot, rem, scale
 
 
 def _homogeneous(ints: Sequence[int], a: int, b: int) -> int:
@@ -222,31 +256,9 @@ class Poly:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
-        b = other.ints
-        n = len(b)
-        dq = len(self.ints) - n
-        if dq < 0:
+        if len(self.ints) < len(other.ints):
             return Poly(), self
-        # Pseudo-division on the integer vectors: scale * a = quot * b + rem,
-        # where rem and quot are multiplied by lc(b)/gcd only when a leading
-        # term is not divisible by lc(b).
-        lb = b[-1]
-        rem = list(self.ints)
-        quot = [0] * (dq + 1)
-        scale = 1
-        for k in range(dq, -1, -1):
-            r = rem[k + n - 1]
-            if not r:
-                continue
-            g = math.gcd(r, lb)
-            m = lb // g
-            if m != 1:
-                rem = [m * v for v in rem]
-                quot = [m * v for v in quot]
-                scale *= m
-            c = r // g
-            quot[k] = c
-            rem[k : k + n] = map(sub, rem[k : k + n], map(c.__mul__, b))
+        quot, rem, scale = _pseudo_divmod(self.ints, other.ints)
         ca = self.content
         return _scaled(quot, ca / (other.content * scale)), _scaled(rem, ca / scale)
 
@@ -315,12 +327,22 @@ def _promote(v):
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q (gcd with the zero polynomial is the other one, monic)."""
-    while b:
-        a, b = b, a % b
-    if not a:
+    """Monic gcd over Q (gcd with the zero polynomial is the other one, monic).
+
+    A primitive pseudo-remainder sequence on the integer vectors: each
+    remainder is divided by the gcd of its entries, so the entries stay
+    small, and a nonzero constant remainder ends it with gcd 1. The only
+    `Fraction` built is the content of the monic result."""
+    u, v = a.ints, b.ints
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        u, v = v, _primitive(_pseudo_divmod(u, v)[1])[0]
+    if v:
+        return Poly._make((1,), _ONE)
+    if not u:
         return Poly()
-    return a.monic()
+    return Poly._make(u, Fraction(1, u[-1]))
 
 
 def resultant(f: Poly, g: Poly) -> Fraction:
@@ -411,18 +433,19 @@ def reversed_poly(f: Poly, n: int) -> Poly:
 
 def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
     """Unique polynomial of degree < len(points) through the given points
-    (nodes must be distinct)."""
+    (nodes must be distinct).
+
+    Newton's form: the divided differences c_0, ..., c_(n-1) of the values
+    give p = c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)), built by one
+    Horner pass of n products with a linear factor."""
     nodes = [x for x, _ in points]
     if len(set(nodes)) != len(nodes):
         raise ValueError("interpolation nodes must be distinct")
+    c = [y for _, y in points]
+    for j in range(1, len(c)):
+        for i in range(len(c) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (nodes[i] - nodes[i - j])
     result = Poly()
-    for i, (xi, yi) in enumerate(points):
-        if not yi:
-            continue
-        term = Poly.const(yi)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            term = term * Poly([-xj, 1]) / (xi - xj)
-        result = result + term
+    for xi, ci in zip(reversed(nodes), reversed(c)):
+        result = result * Poly([-xi, 1]) + ci
     return result

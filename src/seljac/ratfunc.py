@@ -3,12 +3,21 @@
 The denominator is normalized monic and coprime to the numerator, so
 equality is structural. Text output clears denominators to integers
 (e.g. -6912/(27*t^2 - 4)) while the internal form stays monic.
+
+The public constructor normalizes with one gcd. The field operations
+keep their operands' lowest terms and cancel across them instead
+(Henrici; Knuth, TAOCP vol. 2, 4.5.1): a sum takes g = gcd(d1, d2) and
+reduces the new numerator only by its gcd with g, which is nothing when
+g = 1; a product cancels gcd(n1, d2) and gcd(n2, d1); powers, negation
+and scalar factors build their result with no gcd at all.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .poly import Poly, _promote, poly_gcd
+
+_ONE = Poly.one()
 
 
 class RatFunc:
@@ -33,6 +42,15 @@ class RatFunc:
                 pn, pd = pn * inv, pd * inv
         self.num: Poly = pn
         self.den: Poly = pd
+
+    @classmethod
+    def _make(cls, num: Poly, den: Poly) -> RatFunc:
+        """A RatFunc from num/den already in lowest terms with den monic
+        (the zero function as 0/1)."""
+        r = object.__new__(cls)
+        r.num = num
+        r.den = den
+        return r
 
     @classmethod
     def var(cls) -> RatFunc:
@@ -73,10 +91,23 @@ class RatFunc:
         other = _to_ratfunc(other)
         if other is None:
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        # With g = gcd(d1, d2), a factor the new numerator shares with the
+        # denominator divides g, so the sum is reduced by its gcd with g
+        # alone, and is in lowest terms when g = 1. A zero sum has d1 = d2
+        # = g and comes out as 0/1 on either branch.
+        g = poly_gcd(d1, d2)
+        if not g.degree:
+            return RatFunc._make(n1 * d2 + n2 * d1, d1 * d2)
+        e1 = d1 // g
+        num = n1 * (d2 // g) + n2 * e1
+        h = poly_gcd(num, g)
+        if h.degree:
+            num, d2 = num // h, d2 // h
+        return RatFunc._make(num, e1 * d2)
 
     def __neg__(self) -> RatFunc:
-        return RatFunc(-self.num, self.den)
+        return RatFunc._make(-self.num, self.den)
 
     def __sub__(self, other) -> RatFunc:
         other = _to_ratfunc(other)
@@ -85,25 +116,44 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other) -> RatFunc:
+        if isinstance(other, (int, Fraction)):
+            return RatFunc._make(self.num * other, self.den if other else _ONE)
         other = _to_ratfunc(other)
         if other is None:
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        # A zero factor 0/1 has gcd(0, d) = d, which cancels the other
+        # denominator whole, so a zero product comes out as 0/1 too.
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        g1 = poly_gcd(n1, d2)
+        if g1.degree:
+            n1, d2 = n1 // g1, d2 // g1
+        g2 = poly_gcd(n2, d1)
+        if g2.degree:
+            n2, d1 = n2 // g2, d1 // g2
+        return RatFunc._make(n1 * n2, d1 * d2)
 
     def __truediv__(self, other) -> RatFunc:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by zero rational function")
+            return RatFunc._make(self.num / other, self.den)
         other = _to_ratfunc(other)
         if other is None:
             return NotImplemented
-        if not other:
+        return self * other._inverse()
+
+    def _inverse(self) -> RatFunc:
+        if not self:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        inv = 1 / self.num.lc
+        return RatFunc._make(self.den * inv, self.num * inv)
 
     def __pow__(self, e: int) -> RatFunc:
         if e < 0:
             if not self:
                 raise ZeroDivisionError("negative power of zero")
-            return RatFunc(self.den, self.num) ** (-e)
-        return RatFunc(self.num**e, self.den**e)
+            return self._inverse() ** (-e)
+        return RatFunc._make(self.num**e, self.den**e)
 
     # ---- text ----
 
@@ -135,5 +185,6 @@ def _to_ratfunc(v) -> RatFunc | None:
     if isinstance(v, RatFunc):
         return v
     if isinstance(v, (Poly, int, Fraction)):
-        return RatFunc(v)
+        return RatFunc._make(_promote(v), _ONE)
     return None
+

@@ -1,9 +1,11 @@
 """Reference polynomial arithmetic on tuples of `Fraction`s, for the tests.
 
 This is the coefficient-by-coefficient arithmetic `seljac.poly.Poly` used
-before it stored a primitive integer vector plus one rational content. A
-polynomial here is a tuple of Fractions, lowest degree first, with
-trailing zeros stripped; the zero polynomial is `()`.
+before it stored a primitive integer vector plus one rational content,
+with the slow paths `seljac.poly` has since replaced: the Euclidean gcd
+over Q, Yun's squarefree decomposition built on it, and interpolation in
+Lagrange's form. A polynomial here is a tuple of Fractions, lowest degree
+first, with trailing zeros stripped; the zero polynomial is `()`.
 """
 from __future__ import annotations
 
@@ -56,6 +58,57 @@ def divmod_(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         for j, d in enumerate(b):
             rem[k + j] -= c * d
     return normalize(quot), normalize(rem)
+
+
+def derivative(a) -> tuple[Fraction, ...]:
+    return normalize(k * c for k, c in enumerate(a) if k)
+
+
+def monic(a) -> tuple[Fraction, ...]:
+    return tuple(c / a[-1] for c in a)
+
+
+def gcd(a, b) -> tuple[Fraction, ...]:
+    """Monic gcd by Euclid's algorithm on the rational coefficients."""
+    while b:
+        a, b = b, divmod_(a, b)[1]
+    return monic(a) if a else ()
+
+
+def squarefree(a) -> list[tuple[tuple[Fraction, ...], int]]:
+    """Yun's algorithm with `gcd`: monic squarefree pairwise-coprime
+    (g_i, m_i) with a = lc(a) * prod g_i**m_i; [] for a nonzero constant."""
+    if len(a) < 2:
+        return []
+    w = monic(a)
+    a0 = gcd(w, derivative(w))
+    b = divmod_(w, a0)[0]
+    c = divmod_(derivative(w), a0)[0]
+    d = add(c, neg(derivative(b)))
+    out = []
+    i = 1
+    while len(b) > 1:
+        g = gcd(b, d)
+        if len(g) > 1:
+            out.append((g, i))
+        b = divmod_(b, g)[0]
+        c = divmod_(d, g)[0]
+        d = add(c, neg(derivative(b)))
+        i += 1
+    return out
+
+
+def lagrange(points) -> tuple[Fraction, ...]:
+    """The polynomial through the points, summed in Lagrange's form:
+    y_i * prod_(j != i) (x - x_j) / (x_i - x_j)."""
+    result = ()
+    for i, (xi, yi) in enumerate(points):
+        term = normalize([yi])
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                term = tuple(c / (xi - xj) for c in mul(term, (-Fraction(xj), Fraction(1))))
+        result = add(result, term)
+    return result
 
 
 def evaluate(a, x) -> Fraction:

@@ -287,6 +287,15 @@ _LARGE_P_PAIRS = [
     ("model-check", "--poly", "x^3 + x + 1", "--p", "1000000007", "--r", "2"),
 ]
 
+# Cubics in x with t in the leading coefficient, whose j-invariants add
+# and divide rational functions with shared denominator factors; and a
+# geometric quartic with two-digit coefficients.
+_QT_ALGEBRA = [
+    ("jinv", "--poly", "x^3 + t*x^3 + t*x^2 - 2*x + t"),
+    ("jinv", "--poly", "t*x^3 - t*x + 1"),
+    ("galois", "--poly", "x^4 - 41*x^2 + 51*x - 48 - t"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -312,6 +321,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _GENUS_LARGE for v in _both(*argv)),
     *(v for argv in _SPECTRUM_GROUPS for v in _both(*argv)),
     *(v for argv in _LARGE_P_PAIRS for v in _both(*argv)),
+    *(v for argv in _QT_ALGEBRA for v in _both(*argv)),
 ]
 
 

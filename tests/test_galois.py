@@ -387,10 +387,11 @@ def test_geometric_square_test():
 )
 def test_geometric_fixtures(coeffs, label):
     f = Poly(coeffs)
-    got = (
+    got, disc = (
         classify_cubic_geometric(f) if f.degree == 3 else classify_quartic_geometric(f)
     )
     assert got is label
+    assert disc == discriminant_in_t(f)
 
 
 def test_geometric_rejects():
@@ -416,10 +417,29 @@ def test_geometric_quartics_are_symmetric():
         if g.shift(-g.coeff(3) / 4).coeff(1) == 0:
             continue
         seen += 1
-        assert classify_quartic_geometric(g) is GaloisLabel.S4
+        assert classify_quartic_geometric(g)[0] is GaloisLabel.S4
 
 
 def test_geometric_specializes_consistently():
     # the family x^3 - x - t at t = 1 keeps the full symmetric group
-    assert classify_cubic_geometric(Poly([0, -1, 0, 1])) is GaloisLabel.S3
+    assert classify_cubic_geometric(Poly([0, -1, 0, 1]))[0] is GaloisLabel.S3
     assert classify_cubic_rational(Poly([-1, -1, 0, 1])) is GaloisLabel.S3
+
+
+@pytest.mark.parametrize("poly", ["x^3 - x - t", "x^4 - 41*x^2 + 51*x - 48 - t"])
+def test_geometric_query_interpolates_once(capsys, monkeypatch, poly):
+    # the classifier hands back the discriminant it decided with, and the
+    # galois handler prints that one instead of computing it again
+    from seljac import cli
+
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return discriminant_in_t(g)
+
+    monkeypatch.setattr(galois, "discriminant_in_t", counting)
+    monkeypatch.setattr(cli, "discriminant_in_t", counting, raising=False)
+    assert cli.main(["galois", "--poly", poly, "--format", "json"]) == 0
+    assert len(calls) == 1
+    assert '"disc_t": "' in capsys.readouterr().out

@@ -245,6 +245,74 @@ def test_lagrange_roundtrip(coeffs):
     assert lagrange_interpolate(pts) == f
 
 
+def _random_fraction(rng, top=9) -> Fraction:
+    return Fraction(rng.randint(-top, top), rng.randint(1, 6))
+
+
+def _scaled_product(rng, factors) -> tuple[Fraction, ...]:
+    """A random nonzero scale (fractional, of either sign) times the
+    product of the given oracle polynomials."""
+    out = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)),)
+    for f in factors:
+        out = oracle.mul(out, f)
+    return out
+
+
+def _shared_factor_pairs(seed: int, count: int = 60):
+    """(a, b) as oracle polynomials: zero, constants, and random
+    polynomials (possibly zero) times a common product of up to three
+    linear factors, under fractional contents of either sign."""
+    yield from [
+        ((), ()),
+        ((), (Fraction(-3, 7),)),
+        ((Fraction(5),), (Fraction(1, 2), Fraction(-1))),
+        ((), (Fraction(2), Fraction(-4, 3), Fraction(-6))),
+        ((Fraction(1), Fraction(2), Fraction(1)), (Fraction(-3), Fraction(-3))),
+    ]
+    rng = random.Random(seed)
+    for _ in range(count):
+        shared = [(_random_fraction(rng, 4), Fraction(1)) for _ in range(rng.randint(0, 3))]
+        a = [oracle.normalize(_random_fraction(rng) for _ in range(rng.randint(1, 4)))]
+        b = [oracle.normalize(_random_fraction(rng) for _ in range(rng.randint(1, 4)))]
+        yield _scaled_product(rng, shared + a), _scaled_product(rng, shared + b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gcd_matches_euclid_oracle(seed):
+    for a, b in _shared_factor_pairs(seed):
+        want = oracle.gcd(a, b)
+        assert poly_gcd(Poly(a), Poly(b)).coeffs == want
+        assert poly_gcd(Poly(b), Poly(a)).coeffs == want
+        _assert_normal_form(poly_gcd(Poly(a), Poly(b)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_squarefree_matches_yun_oracle(seed):
+    rng = random.Random(seed)
+    roots = [_random_fraction(rng, 3) for _ in range(4)]
+    for a, b in _shared_factor_pairs(seed):
+        # repeated linear factors over a few roots, so multiplicities merge
+        powers = [(-rng.choice(roots), Fraction(1)) for _ in range(rng.randint(0, 5))]
+        for f in (a, oracle.mul(a, b), _scaled_product(rng, powers + [b])):
+            if not f:
+                continue
+            got = [(g.coeffs, m) for g, m in squarefree_decomposition(Poly(f))]
+            assert got == oracle.squarefree(f)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lagrange_matches_lagrange_form_oracle(seed):
+    rng = random.Random(seed)
+    for n in range(8):
+        for _ in range(6):
+            nodes = {_random_fraction(rng, 20) for _ in range(n)}
+            # values with zeros among them, on nodes of either sign
+            pts = [(x, rng.choice((Fraction(0), _random_fraction(rng, 50)))) for x in nodes]
+            got = lagrange_interpolate(pts)
+            _assert_normal_form(got)
+            assert got.coeffs == oracle.lagrange(pts)
+
+
 @given(poly_st, coeff_st)
 def test_shift_is_composition(f, c):
     assert f.shift(c) == f.compose(Poly([c, 1]))

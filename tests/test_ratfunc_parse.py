@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seljac.parse import MAX_EXPONENT, parse_q_poly, parse_x_poly, t_linear_base
-from seljac.poly import Poly
+from seljac.poly import Poly, poly_gcd
 from seljac.ratfunc import RatFunc
 
 coeff_st = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -54,6 +54,104 @@ def test_pow_consistency(a):
     assert a**3 == a * a * a
     if a:
         assert a**-2 == RatFunc.one() / (a * a)
+
+
+# Numerators and denominators built from a few shared linear factors, so
+# that two operands often share some denominator factors but not all, and
+# a numerator often cancels against the other operand's denominator.
+_FACTORS = (Poly([0, 1]), Poly([1, 1]), Poly([-2, 1]), Poly([Fraction(1, 2), 3]))
+_exps_st = st.lists(st.integers(0, 2), min_size=len(_FACTORS), max_size=len(_FACTORS))
+
+
+def _factored(args) -> RatFunc:
+    num, num_exps, scale, den_exps = args
+    den = Poly.const(scale)
+    for f, e, k in zip(_FACTORS, den_exps, num_exps):
+        num, den = num * f**k, den * f**e
+    return RatFunc(num, den)
+
+
+factored_st = st.tuples(poly_st, _exps_st, coeff_st.filter(bool), _exps_st).map(_factored)
+operand_st = st.one_of(
+    factored_st, poly_st, coeff_st, st.integers(-3, 3), st.just(0), st.just(RatFunc.zero())
+)
+
+
+def _assert_lowest_terms(r: RatFunc):
+    assert r.den.lc == 1
+    if not r.num:
+        assert r.den == Poly.one()
+    assert r.num.degree <= 0 or poly_gcd(r.num, r.den) == Poly.one()
+
+
+def _as_ratfunc(v) -> RatFunc:
+    return v if isinstance(v, RatFunc) else RatFunc(v)
+
+
+@given(factored_st, operand_st)
+def test_field_operations_match_normalizing_oracle(a, b):
+    # the oracle builds each result through the public constructor, which
+    # takes one full gcd of the unreduced numerator and denominator
+    rb = _as_ratfunc(b)
+    n1, d1, n2, d2 = a.num, a.den, rb.num, rb.den
+    cases = [
+        (a + b, RatFunc(n1 * d2 + n2 * d1, d1 * d2)),
+        (a - b, RatFunc(n1 * d2 - n2 * d1, d1 * d2)),
+        (a * b, RatFunc(n1 * n2, d1 * d2)),
+        (-a, RatFunc(-n1, d1)),
+    ]
+    if n2:
+        cases.append((a / b, RatFunc(n1 * d2, d1 * n2)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    for got, want in cases:
+        _assert_lowest_terms(got)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+@given(factored_st, st.integers(-4, 4))
+def test_pow_matches_normalizing_oracle(a, e):
+    if e < 0 and not a:
+        with pytest.raises(ZeroDivisionError):
+            a**e
+        return
+    got = a**e
+    want = RatFunc(a.num**e, a.den**e) if e >= 0 else RatFunc(a.den**-e, a.num**-e)
+    _assert_lowest_terms(got)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_field_operation_edge_cases():
+    x = Poly.x()
+    # a zero sum of two polynomials: the branch with gcd(d1, d2) = 1
+    zero = RatFunc(Poly([1, 1])) + RatFunc(Poly([-1, -1]))
+    assert (zero.num, zero.den) == (Poly.zero(), Poly.one())
+    # a zero sum over a shared denominator
+    r = RatFunc(1, x * (x + 1))
+    zero = r - r
+    assert (zero.num, zero.den) == (Poly.zero(), Poly.one())
+    # cancellation to a constant: the whole of g cancels
+    s = RatFunc(x, x + 1) + RatFunc(1, x + 1)
+    assert (s.num, s.den) == (Poly.one(), Poly.one())
+    assert RatFunc(x + 1, x + 2) * RatFunc(3 * x + 6, x + 1) == 3
+    assert RatFunc(x + 1, x + 2) / RatFunc(x + 1, 5 * x + 10) == 5
+    # shared denominator factors: 1/(x(x+1)) + 1/(x(x-1)) = 2/((x+1)(x-1))
+    s = RatFunc(1, x * (x + 1)) + RatFunc(1, x * (x - 1))
+    assert (s.num, s.den) == (Poly.const(2), Poly([-1, 0, 1]))
+    # negative powers and scalars
+    r = RatFunc(2 * x, x - 3)
+    assert r**-2 == RatFunc((x - 3) ** 2, 4 * x * x)
+    assert r * Fraction(-3, 4) == RatFunc(-3 * x, 2 * x - 6)
+    assert r / 4 == RatFunc(x, 2 * x - 6)
+    assert r * 0 == RatFunc.zero() and (r * 0).den == Poly.one()
+    assert r + 0 == r and r - 2 == RatFunc(6, x - 3)
+    with pytest.raises(ZeroDivisionError):
+        r / 0
+    with pytest.raises(ZeroDivisionError):
+        r / RatFunc.zero()
+    with pytest.raises(ZeroDivisionError):
+        RatFunc.zero() ** -1
 
 
 def test_to_text_fixtures():
