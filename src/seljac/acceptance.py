@@ -23,7 +23,7 @@ from .galois import GaloisLabel, classify_cubic_geometric, classify_cubic_ration
 from .heart import PermGroup, heart_centralizer_dim
 from .lattice import coprime_pairs, full_spectrum, genus_formula, genus_lattice, validate_pair
 from .model import chart_identity_check, delta_chart_order, hurwitz_genus
-from .obstruction import invariant_automorphisms, square_case_feasible
+from .obstruction import feasibility_sweep, multiplier_sweep
 from .poly import Poly, geometric_poly, poly_gcd
 from .ratfunc import RatFunc
 
@@ -111,11 +111,10 @@ def criterion_3():
     nonempty = []
     zero_set_only = 0
     count = 0
-    for n, q, _, _ in coprime_pairs(range(3, 13), 2048):
+    for report in multiplier_sweep(range(3, 13), 2048):
         count += 1
-        report = invariant_automorphisms(n, q)
         if report.invariant_ms:
-            nonempty.append((n, q, report.invariant_ms))
+            nonempty.append((report.n, report.q, report.invariant_ms))
         if report.divergence:
             zero_set_only += 1
     if nonempty:
@@ -131,10 +130,10 @@ def criterion_4():
     """Square-case feasibility true exactly at (3, 4) for n<=50, q<=1024."""
     feasible = []
     count = 0
-    for n, q, _, _ in coprime_pairs(range(3, 51), 1024):
+    for report in feasibility_sweep(50, 1024):
         count += 1
-        if square_case_feasible(n, q).feasible:
-            feasible.append((n, q))
+        if report.feasible:
+            feasible.append((report.n, report.q))
     return feasible == [(3, 4)], f"{count} pairs screened, feasible set = {feasible}"
 
 

@@ -4,22 +4,12 @@ primitive residues mod q = p**r.
 Two independent obstructions to extra symmetry of the eigenvalue data:
 
 * multiplier scan: residues m that leave the multiplicity function
-  invariant under i -> i*m (none are expected to exist). The invariant m,
-  plus 1, form a subgroup of (Z/q)^*, the stabilizer of the function, and
-  so do the m preserving its zero set; each subgroup is fixed by its Sylow
-  parts from O(log q) membership tests, each an exact check over every
-  primitive i, so every candidate m is still decided exactly. The first
-  subgroup lies in the second, so it is searched only when the second is
-  nontrivial, which is rare;
+  invariant under i -> i*m. None do, and every m preserves its zero set
+  when q < n and none does when q > n; `kernels.multiplier_scan` states
+  these closed forms with their proof;
 * square-case feasibility: necessary conditions for the centralizer
   square scenario, which single out (n, q) = (3, 4); counted in closed
   form over intervals of residues, and decided in integers.
-
-The unit-group data the multiplier scan needs (the least primitive root
-mod p and the primes dividing p - 1) is computed once per prime p and
-process by `kernels._unit_group`, not once per (n, q). A CLI scan reaches
-only the primes up to its --q-max, so that memo holds at most
-pi(cli.SCAN_Q_MAX) entries.
 """
 from __future__ import annotations
 
@@ -99,8 +89,8 @@ class FeasibilityReport(NamedTuple):
 
 
 def invariant_automorphisms(n: int, q: int) -> InvariantMultiplierReport:
-    """Decide every m coprime to q with 1 < m < q exactly, through the
-    stabilizer subgroups that `kernels.multiplier_scan` computes."""
+    """Decide every m coprime to q with 1 < m < q exactly, by the closed
+    forms of `kernels.multiplier_scan`."""
     _, _, p, r = validate_pair(n, q)
     function_ms, zero_ms = multiplier_scan(n, q, p)
     return InvariantMultiplierReport(

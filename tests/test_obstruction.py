@@ -1,6 +1,5 @@
-"""Multiplier and feasibility scans, plus the subgroup-structured
-multiplier scan and the closed-form feasibility counts against the loops
-they replace."""
+"""Multiplier and feasibility scans, plus the closed-form multiplier scan
+and feasibility counts against the loops they replace."""
 import itertools
 import json
 import math
@@ -10,7 +9,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from seljac import cli, kernels
-from seljac.arith import prime_power, prime_powers_upto
+from seljac.arith import prime_power
 from seljac.lattice import coprime_pairs
 from seljac.obstruction import (
     FeasibilityReport,
@@ -201,111 +200,14 @@ def test_multiplier_scan_matches_loop():
         assert kernels.multiplier_scan(n, q, p) == _multiplier_scan_loop(n, q, p), (n, q)
 
 
-def test_function_stabilizer_searched_only_when_zero_set_one_is_not_trivial(monkeypatch):
-    # the function stabilizer lies in the zero-set one, so a scan searches
-    # it only at pairs whose zero-set stabilizer is nontrivial
-    calls = []
-    stabilizer = kernels._stabilizer
-
-    def counted(q, p, member):
-        calls.append(q)
-        return stabilizer(q, p, member)
-
-    monkeypatch.setattr(kernels, "_stabilizer", counted)
-    reports = list(multiplier_sweep(range(3, 13), 2048))  # the criterion-3 pairs
-    with_zero_set = sum(1 for rep in reports if rep.zero_set_ms)
-    assert with_zero_set == 26
-    assert len(calls) == len(reports) + with_zero_set
-
-
-def _generated(gens, q):
-    """The subgroup of (Z/q)^* generated by gens, by closing under products."""
-    group = {1}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = x * g % q
-            if y not in group:
-                group.add(y)
-                frontier.append(y)
-    return frozenset(group)
-
-
-def _all_subgroups(q, p):
-    """Every subgroup of (Z/q)^*: joins of cyclic subgroups until none is new."""
-    cyclic = {_generated([a], q) for a in range(1, q) if a % p}
-    subgroups = set(cyclic)
-    new = set(cyclic)
-    while new:
-        new = {
-            frozenset(x * y % q for x in s for y in c)
-            for s in new
-            for c in cyclic
-            if not c <= s
-        } - subgroups
-        subgroups |= new
-    return subgroups
-
-
-def test_stabilizer_finds_every_subgroup():
-    # real multiplicity data only gives the trivial group or the whole one,
-    # so drive the finder with every subgroup as a membership predicate
-    for q, p, _ in prime_powers_upto(256):
-        subgroups = _all_subgroups(q, p)
-        if q == 256:
-            # the three shapes of the p = 2 branch, 5^4 of order 16
-            assert _generated([q - 1, 5**4], q) in subgroups
-            assert _generated([5**4], q) in subgroups
-            assert _generated([q - 5**2], q) in subgroups
-        for h in subgroups:
-            calls = []
-
-            def member(m):
-                calls.append(m)
-                return m in h
-
-            assert kernels._stabilizer(q, p, member) == sorted(h - {1}), (q, sorted(h))
-            assert len(calls) <= 2 * q.bit_length(), (q, sorted(h))
-
-
-def test_stabilizer_lifts_the_primitive_root():
-    # 5 is the least primitive root mod 40487 but 5^40486 = 1 mod 40487^2,
-    # so only 5 + 40487 reaches the subgroup {1 + k*p} of order p
-    p = 40487
-    found = kernels._stabilizer(p * p, p, lambda m: m % p == 1)
-    assert found == list(range(p + 1, p * p, p))
-
-
-def _order(a, p):
-    """Multiplicative order of a mod p, by repeated multiplication."""
-    x, k = a % p, 1
-    while x != 1:
-        x, k = x * a % p, k + 1
-    return k
-
-
-def test_unit_group_memo_is_the_least_primitive_root():
-    for _, p, r in prime_powers_upto(3000):
-        if p == 2 or r > 1:
-            continue
-        g, primes = kernels._unit_group(p)
-        assert _order(g, p) == p - 1, p
-        assert all(_order(a, p) < p - 1 for a in range(1, g)), p
-        assert primes == tuple(
-            l for l in range(2, p) if (p - 1) % l == 0 and prime_power(l) == (l, 1)
-        )
-
-
-def test_multiplier_scan_same_with_memo_cold_and_warm():
-    pairs = list(coprime_pairs(range(3, 13), 512))
-    cold = []
-    for n, q, p, _ in pairs:
-        kernels._unit_group.cache_clear()
-        cold.append(kernels.multiplier_scan(n, q, p))
-    # n = 3 fills the memo for every p but 3, and n = 4 adds p = 3, so
-    # each later degree reads what an earlier scan left in it
-    kernels._unit_group.cache_clear()
-    warm = [kernels.multiplier_scan(n, q, p) for n, q, p, _ in pairs]
-    assert kernels._unit_group.cache_info().hits > 0
-    assert warm == cold
+def test_multiplier_scan_matches_loop_where_its_proof_turns():
+    # n < q < 4n is the last case of the zero-set proof, where m is 2 or 3
+    # and the witness is fixed by hand; the q < n branch is also checked at
+    # a degree far beyond the range above
+    for n in range(3, 101):
+        for _, q, p, _ in coprime_pairs((n,), 4 * n):
+            if q > n:
+                assert kernels.multiplier_scan(n, q, p) == _multiplier_scan_loop(n, q, p), (n, q)
+    n = 10**9 + 1
+    for _, q, p, _ in coprime_pairs((n,), 64):
+        assert kernels.multiplier_scan(n, q, p) == _multiplier_scan_loop(n, q, p), (n, q)
