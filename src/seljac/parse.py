@@ -6,6 +6,13 @@ parameter t enters only linearly, so every input is f0(x) + t*f1(x) with
 f0 and f1 over Q, and parses to the pair (f0, f1); pure rational input is
 the one with f1 = 0.
 
+`parse_x_poly` reads the text one term at a time with one compiled pattern,
+`_TERM`, matched where the previous term ended. A term is its sign (needed
+on every term but the first), then `t` or a coefficient optionally followed
+by `*x^k`, or `x^k`; `^k` may be left out for k = 1. Whitespace (anything
+`str.isspace` accepts) may stand between any two tokens, and the digits are
+those `str.isdecimal` accepts. Exponents above `MAX_EXPONENT` are rejected.
+
 >>> parse_q_poly("x^3 - x - 1").to_text()
 'x^3 - x - 1'
 >>> [f.to_text() for f in parse_x_poly("x^3 - x - t")]
@@ -13,6 +20,7 @@ the one with f1 = 0.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .poly import Poly
@@ -22,105 +30,37 @@ from .poly import Poly
 MAX_EXPONENT = 1000
 
 
-def _tokenize(text: str) -> list:
-    out: list = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^":
-            out.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(int(text[i:j]))
-            i = j
-        elif ch in ("x", "t"):
-            out.append(ch)
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} in polynomial")
-    return out
-
-
-class _Reader:
-    def __init__(self, tokens: list):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of polynomial")
-        self.pos += 1
-        return tok
-
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-
-def _read_exponent(r: _Reader) -> int:
-    if r.peek() == "^":
-        r.take()
-        k = r.take()
-        if not isinstance(k, int):
-            raise ValueError("exponent must be a nonnegative integer")
-        if k > MAX_EXPONENT:
-            raise ValueError(f"exponent must be at most {MAX_EXPONENT}, got {k}")
-        return k
-    return 1
-
-
-def _read_term(r: _Reader) -> tuple[int, int, Fraction]:
-    """One term; returns (x-exponent, t-exponent 0 or 1, coefficient)."""
-    tok = r.take()
-    if tok == "x":
-        return _read_exponent(r), 0, Fraction(1)
-    if tok == "t":
-        t_exp, c = 1, Fraction(1)
-    elif isinstance(tok, int):
-        t_exp, c = 0, Fraction(tok)
-        if r.peek() == "/":
-            r.take()
-            denom = r.take()
-            if not isinstance(denom, int) or denom == 0:
-                raise ValueError("fraction denominator must be a nonzero integer")
-            c = Fraction(tok, denom)
-    else:
-        raise ValueError(f"expected a term, found {tok!r}")
-    if r.peek() == "*":
-        r.take()
-        if r.take() != "x":
-            raise ValueError("expected x after '*'")
-        return _read_exponent(r), t_exp, c
-    return 0, t_exp, c
+# Each run of whitespace is matched by one `\s*` only: two unbounded `\s*`
+# side by side would try every split of a long run of spaces, in time
+# quadratic in its length.
+_TERM = re.compile(
+    r"\s*(?:(?P<sign>[+-])\s*)?"
+    r"(?:(?P<coeff>t|(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?)"
+    r"(?P<times_x>\s*\*\s*x(?:\s*\^\s*(?P<k>\d+))?)?"
+    r"|x(?:\s*\^\s*(?P<x_k>\d+))?)\s*"
+)
 
 
 def parse_x_poly(text: str) -> tuple[Poly, Poly]:
     """Parse f0(x) + t*f1(x) to the pair (f0, f1) of polynomials over Q."""
-    r = _Reader(_tokenize(text))
-    if r.done():
+    if not text.strip():
         raise ValueError("empty polynomial")
     parts: tuple[dict, dict] = ({}, {})  # x-exponent -> coefficient, per t-exponent
-    first = True
-    while not r.done():
-        sign = 1
-        tok = r.peek()
-        if tok == "+" or tok == "-":
-            r.take()
-            sign = -1 if tok == "-" else 1
-        elif not first:
-            raise ValueError("expected '+' or '-' between terms")
-        exp, t_exp, c = _read_term(r)
-        part = parts[t_exp]
-        part[exp] = part.get(exp, 0) + sign * c
-        first = False
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if m is None or (pos and not m["sign"]):
+            raise ValueError(f"cannot read a term at {text[pos:].lstrip()[:20]!r}")
+        den = int(m["den"] or 1)
+        if not den:
+            raise ValueError("fraction denominator must be a nonzero integer")
+        k = int(m["k"] or m["x_k"] or 1) if m["times_x"] or not m["coeff"] else 0
+        if k > MAX_EXPONENT:
+            raise ValueError(f"exponent must be at most {MAX_EXPONENT}, got {k}")
+        c = Fraction(int(m["num"]), den) if m["num"] else Fraction(1)
+        part = parts[m["coeff"] == "t"]
+        part[k] = part.get(k, 0) + (-c if m["sign"] == "-" else c)
+        pos = m.end()
     f0, f1 = (Poly([part.get(k, 0) for k in range(max(part, default=-1) + 1)]) for part in parts)
     return f0, f1
 

@@ -610,7 +610,7 @@ def test_model_check_parses_poly_before_q(capsys, monkeypatch, q_args):
     calls = _count_prime_power(monkeypatch)
     code, out, err = run(capsys, "model-check", "--poly", "x^3 +", *q_args)
     assert (code, out) == (2, "")
-    assert err == "error: unexpected end of polynomial\n"
+    assert err == "error: cannot read a term at '+'\n"
     assert calls == []
 
 

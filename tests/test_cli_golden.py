@@ -296,6 +296,17 @@ _QT_ALGEBRA = [
     ("galois", "--poly", "x^4 - 41*x^2 + 51*x - 48 - t"),
 ]
 
+# Accepted but unusual spellings of --poly: a leading sign, whitespace
+# between any two tokens (a tab, a no-break space), a fraction times x, a
+# zero term, leading zeros, x^0 and a non-ASCII decimal digit.
+_POLY_SPELLINGS = [
+    ("galois", "--poly", " + x ^ 3 -  x - 1 "),
+    ("galois", "--poly", "x^3 - 1 / 2 * x + 0*x^2 + 007"),
+    ("galois", "--poly", "x^\u0664\t+\u00a0x - t"),
+    ("jinv", "--poly", "t * x ^ 3 - x + 1"),
+    ("model-check", "--poly", "x^4 + x^0 + x", "--q", "3"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -322,6 +333,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _SPECTRUM_GROUPS for v in _both(*argv)),
     *(v for argv in _LARGE_P_PAIRS for v in _both(*argv)),
     *(v for argv in _QT_ALGEBRA for v in _both(*argv)),
+    *(v for argv in _POLY_SPELLINGS for v in _both(*argv)),
 ]
 
 

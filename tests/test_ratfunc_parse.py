@@ -1,5 +1,9 @@
+import random
+import re
+import time
 from fractions import Fraction
 
+import parse_oracle
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -194,11 +198,61 @@ def test_parse_x_poly_roundtrip(f0, f1_ints):
 @pytest.mark.parametrize(
     "bad",
     # the parameter t is only admitted linearly: as a bare coefficient or t*x^k
-    ["", "x +", "3/0", "x^", "x^t", "y + 1", "x x", "* x", "2 ** x", "x^-1", "t^2", "2*t"],
+    ["", "x +", "3/0", "x^", "x^t", "y + 1", "x x", "* x", "2 ** x", "x^-1", "t^2", "2*t",
+     "2x", "x*2", "x 2", "1/x", "+", "- -x", "1/2/3", "t*t", "   ", "x^ "],
 )
 def test_parse_errors(bad):
     with pytest.raises(ValueError):
         parse_x_poly(bad)
+
+
+def test_parse_error_on_long_whitespace_is_fast():
+    # a pattern with two unbounded whitespace runs side by side backtracks
+    # quadratically here; 20,000 spaces already took seconds that way
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        parse_x_poly(" " * 100_000 + "y")
+    assert time.perf_counter() - start < 1.0
+
+
+_TOKENS = ("+", "-", "*", "/", "^", "x", "t", "y", "0", "007", "1001",
+           " ", "   ", "\t", "\xa0", "\x1c", "\u0663", "\u00b2")
+_SPACES = ("", "", " ", "  ", "\t", "\xa0", "\x1c")
+_SHAPES = ("x", "x^{k}", "t", "t*x^{k}", "{a}", "{a}*x^{k}", "{a}/{b}", "{a}/{b}*x^{k}")
+
+
+def _well_formed_sum(rng: random.Random) -> str:
+    """A signed sum of terms, with random whitespace between any tokens."""
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        shape = rng.choice(_SHAPES).format(
+            a=rng.choice(("0", "1", "12", "007", "\u0663")), b=rng.choice(("1", "3", "10")),
+            k=rng.choice(("0", "1", "4", "1000", "1001")),
+        )
+        terms.append(rng.choice("+-") + shape if terms or rng.random() < 0.3 else shape)
+    tokens = re.findall(r"\d+|.", "".join(terms))
+    return rng.choice(_SPACES) + "".join(tok + rng.choice(_SPACES) for tok in tokens)
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ValueError:
+        return None
+
+
+def test_parse_matches_token_reader_oracle():
+    # the same accept/reject decision and the same (f0, f1) as the
+    # tokenizer and recursive-descent reader in tests/parse_oracle.py
+    rng = random.Random(24)
+    texts = ["".join(rng.choices(_TOKENS, k=rng.randint(0, 10))) for _ in range(20_000)]
+    texts += [_well_formed_sum(rng) for _ in range(10_000)]
+    accepted = 0
+    for text in texts:
+        want = _outcome(parse_oracle.parse_x_poly, text)
+        assert _outcome(parse_x_poly, text) == want, repr(text)
+        accepted += want is not None
+    assert accepted > 8_000
 
 
 def test_parse_exponent_ceiling():
