@@ -19,7 +19,7 @@ from .arith import euler_phi_prime_power
 from .galois import GaloisLabel
 from .heart import GROUPS, is_doubly_transitive
 from .lattice import Pair
-from .poly import Poly, cyclotomic_poly, geometric_poly
+from .poly import Poly, cyclotomic_poly
 
 
 class _AlgebraFactorFields(NamedTuple):

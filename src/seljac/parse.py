@@ -11,7 +11,8 @@ the one with f1 = 0.
 on every term but the first), then `t` or a coefficient optionally followed
 by `*x^k`, or `x^k`; `^k` may be left out for k = 1. Whitespace (anything
 `str.isspace` accepts) may stand between any two tokens, and the digits are
-those `str.isdecimal` accepts. Exponents above `MAX_EXPONENT` are rejected.
+those `str.isdecimal` accepts. Exponents above `MAX_EXPONENT` and numerals
+of more than `DIGITS_MAX` digits are rejected.
 
 >>> parse_q_poly("x^3 - x - 1").to_text()
 'x^3 - x - 1'
@@ -28,6 +29,10 @@ from .poly import Poly
 # The largest x-exponent accepted. A parsed polynomial is a dense list, so
 # x^k costs k + 1 entries; larger exponents are rejected before any is built.
 MAX_EXPONENT = 1000
+
+# The most digits a numeral may have: Python's default int-from-str limit,
+# past which `int` itself would refuse it, as `cli.Q_DIGITS_MAX` for q.
+DIGITS_MAX = 4300
 
 
 # Each run of whitespace is matched by one `\s*` only: two unbounded `\s*`
@@ -51,6 +56,8 @@ def parse_x_poly(text: str) -> tuple[Poly, Poly]:
         m = _TERM.match(text, pos)
         if m is None or (pos and not m["sign"]):
             raise ValueError(f"cannot read a term at {text[pos:].lstrip()[:20]!r}")
+        if any(len(v) > DIGITS_MAX for v in m.group("num", "den", "k", "x_k") if v):
+            raise ValueError(f"a numeral has more than {DIGITS_MAX} digits")
         den = int(m["den"] or 1)
         if not den:
             raise ValueError("fraction denominator must be a nonzero integer")

@@ -5,7 +5,10 @@ degree first, trailing zeros stripped, gcd 1, positive leading
 coefficient) times one nonzero rational `content`; the zero polynomial is
 `()` with content 0. The form is unique, so equal polynomials are
 structurally equal, and the ring operations run on Python ints; only the
-contents are `Fraction`s. `coeffs` gives the rational coefficients as
+contents are `Fraction`s. A nonzero constant's vector is `(1,)`, so a
+product with one, or with an int or `Fraction`, only multiplies the
+contents and shares the other vector. `cyclotomic_poly` builds its sparse
+vector by tuple repetition. `coeffs` gives the rational coefficients as
 `Fraction`s, built on each access.
 
 Division and the gcd share one integer pseudo-division loop: `divmod`
@@ -123,11 +126,11 @@ class Poly:
 
     @classmethod
     def zero(cls) -> Poly:
-        return cls(())
+        return cls._make((), Fraction(0))
 
     @classmethod
     def one(cls) -> Poly:
-        return cls((1,))
+        return cls._make((1,), _ONE)
 
     @classmethod
     def const(cls, c) -> Poly:
@@ -212,15 +215,14 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other) -> Poly:
-        if isinstance(other, (int, Fraction)):
-            if not other or not self.ints:
-                return Poly()
-            return Poly._make(self.ints, self.content * other)
-        if not isinstance(other, Poly):
+        other = _promote(other)
+        if other is NotImplemented:
             return NotImplemented
         a, b = self.ints, other.ints
         if not a or not b:
             return Poly()
+        if len(a) == 1 or len(b) == 1:  # a nonzero constant, whose vector is (1,)
+            return Poly._make(a if len(b) == 1 else b, self.content * other.content)
         # Sparse outer loop, dense inner row: put outside the operand that
         # makes (nonzeros outside) * (length inside) smaller, which keeps
         # the cyclotomic products cheap.
@@ -412,9 +414,7 @@ def cyclotomic_poly(p: int, i: int) -> Poly:
     if i < 1:
         raise ValueError("exponent must be >= 1")
     step = p ** (i - 1)
-    ints = [0] * ((p - 1) * step + 1)
-    ints[::step] = [1] * p
-    return Poly._make(tuple(ints), _ONE)
+    return Poly._make(((1,) + (0,) * (step - 1)) * (p - 1) + (1,), _ONE)
 
 
 def geometric_poly(q: int) -> Poly:

@@ -3,9 +3,10 @@
 This is the coefficient-by-coefficient arithmetic `seljac.poly.Poly` used
 before it stored a primitive integer vector plus one rational content,
 with the slow paths `seljac.poly` has since replaced: the Euclidean gcd
-over Q, Yun's squarefree decomposition built on it, and interpolation in
-Lagrange's form. A polynomial here is a tuple of Fractions, lowest degree
-first, with trailing zeros stripped; the zero polynomial is `()`.
+over Q, Yun's squarefree decomposition built on it, interpolation in
+Lagrange's form, and the cyclotomic vector filled in by slice assignment.
+A polynomial here is a tuple of Fractions, lowest degree first, with
+trailing zeros stripped; the zero polynomial is `()`.
 """
 from __future__ import annotations
 
@@ -109,6 +110,15 @@ def lagrange(points) -> tuple[Fraction, ...]:
                 term = tuple(c / (xi - xj) for c in mul(term, (-Fraction(xj), Fraction(1))))
         result = add(result, term)
     return result
+
+
+def cyclotomic_ints(p: int, i: int) -> tuple[int, ...]:
+    """The integer vector of the p**i-th cyclotomic polynomial: a list of
+    zeros with every p**(i-1)-th entry set to 1 by one slice assignment."""
+    step = p ** (i - 1)
+    ints = [0] * ((p - 1) * step + 1)
+    ints[::step] = [1] * p
+    return tuple(ints)
 
 
 def evaluate(a, x) -> Fraction:

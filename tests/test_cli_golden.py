@@ -307,6 +307,15 @@ _POLY_SPELLINGS = [
     ("model-check", "--poly", "x^4 + x^0 + x", "--q", "3"),
 ]
 
+# Numerals of one digit more than parse.DIGITS_MAX, Python's default
+# int-from-str limit, as a coefficient, a denominator and a zero-padded
+# exponent: each exits 2 with the parser's own message.
+_NUMERAL_DIGITS = [
+    ("galois", "--poly", "x^3 + " + "1" * 4301),
+    ("galois", "--poly", "x^3 + 1/" + "1" * 4301),
+    ("jinv", "--poly", "x^" + "0" * 4300 + "3 - x"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -334,6 +343,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _LARGE_P_PAIRS for v in _both(*argv)),
     *(v for argv in _QT_ALGEBRA for v in _both(*argv)),
     *(v for argv in _POLY_SPELLINGS for v in _both(*argv)),
+    *(v for argv in _NUMERAL_DIGITS for v in _both(*argv)),
 ]
 
 
@@ -375,7 +385,7 @@ def test_corpus_exit_codes():
         v
         for argv in (
             *_INVALID, *_INVALID_LATER, *_CEILINGS, *_LARGE_P, *_GENUS_CEILING, *_Q_DIGITS,
-            *_T_SUMS_INVALID, *_GENUS_LARGE_PRIME, *_ZERO_POLY,
+            *_T_SUMS_INVALID, *_GENUS_LARGE_PRIME, *_ZERO_POLY, *_NUMERAL_DIGITS,
         )
         for v in _both(*argv)
     }

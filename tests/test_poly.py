@@ -34,6 +34,12 @@ wide_coeff_st = st.one_of(
     st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12),
 )
 wide_list_st = st.lists(wide_coeff_st, max_size=13)
+# Nonzero constants: negative, fractional, and numerators and denominators
+# up to 10^12.
+constant_st = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**12),
+).filter(bool)
 
 
 def to_sympy(f: Poly):
@@ -195,6 +201,12 @@ def test_cyclotomic_matches_sympy(p, i):
     ours = cyclotomic_poly(p, i)
     theirs = sympy.Poly(sympy.cyclotomic_poly(p**i, X), X).all_coeffs()[::-1]
     assert list(ours.coeffs) == theirs
+
+
+def test_cyclotomic_matches_slice_oracle():
+    for _, p, i in prime_powers_upto(4096):
+        f = cyclotomic_poly(p, i)
+        assert (f.ints, f.content) == (oracle.cyclotomic_ints(p, i), 1), (p, i)
 
 
 def test_geometric_poly():
@@ -377,6 +389,33 @@ def test_scalar_operations_match_fraction_oracle(a, c):
         assert quotient.coeffs == oracle.mul(fa, (1 / Fraction(c),))
     if f:
         assert f.monic().coeffs == oracle.mul(fa, (1 / fa[-1],))
+
+
+@given(wide_list_st, constant_st)
+def test_constant_products_match_fraction_oracle(a, c):
+    # a degree-0 operand, on either side, scales the content and shares
+    # the other operand's vector
+    f, const = Poly(a), Poly([c])
+    want = oracle.mul(oracle.normalize(a), (Fraction(c),))
+    for product in (const * f, f * const):
+        _assert_normal_form(product)
+        assert product.coeffs == want
+        if f.degree > 0:
+            assert product.ints is f.ints
+
+
+def test_constant_product_shares_a_large_vector():
+    f = cyclotomic_poly(4093, 1)
+    for c in (Poly.one(), Poly([Fraction(-7, 10**12)]), Poly([10**12])):
+        for product in (c * f, f * c):
+            assert product.ints is f.ints
+            assert product.content == c.content
+
+
+def test_one_and_zero_match_the_normalizer():
+    for fast, slow in ((Poly.one(), Poly([1])), (Poly.zero(), Poly([]))):
+        assert (fast.ints, fast.content, hash(fast)) == (slow.ints, slow.content, hash(slow))
+        assert type(fast.content) is Fraction
 
 
 @given(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seljac.parse import MAX_EXPONENT, parse_q_poly, parse_x_poly, t_linear_base
+from seljac.parse import DIGITS_MAX, MAX_EXPONENT, parse_q_poly, parse_x_poly, t_linear_base
 from seljac.poly import Poly, poly_gcd
 from seljac.ratfunc import RatFunc
 
@@ -260,6 +260,20 @@ def test_parse_exponent_ceiling():
     assert parse_x_poly(f"x + t*x^{MAX_EXPONENT}")[1].degree == MAX_EXPONENT
     for text in (f"x^{MAX_EXPONENT + 1}", f"2*x^3 + t*x^{MAX_EXPONENT + 1}"):
         with pytest.raises(ValueError, match=f"exponent must be at most {MAX_EXPONENT}"):
+            parse_x_poly(text)
+
+
+def test_parse_numeral_digit_ceiling():
+    # int() refuses a decimal string longer than Python's default limit of
+    # 4300 digits; the parser refuses it first, with its own message
+    big = "9" * DIGITS_MAX
+    assert parse_q_poly(f"x^3 + {big}") == Poly([int(big), 0, 0, 1])
+    assert parse_q_poly(f"1/{big}*x^{'0' * (DIGITS_MAX - 1)}3").coeffs[3] == Fraction(1, int(big))
+    long = "1" * (DIGITS_MAX + 1)
+    padded = "0" * DIGITS_MAX + "3"
+    for text in (f"x^3 + {long}", f"x^3 + 1/{long}", f"{long}*x^3 - x", f"x^{padded} - x",
+                 f"2*x^{padded}", f"x + t*x^{padded}", f"x^3 + {long}/2 - t"):
+        with pytest.raises(ValueError, match=f"^a numeral has more than {DIGITS_MAX} digits$"):
             parse_x_poly(text)
 
 
