@@ -24,15 +24,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import Poly
+# DIGITS_MAX, the most digits a numeral may have, is Python's default
+# int-from-str limit, past which `int` itself would refuse it; `Poly.to_text`
+# prints no more, and `cli.Q_DIGITS_MAX` bounds q the same way.
+from .poly import DIGITS_MAX, Poly
 
 # The largest x-exponent accepted. A parsed polynomial is a dense list, so
 # x^k costs k + 1 entries; larger exponents are rejected before any is built.
 MAX_EXPONENT = 1000
-
-# The most digits a numeral may have: Python's default int-from-str limit,
-# past which `int` itself would refuse it, as `cli.Q_DIGITS_MAX` for q.
-DIGITS_MAX = 4300
 
 
 # Each run of whitespace is matched by one `\s*` only: two unbounded `\s*`

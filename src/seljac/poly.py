@@ -2,20 +2,24 @@
 
 A polynomial is a primitive integer coefficient vector `ints` (lowest
 degree first, trailing zeros stripped, gcd 1, positive leading
-coefficient) times one nonzero rational `content`; the zero polynomial is
-`()` with content 0. The form is unique, so equal polynomials are
-structurally equal, and the ring operations run on Python ints; only the
-contents are `Fraction`s. A nonzero constant's vector is `(1,)`, so a
-product with one, or with an int or `Fraction`, only multiplies the
-contents and shares the other vector. `cyclotomic_poly` builds its sparse
-vector by tuple repetition. `coeffs` gives the rational coefficients as
-`Fraction`s, built on each access.
+coefficient) times one nonzero rational content, kept as a reduced
+integer pair: numerator `_n` and denominator `_d > 0` with
+gcd(_n, _d) = 1. The zero polynomial is `()` with the pair (0, 1). The
+form is unique, so equal polynomials are structurally equal, and the ring
+operations run on Python ints alone: a product multiplies the contents by
+two cross-gcds, and every other operation ends in at most one gcd of the
+new pair. `content`, `lc`, `coeff` and `coeffs` are read-only accessors
+that build `Fraction`s on each access. A nonzero constant's vector is
+`(1,)`, so a product with one, or with an int or `Fraction`, only
+multiplies the contents and shares the other vector. `cyclotomic_poly`
+builds its sparse vector by tuple repetition.
 
 Division and the gcd share one integer pseudo-division loop: `divmod`
-scales its quotient and remainder by one `Fraction` at the end, and
-`poly_gcd` runs a primitive pseudo-remainder sequence that builds no
-`Fraction` until its monic result. `lagrange_interpolate` uses Newton's
-divided differences and one Horner pass.
+scales its quotient and remainder by one integer pair at the end, and
+`poly_gcd` runs a primitive pseudo-remainder sequence on the vectors.
+`lagrange_interpolate` uses Newton's divided differences and one Horner
+pass. `to_text` refuses a coefficient of more than `DIGITS_MAX` digits,
+Python's default int-to-str limit, with its own message.
 
 >>> f = Poly([-1, -1, 0, 1])     # x^3 - x - 1
 >>> f.to_text()
@@ -34,7 +38,10 @@ from typing import Iterable, Sequence
 
 from .arith import is_prime, prime_power
 
-_ONE = Fraction(1)
+# The most decimal digits a printed integer may have: Python's default
+# int-to-str limit, past which `str` itself would refuse it.
+DIGITS_MAX = 4300
+_TEXT_CEILING = 10**DIGITS_MAX
 
 
 def _rational(c):
@@ -58,17 +65,20 @@ def _primitive(vec: list[int]) -> tuple[tuple[int, ...], int]:
     return tuple(vec), g
 
 
-def _scaled(vec: list[int], scale: Fraction) -> Poly:
-    """The polynomial scale * vec, for any integer vector."""
+def _scaled(vec: list[int], n: int, d: int) -> Poly:
+    """The polynomial (n/d) * vec, for any integer vector, any integer n
+    and d > 0."""
     ints, g = _primitive(vec)
-    return Poly._make(ints, scale * g)
+    n *= g
+    h = math.gcd(n, d)
+    return Poly._make(ints, n // h, d // h)
 
 
 def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
     """(quot, rem, scale) with scale * a = quot * b + rem over the integers
     and len(rem) = len(b) - 1, for integer vectors with len(a) >= len(b)
-    and b[-1] != 0. quot, rem and scale are multiplied by lc(b)/gcd only
-    when a leading term is not divisible by lc(b)."""
+    and b[-1] > 0. quot, rem and scale are multiplied by lc(b)/gcd only
+    when a leading term is not divisible by lc(b), so scale > 0."""
     n = len(b)
     dq = len(a) - n
     lb = b[-1]
@@ -104,45 +114,55 @@ def _homogeneous(ints: Sequence[int], a: int, b: int) -> int:
 
 
 class Poly:
-    __slots__ = ("ints", "content")
+    __slots__ = ("ints", "_n", "_d")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_rational(c) for c in coeffs]
         lam = math.lcm(*(c.denominator for c in cs))
+        # A prime power p^e exactly dividing lam exactly divides some
+        # denominator, whose entry c * lam is then prime to p: gcd(g, lam) = 1.
         ints, g = _primitive([c.numerator * (lam // c.denominator) for c in cs])
         self.ints: tuple[int, ...] = ints
-        self.content: Fraction = Fraction(g, lam)
+        self._n: int = g
+        self._d: int = lam
 
     @classmethod
-    def _make(cls, ints: tuple[int, ...], content: Fraction) -> Poly:
+    def _make(cls, ints: tuple[int, ...], n: int, d: int) -> Poly:
         """A Poly from a vector already in normal form (primitive, positive
-        leading coefficient, no trailing zeros; () with content 0)."""
+        leading coefficient, no trailing zeros) and its content n/d in
+        lowest terms with d > 0; the zero polynomial is ((), 0, 1)."""
         f = object.__new__(cls)
         f.ints = ints
-        f.content = content
+        f._n = n
+        f._d = d
         return f
 
     # ---- constructors ----
 
     @classmethod
     def zero(cls) -> Poly:
-        return cls._make((), Fraction(0))
+        return cls._make((), 0, 1)
 
     @classmethod
     def one(cls) -> Poly:
-        return cls._make((1,), _ONE)
+        return cls._make((1,), 1, 1)
 
     @classmethod
     def const(cls, c) -> Poly:
         if not _rational(c):
             return cls()
-        return cls._make((1,), Fraction(c))
+        return cls._make((1,), c.numerator, c.denominator)
 
     @classmethod
     def x(cls) -> Poly:
         return cls((0, 1))
 
     # ---- structure ----
+
+    @property
+    def content(self) -> Fraction:
+        """The rational factor in front of the primitive vector `ints`."""
+        return Fraction(self._n, self._d)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -158,11 +178,11 @@ class Poly:
     def lc(self) -> Fraction:
         if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.content * self.ints[-1]
+        return Fraction(self._n * self.ints[-1], self._d)
 
     def coeff(self, k: int) -> Fraction:
         if 0 <= k < len(self.ints):
-            return self.content * self.ints[k]
+            return Fraction(self._n * self.ints[k], self._d)
         return Fraction(0)
 
     def __bool__(self) -> bool:
@@ -170,13 +190,15 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.ints == other.ints and self.content == other.content
+            return self.ints == other.ints and self._n == other._n and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return self.ints == (1,) and self.content == other if other else not self.ints
+            if not other:
+                return not self.ints
+            return self.ints == (1,) and (self._n, self._d) == (other.numerator, other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Poly", self.ints, self.content))
+        return hash(("Poly", self.ints, self._n, self._d))
 
     def __repr__(self) -> str:
         return f"Poly({self.to_text()!r})"
@@ -191,22 +213,22 @@ class Poly:
             return self
         if not self.ints:
             return other
-        ca, cb = self.content, other.content
-        # ca*a + cb*b = (g/m) * (ka*a + kb*b) with g, m, ka, kb integers
-        g = math.gcd(ca.numerator, cb.numerator)
-        m = math.lcm(ca.denominator, cb.denominator)
-        ka = ca.numerator // g * (m // ca.denominator)
-        kb = cb.numerator // g * (m // cb.denominator)
+        na, da, nb, db = self._n, self._d, other._n, other._d
+        # na/da*a + nb/db*b = (g/m) * (ka*a + kb*b) with g, m, ka, kb integers
+        g = math.gcd(na, nb)
+        m = math.lcm(da, db)
+        ka = na // g * (m // da)
+        kb = nb // g * (m // db)
         a, b = self.ints, other.ints
         if len(a) < len(b):
             a, b, ka, kb = b, a, kb, ka
         out = [ka * v for v in a]
         for k, v in enumerate(b):
             out[k] += kb * v
-        return _scaled(out, Fraction(g, m))
+        return _scaled(out, g, m)
 
     def __neg__(self) -> Poly:
-        return Poly._make(self.ints, -self.content)
+        return Poly._make(self.ints, -self._n, self._d)
 
     def __sub__(self, other) -> Poly:
         other = _promote(other)
@@ -221,21 +243,28 @@ class Poly:
         a, b = self.ints, other.ints
         if not a or not b:
             return Poly()
+        # Both pairs are in lowest terms, so cancelling across them leaves
+        # the product in lowest terms.
+        na, da, nb, db = self._n, self._d, other._n, other._d
+        g1 = math.gcd(na, db)
+        g2 = math.gcd(nb, da)
+        n = (na // g1) * (nb // g2)
+        d = (da // g2) * (db // g1)
         if len(a) == 1 or len(b) == 1:  # a nonzero constant, whose vector is (1,)
-            return Poly._make(a if len(b) == 1 else b, self.content * other.content)
+            return Poly._make(a if len(b) == 1 else b, n, d)
         # Sparse outer loop, dense inner row: put outside the operand that
         # makes (nonzeros outside) * (length inside) smaller, which keeps
         # the cyclotomic products cheap.
         if (len(a) - a.count(0)) * len(b) > (len(b) - b.count(0)) * len(a):
             a, b = b, a
-        n = len(b)
-        out = [0] * (len(a) + n - 1)
+        m = len(b)
+        out = [0] * (len(a) + m - 1)
         for i, c in enumerate(a):
             if c:
-                out[i : i + n] = map(add, out[i : i + n], b if c == 1 else map(c.__mul__, b))
+                out[i : i + m] = map(add, out[i : i + m], b if c == 1 else map(c.__mul__, b))
         # Gauss's lemma: a product of primitive vectors with positive leading
         # coefficients is one too, so no gcd is needed.
-        return Poly._make(tuple(out), self.content * other.content)
+        return Poly._make(tuple(out), n, d)
 
     __rmul__ = __mul__  # kept: perfbench/spans.py wraps it by name
 
@@ -261,8 +290,12 @@ class Poly:
         if len(self.ints) < len(other.ints):
             return Poly(), self
         quot, rem, scale = _pseudo_divmod(self.ints, other.ints)
-        ca = self.content
-        return _scaled(quot, ca / (other.content * scale)), _scaled(rem, ca / scale)
+        na, da, nb, db = self._n, self._d, other._n, other._d
+        # quotient content (na/da) / ((nb/db) * scale), its sign moved up
+        qn, qd = na * db, da * nb * scale
+        if qd < 0:
+            qn, qd = -qn, -qd
+        return _scaled(quot, qn, qd), _scaled(rem, na, da * scale)
 
     def __floordiv__(self, other) -> Poly:
         return divmod(self, other)[0]
@@ -274,19 +307,30 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero")
-            return Poly._make(self.ints, self.content / other)
+            return self._times(other.denominator, other.numerator)
         return NotImplemented
+
+    def _times(self, n: int, d: int) -> Poly:
+        """self * (n/d) for integers n and d != 0, in either sign."""
+        if not n or not self.ints:
+            return Poly.zero()
+        if d < 0:
+            n, d = -n, -d
+        n *= self._n
+        d *= self._d
+        g = math.gcd(n, d)
+        return Poly._make(self.ints, n // g, d // g)
 
     # ---- calculus and composition ----
 
     def derivative(self) -> Poly:
-        return _scaled([k * v for k, v in enumerate(self.ints) if k], self.content)
+        return _scaled([k * v for k, v in enumerate(self.ints) if k], self._n, self._d)
 
     def compose(self, inner: Poly) -> Poly:
         result = Poly()
         for v in reversed(self.ints):
             result = result * inner + v
-        return result * self.content
+        return result._times(self._n, self._d)
 
     def shift(self, c) -> Poly:
         """self(x + c)."""
@@ -295,28 +339,34 @@ class Poly:
     def monic(self) -> Poly:
         if not self:
             raise ValueError("zero polynomial cannot be made monic")
-        return Poly._make(self.ints, Fraction(1, self.ints[-1]))
+        return Poly._make(self.ints, 1, self.ints[-1])
 
     # ---- text ----
 
     def to_text(self, var: str = "x") -> str:
         if not self.ints:
             return "0"
+        n, d = self._n, self._d
         parts: list[str] = []
         for k in range(self.degree, -1, -1):
-            if not self.ints[k]:
+            v = self.ints[k]
+            if not v:
                 continue
-            c = self.content * self.ints[k]
-            mag = abs(c)
+            a = n * v
+            g = math.gcd(a, d)
+            mag, b = abs(a) // g, d // g
+            if mag >= _TEXT_CEILING or b >= _TEXT_CEILING:
+                raise ValueError(f"cannot print a coefficient of more than {DIGITS_MAX} digits")
+            c = str(mag) if b == 1 else f"{mag}/{b}"
             if k == 0:
-                body = str(mag)
+                body = c
             else:
                 xs = var if k == 1 else f"{var}^{k}"
-                body = xs if mag == 1 else f"{mag}*{xs}"
+                body = xs if c == "1" else f"{c}*{xs}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if a > 0 else f"-{body}")
             else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
+                parts.append(f" + {body}" if a > 0 else f" - {body}")
         return "".join(parts)
 
 
@@ -333,18 +383,18 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
     A primitive pseudo-remainder sequence on the integer vectors: each
     remainder is divided by the gcd of its entries, so the entries stay
-    small, and a nonzero constant remainder ends it with gcd 1. The only
-    `Fraction` built is the content of the monic result."""
+    small, and a nonzero constant remainder ends it with gcd 1. The monic
+    result's content is 1 over its leading entry."""
     u, v = a.ints, b.ints
     if len(u) < len(v):
         u, v = v, u
     while len(v) > 1:
         u, v = v, _primitive(_pseudo_divmod(u, v)[1])[0]
     if v:
-        return Poly._make((1,), _ONE)
+        return Poly.one()
     if not u:
         return Poly()
-    return Poly._make(u, Fraction(1, u[-1]))
+    return Poly._make(u, 1, u[-1])
 
 
 def resultant(f: Poly, g: Poly) -> Fraction:
@@ -414,21 +464,21 @@ def cyclotomic_poly(p: int, i: int) -> Poly:
     if i < 1:
         raise ValueError("exponent must be >= 1")
     step = p ** (i - 1)
-    return Poly._make(((1,) + (0,) * (step - 1)) * (p - 1) + (1,), _ONE)
+    return Poly._make(((1,) + (0,) * (step - 1)) * (p - 1) + (1,), 1, 1)
 
 
 def geometric_poly(q: int) -> Poly:
     """1 + t + ... + t^(q-1) for a prime power q."""
     if prime_power(q) is None:
         raise ValueError(f"{q} is not a prime power >= 2")
-    return Poly._make((1,) * q, _ONE)
+    return Poly._make((1,) * q, 1, 1)
 
 
 def reversed_poly(f: Poly, n: int) -> Poly:
     """x^n * f(1/x) for n >= deg f: coefficient of degree k moves to n - k."""
     if n < f.degree:
         raise ValueError("reversal exponent below the degree")
-    return _scaled([0] * (n - f.degree) + list(reversed(f.ints)), f.content)
+    return _scaled([0] * (n - f.degree) + list(reversed(f.ints)), f._n, f._d)
 
 
 def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:

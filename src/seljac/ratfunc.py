@@ -2,7 +2,12 @@
 
 The denominator is normalized monic and coprime to the numerator, so
 equality is structural. Text output clears denominators to integers
-(e.g. -6912/(27*t^2 - 4)) while the internal form stays monic.
+(e.g. -6912/(27*t^2 - 4)) while the internal form stays monic: the ratio
+of the two `Poly` contents, each a reduced integer pair, is reduced with
+one gcd, and its numerator and denominator become the integer contents of
+the printed numerator and denominator. Making the denominator monic, and
+inverting, rescale the pairs by the leading coefficient's integers, so no
+field operation builds a `Fraction`.
 
 The public constructor normalizes with one gcd. The field operations
 keep their operands' lowest terms and cancel across them instead
@@ -13,6 +18,7 @@ and scalar factors build their result with no gcd at all.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .poly import Poly, _promote, poly_gcd
@@ -36,10 +42,7 @@ class RatFunc:
             g = poly_gcd(pn, pd)
             if g.degree > 0:
                 pn, pd = pn // g, pd // g
-            lc = pd.lc
-            if lc != 1:
-                inv = 1 / lc
-                pn, pd = pn * inv, pd * inv
+            pn, pd = _over_lc(pn, pd)
         self.num: Poly = pn
         self.den: Poly = pd
 
@@ -145,8 +148,7 @@ class RatFunc:
     def _inverse(self) -> RatFunc:
         if not self:
             raise ZeroDivisionError("division by zero rational function")
-        inv = 1 / self.num.lc
-        return RatFunc._make(self.den * inv, self.num * inv)
+        return RatFunc._make(*_over_lc(self.den, self.num))
 
     def __pow__(self, e: int) -> RatFunc:
         if e < 0:
@@ -159,12 +161,15 @@ class RatFunc:
 
     def to_text(self, var: str = "t") -> str:
         num, den = self.num, self.den
-        # num/den = (cn/cd) * N/D for primitive N, D with positive leading
-        # coefficients; with cn/cd = a/b in lowest terms, (a*N)/(b*D) is the
-        # integer form with joint gcd 1 and a positive leading denominator.
-        ratio = num.content / den.content
-        lam = ratio.denominator / den.content
-        n, d = num * lam, den * lam
+        # num/den = (a/b) * N/D for the primitive vectors N, D with positive
+        # leading coefficients and a/b the ratio of the contents in lowest
+        # terms, b > 0: (a*N)/(b*D) is the integer form with joint gcd 1 and
+        # a positive leading denominator.
+        a, b = num._n * den._d, num._d * den._n
+        if b < 0:
+            a, b = -a, -b
+        g = math.gcd(a, b)
+        n, d = Poly._make(num.ints, a // g, 1), Poly._make(den.ints, b // g, 1)
         if d == 1:
             return n.to_text(var)
         ns = n.to_text(var)
@@ -176,9 +181,15 @@ class RatFunc:
         return f"{ns}/{ds}"
 
 
+def _over_lc(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num and den divided by the leading coefficient of den != 0, which
+    is den's content pair times its leading entry."""
+    return num._times(den._d, den._n * den.ints[-1]), den.monic()
+
+
 def _needs_parens(p: Poly) -> bool:
     terms = len(p.ints) - p.ints.count(0)
-    return terms > 1 or (p.degree >= 1 and abs(p.lc) != 1)
+    return terms > 1 or (p.degree >= 1 and abs(p._n * p.ints[-1]) != p._d)
 
 
 def _to_ratfunc(v) -> RatFunc | None:

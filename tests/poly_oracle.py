@@ -7,6 +7,10 @@ over Q, Yun's squarefree decomposition built on it, interpolation in
 Lagrange's form, and the cyclotomic vector filled in by slice assignment.
 A polynomial here is a tuple of Fractions, lowest degree first, with
 trailing zeros stripped; the zero polynomial is `()`.
+
+`ratfunc_to_text` is the text of a `seljac.ratfunc.RatFunc` as it was
+computed while the content of a `Poly` was a `Fraction`: the integer form
+of num/den found by `Fraction` arithmetic on the contents.
 """
 from __future__ import annotations
 
@@ -156,3 +160,26 @@ def to_text(a, var: str = "x") -> str:
         else:
             parts.append(f" + {body}" if c > 0 else f" - {body}")
     return "".join(parts)
+
+
+def _needs_parens(a) -> bool:
+    return sum(1 for c in a if c) > 1 or (len(a) > 1 and abs(a[-1]) != 1)
+
+
+def ratfunc_to_text(num, den, var: str = "t") -> str:
+    """The text of num/den for `Poly`s num and den != 0, read through
+    their `content` and `coeffs` accessors: num/den = (cn/cd) * N/D for
+    the primitive vectors N, D, and with cn/cd = a/b in lowest terms,
+    (a*N)/(b*D) is the integer form that is printed."""
+    ratio = num.content / den.content
+    lam = ratio.denominator / den.content
+    n = tuple(c * lam for c in num.coeffs)
+    d = tuple(c * lam for c in den.coeffs)
+    if d == (1,):
+        return to_text(n, var)
+    ns, ds = to_text(n, var), to_text(d, var)
+    if _needs_parens(n):
+        ns = f"({ns})"
+    if _needs_parens(d):
+        ds = f"({ds})"
+    return f"{ns}/{ds}"

@@ -430,6 +430,20 @@ def test_q_digits_ceiling_is_inclusive(capsys, monkeypatch):
     )
 
 
+def test_output_digits_ceiling(capsys):
+    # a 4300-digit constant is read, but j has a coefficient of about
+    # 8600 digits: jinv exits 2 with its own message, in text and JSON,
+    # while galois and model-check answer the same input
+    poly = "x^3 - x + " + "1" * 4300
+    for fmt in ("text", "json"):
+        assert run(capsys, "jinv", "--poly", poly, "--format", fmt) == (
+            2, "", "error: cannot print a coefficient of more than 4300 digits\n"
+        )
+    assert run_json(capsys, "galois", "--poly", poly, "--format", "json")["label"] == "S3"
+    model = run_json(capsys, "model-check", "--poly", poly, "--q", "5", "--format", "json")
+    assert model["identity"] is True
+
+
 def test_genus_points_ceiling_is_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(cli, "GENUS_POINTS_MAX", 6)
     assert run(capsys, "genus", "--n", "4", "--q", "5") == (0, "6\n", "")

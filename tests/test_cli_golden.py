@@ -316,6 +316,13 @@ _NUMERAL_DIGITS = [
     ("jinv", "--poly", "x^" + "0" * 4300 + "3 - x"),
 ]
 
+# A cubic with a constant of poly.DIGITS_MAX digits: the input is read,
+# but its j-invariant has a coefficient of twice as many digits, too many
+# to print, so jinv exits 2 with its own message.
+_J_DIGITS = [
+    ("jinv", "--poly", "x^3 - x + " + "1" * 4300),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -344,6 +351,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _QT_ALGEBRA for v in _both(*argv)),
     *(v for argv in _POLY_SPELLINGS for v in _both(*argv)),
     *(v for argv in _NUMERAL_DIGITS for v in _both(*argv)),
+    *(v for argv in _J_DIGITS for v in _both(*argv)),
 ]
 
 
@@ -385,7 +393,7 @@ def test_corpus_exit_codes():
         v
         for argv in (
             *_INVALID, *_INVALID_LATER, *_CEILINGS, *_LARGE_P, *_GENUS_CEILING, *_Q_DIGITS,
-            *_T_SUMS_INVALID, *_GENUS_LARGE_PRIME, *_ZERO_POLY, *_NUMERAL_DIGITS,
+            *_T_SUMS_INVALID, *_GENUS_LARGE_PRIME, *_ZERO_POLY, *_NUMERAL_DIGITS, *_J_DIGITS,
         )
         for v in _both(*argv)
     }

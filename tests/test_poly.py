@@ -5,11 +5,12 @@ from fractions import Fraction
 import poly_oracle as oracle
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seljac.arith import prime_power, prime_powers_upto
 from seljac.poly import (
+    DIGITS_MAX,
     Poly,
     _homogeneous,
     cyclotomic_poly,
@@ -21,6 +22,7 @@ from seljac.poly import (
     reversed_poly,
     squarefree_decomposition,
 )
+from seljac.ratfunc import RatFunc
 
 X = sympy.symbols("x")
 
@@ -346,14 +348,21 @@ def test_to_text():
 
 
 def _assert_normal_form(f: Poly):
-    assert isinstance(f.content, Fraction)
+    # the content is the pair _n/_d in lowest terms with _d > 0, zero is
+    # ((), 0, 1), and the accessors build Fractions from the pair
+    assert isinstance(f._n, int) and isinstance(f._d, int)
+    assert f._d > 0 and math.gcd(f._n, f._d) == 1
+    assert type(f.content) is Fraction and f.content == Fraction(f._n, f._d)
+    assert type(f.coeff(0)) is Fraction and type(f.coeff(len(f.ints))) is Fraction
+    assert all(type(c) is Fraction for c in f.coeffs)
     if not f:
-        assert f.ints == () and f.content == 0
+        assert (f.ints, f._n, f._d) == ((), 0, 1)
         return
+    assert type(f.lc) is Fraction
     assert all(isinstance(v, int) for v in f.ints)
     assert math.gcd(*f.ints) == 1
     assert f.ints[-1] > 0
-    assert f.content != 0
+    assert f._n != 0
 
 
 @given(wide_list_st, wide_list_st)
@@ -391,6 +400,28 @@ def test_scalar_operations_match_fraction_oracle(a, c):
         assert f.monic().coeffs == oracle.mul(fa, (1 / fa[-1],))
 
 
+@given(wide_list_st, wide_list_st, wide_coeff_st)
+def test_every_operation_keeps_the_normal_form(a, b, c):
+    f, g = Poly(a), Poly(b)
+    results = [
+        f, Poly.const(c), f + g, f - g, -f, f * g, f * c, c * f, f + c, f - c,
+        f.derivative(), f.shift(c), f**2, poly_gcd(f, g), reversed_poly(f, max(f.degree, 0) + 2),
+    ]
+    if c:
+        results.append(f / c)
+    if f:
+        results.append(f.monic())
+    if g:
+        results.extend(divmod(f, g))
+        r = RatFunc(f, g)
+        results.extend((r.num, r.den))
+        if f:
+            inverse = r**-1
+            results.extend((inverse.num, inverse.den))
+    for h in results:
+        _assert_normal_form(h)
+
+
 @given(wide_list_st, constant_st)
 def test_constant_products_match_fraction_oracle(a, c):
     # a degree-0 operand, on either side, scales the content and shares
@@ -413,9 +444,17 @@ def test_constant_product_shares_a_large_vector():
 
 
 def test_one_and_zero_match_the_normalizer():
-    for fast, slow in ((Poly.one(), Poly([1])), (Poly.zero(), Poly([]))):
-        assert (fast.ints, fast.content, hash(fast)) == (slow.ints, slow.content, hash(slow))
-        assert type(fast.content) is Fraction
+    pairs = [
+        (Poly.one(), Poly([1])),
+        (Poly.zero(), Poly([])),
+        (Poly.x(), Poly([0, 1])),
+        (Poly.const(Fraction(-6, 4)), Poly([Fraction(-3, 2)])),
+        (Poly.const(0), Poly([0])),
+    ]
+    for fast, slow in pairs:
+        key = (fast.ints, fast._n, fast._d, hash(fast))
+        assert key == (slow.ints, slow._n, slow._d, hash(slow))
+        _assert_normal_form(fast)
 
 
 @given(
@@ -444,15 +483,46 @@ def test_equality_is_coefficientwise_and_hash_agrees(a, b, c):
     f, g = Poly(a), Poly(b)
     assert (f == g) == (f.coeffs == g.coeffs)
     # the same polynomial reached along different routes
-    same = [Poly([*a, 0, 0]), Poly(oracle.normalize(a)), f + Poly.zero(), -(-f)]
+    same = [
+        Poly([*a, 0, 0]), Poly(oracle.normalize(a)), f + Poly.zero(), -(-f), f * Poly.one(),
+        Poly.one() * f, f.compose(Poly.x()), f + f - f, RatFunc(f).num,
+    ]
     if c:
-        same.append(f * c / c)
+        same.extend((f * c / c, f / c * c, (f - c) + c))
     if g:
         same.append(f * g // g)
+    if f:
+        same.append(f.monic() * f.lc)
     for h in same:
         assert h == f
-        assert (h.ints, h.content) == (f.ints, f.content)
+        assert (h.ints, h._n, h._d) == (f.ints, f._n, f._d)
         assert hash(h) == hash(f)
+
+
+@given(wide_list_st, wide_list_st)
+@example([Fraction(-3, 4), 0, 2], [1])
+@example([-1, 2], [Fraction(-2, 3)])
+@example([], [5])
+def test_ratfunc_text_matches_fraction_oracle(a, b):
+    # the text of num/den from the integer pairs, against the Fraction
+    # formula: in lowest terms with a monic denominator, and for any pair
+    # with negative contents and a denominator that clears to 1
+    num, den = Poly(a), Poly(b)
+    assume(den)
+    for r in (RatFunc(num, den), RatFunc._make(num, den)):
+        assert r.to_text() == oracle.ratfunc_to_text(r.num, r.den)
+        assert r.to_text("x") == oracle.ratfunc_to_text(r.num, r.den, "x")
+
+
+def test_to_text_digits_ceiling():
+    # the largest printable integer has DIGITS_MAX digits, Python's own limit
+    big = 10**DIGITS_MAX
+    assert Poly([big - 1]).to_text() == "9" * DIGITS_MAX
+    assert Poly([Fraction(-1, big - 1), 0, 1]).to_text() == f"x^2 - 1/{'9' * DIGITS_MAX}"
+    message = f"^cannot print a coefficient of more than {DIGITS_MAX} digits$"
+    for f in (Poly([big]), Poly([Fraction(1, big)]), Poly([1, -big]), RatFunc(1, Poly([big, 1]))):
+        with pytest.raises(ValueError, match=message):
+            f.to_text()
 
 
 @pytest.mark.parametrize("e", range(10))
