@@ -238,7 +238,7 @@ def criterion_6():
     checks.append(is_isotrivial(j1))
 
     t = Poly([0, 1])
-    w2 = depress_cubic([RatFunc(-t), RatFunc(-1), RatFunc.zero(), RatFunc.one()])
+    w2 = depress_cubic([-t, -1, 0, 1])
     j2 = j_invariant(w2)
     expected2 = RatFunc(Poly.const(-6912), Poly([-4, 0, 27]))
     checks.append(j2 == expected2)

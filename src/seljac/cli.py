@@ -65,8 +65,7 @@ from .lattice import Pair, full_spectrum, genus_formula, genus_lattice, prime_pa
 from .model import chart_identity_check, delta_chart_order, gluing_exponents, hurwitz_genus
 from .obstruction import feasibility_sweep, multiplier_sweep
 from .parse import MAX_EXPONENT, parse_q_poly, parse_x_poly, t_linear_base
-from .poly import Poly, reversed_poly
-from .ratfunc import RatFunc
+from .poly import DIGITS_MAX, Poly, reversed_poly
 
 
 def _plain(value):
@@ -96,11 +95,6 @@ def _emit_records(args, records, text, json_line) -> None:
     sys.stdout.writelines(f"{render(record)}\n" for record in records)
 
 
-# The most decimal digits q = p**r may have: Python's default int-to-str
-# limit, past which q could not be printed.
-Q_DIGITS_MAX = 4300
-
-
 def _head(args, n: int, ceiling=None) -> Pair:
     """The pair of n and q = p**r from --q and/or --p/--r, whose
     consistency is enforced first. A q too long to print, or one that
@@ -121,8 +115,8 @@ def _head(args, n: int, ceiling=None) -> Pair:
         if q is not None and q != p**r:
             raise ValueError(f"--q {q} contradicts --p {p} --r {r}")
         q = p**r
-        if q >= 10**Q_DIGITS_MAX:
-            raise ValueError(f"q = {p}^{r} has more than {Q_DIGITS_MAX} digits")
+        if q >= 10**DIGITS_MAX:  # too long to print
+            raise ValueError(f"q = {p}^{r} has more than {DIGITS_MAX} digits")
     if ceiling is not None:
         ceiling(n, q)
     if p is None:
@@ -389,7 +383,7 @@ def _cmd_jinv(args) -> int:
     f0, f1 = parse_x_poly(args.poly)
     if max(f0.degree, f1.degree) != 3:
         raise ValueError("need a cubic in x (the right-hand side of y^2 = cubic)")
-    w = depress_cubic([RatFunc(Poly([f0.coeff(k), f1.coeff(k)])) for k in range(4)])
+    w = depress_cubic([Poly([f0.coeff(k), f1.coeff(k)]) for k in range(4)])
     j = j_invariant(w)
     payload = {
         "j": j.to_text(),

@@ -80,17 +80,22 @@ def rational_roots(f: Poly) -> list[Fraction]:
 
     With f a rational multiple of sum c_k x^k over Z of degree d, c_d > 0,
     the rational roots of f are a / c_d for the integer roots a of the
-    monic g(y) = c_d^(d-1) sum c_k (y / c_d)^k. Those lie in (-B, B) for
-    the Cauchy bound B = 1 + max |g_k|, and `_root_cuts` brackets them by
-    exact integer bisection on the monotone pieces between the brackets
-    of the critical points: O(d^2 log B + d^3) evaluations of g and its
-    derivatives at integers, polynomial in the bit size of f."""
+    monic g(y) = c_d^(d-1) sum c_k (y / c_d)^k. Every complex root of g
+    has modulus at most Fujiwara's bound 2 max_k |g_k|^(1/(d-k)), which is
+    below B = 2^(1 + max_k ceil(bitlen(g_k) / (d-k))); by Gauss-Lucas the
+    roots of each derivative of g lie in the same disc. `_root_cuts`
+    brackets the roots in (-B, B) by exact integer bisection on the
+    monotone pieces between the brackets of the critical points:
+    O(d^2 log B + d^3) evaluations of g and its derivatives at integers,
+    polynomial in the bit size of f."""
     if not f:
         raise ValueError("zero polynomial")
     c = f.ints
     d, lc = len(c) - 1, c[-1]
     g = [v * lc ** (d - 1 - k) for k, v in enumerate(c[:-1])] + [1]
-    bound = 1 + max(map(abs, g[:-1]), default=0)
+    bound = 2 << max(
+        ((abs(v).bit_length() + d - k - 1) // (d - k) for k, v in enumerate(g[:-1])), default=0
+    )
     return [Fraction(a, lc) for a in _root_cuts(g, bound) if _homogeneous(g, a, 1) == 0]
 
 

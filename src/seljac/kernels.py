@@ -55,6 +55,15 @@ def feasibility_counts(n: int, q: int, p: int) -> tuple[int, bool]:
     only value there that n-1 divides is n-1 itself, reached exactly from
     top = ceil(q(n-1)/n) on. So the divisibility holds iff no primitive i
     lies in [lo, top), and both answers are interval counts.
+
+    The divisibility holds only at (n, q) = (3, 4). Of two consecutive
+    integers one is primitive, so [lo, top) may hold at most one integer.
+    If q < n, then lo = 1 is primitive and top >= 2, as q(n-1) > n. If
+    q > n, then top - lo > q(n-1)/n - (q/n + 1) = q(n-2)/n - 1, so
+    q < 2n/(n-2): that leaves n = 3 and q in {4, 5}. [2, 4) fails at q = 5,
+    and [2, 3) = {2} passes at q = 4 = 2^2. There #B = 1 = phi(4)/2, so
+    (3, 4) is feasible, and it is the one pair whose top level gets the
+    constant matrix factor in `decompose.predict_end_algebra`.
     """
     lo = -(-q // n)
     top = -(-q * (n - 1) // n)

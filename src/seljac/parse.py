@@ -26,7 +26,7 @@ from fractions import Fraction
 
 # DIGITS_MAX, the most digits a numeral may have, is Python's default
 # int-from-str limit, past which `int` itself would refuse it; `Poly.to_text`
-# prints no more, and `cli.Q_DIGITS_MAX` bounds q the same way.
+# prints no more, and `cli` bounds q = p**r by the same constant.
 from .poly import DIGITS_MAX, Poly
 
 # The largest x-exponent accepted. A parsed polynomial is a dense list, so

@@ -416,14 +416,14 @@ def test_q_digits_ceiling(capsys, monkeypatch, argv):
     calls = _count_prime_power(monkeypatch)
     code, out, err = run(capsys, *argv, "--p", "1000003", "--r", "1000")
     assert (code, out) == (2, "")
-    assert err == f"error: q = 1000003^1000 has more than {cli.Q_DIGITS_MAX} digits\n"
+    assert err == f"error: q = 1000003^1000 has more than {cli.DIGITS_MAX} digits\n"
     assert calls == []
 
 
 def test_q_digits_ceiling_is_inclusive(capsys, monkeypatch):
     # the largest accepted q still prints
-    assert len(str(10**cli.Q_DIGITS_MAX - 1)) == cli.Q_DIGITS_MAX
-    monkeypatch.setattr(cli, "Q_DIGITS_MAX", 3)
+    assert len(str(10**cli.DIGITS_MAX - 1)) == cli.DIGITS_MAX
+    monkeypatch.setattr(cli, "DIGITS_MAX", 3)
     assert run(capsys, "genus", "--n", "3", "--p", "31", "--r", "2") == (0, "960\n", "")
     assert run(capsys, "genus", "--n", "3", "--p", "2", "--r", "10") == (
         2, "", "error: q = 2^10 has more than 3 digits\n"

@@ -211,7 +211,7 @@ _TEN_LEVELS = [
     ("endo", "--n", "3", "--q", "1024", "--galois", "S3"),
 ]
 
-# q = 1000003^1000 has more than cli.Q_DIGITS_MAX digits, too many to
+# q = 1000003^1000 has more than poly.DIGITS_MAX digits, too many to
 # print: each exits 2 before any work on q.
 _Q_DIGITS = [
     ("decompose", "--n", "3", "--p", "1000003", "--r", "1000"),
@@ -323,6 +323,16 @@ _J_DIGITS = [
     ("jinv", "--poly", "x^3 - x + " + "1" * 4300),
 ]
 
+# Cubics over Q(t) whose short form needs the leading coefficient and the
+# x^2 coefficient together: a singular cubic, j = 1728, a leading
+# coefficient 2t summed from two terms, and t in the top two coefficients.
+_JINV_T_COEFFS = [
+    ("jinv", "--poly", "x^3 + t*x^2"),
+    ("jinv", "--poly", "x^3 + t*x"),
+    ("jinv", "--poly", "t*x^3 + t*x^3 - x + 1/3"),
+    ("jinv", "--poly", "t*x^3 + t*x^2 - x"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -352,6 +362,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _POLY_SPELLINGS for v in _both(*argv)),
     *(v for argv in _NUMERAL_DIGITS for v in _both(*argv)),
     *(v for argv in _J_DIGITS for v in _both(*argv)),
+    *(v for argv in _JINV_T_COEFFS for v in _both(*argv)),
 ]
 
 
@@ -394,6 +405,7 @@ def test_corpus_exit_codes():
         for argv in (
             *_INVALID, *_INVALID_LATER, *_CEILINGS, *_LARGE_P, *_GENUS_CEILING, *_Q_DIGITS,
             *_T_SUMS_INVALID, *_GENUS_LARGE_PRIME, *_ZERO_POLY, *_NUMERAL_DIGITS, *_J_DIGITS,
+            _JINV_T_COEFFS[0],
         )
         for v in _both(*argv)
     }

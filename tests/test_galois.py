@@ -88,7 +88,7 @@ def test_rational_roots():
         ([0, 0, -3, 1], [0, 3]),            # x^2 (x - 3): a double root at a critical point
         ([0, -1, 1], [0, 1]),               # x (x - 1): roots at both ends of the bracket of 1/2
         ([0, -1, 4, -4, 1], [0, 1]),        # x (x - 1)(x^2 - 3x + 1): two critical points in (0, 1)
-        ([-7, 1], [7]),                     # the root next to the Cauchy bound 8
+        ([-7, 1], [7]),                     # a root inside the bound 2^(1 + bitlen 7) = 16
         ([7, 1], [-7]),
         ([-6, 11, -6, 1], [1, 2, 3]),       # brackets of 2 -+ 1/sqrt(3) end at the roots
         ([9, -6, 1], [3]),                  # (x - 3)^2: no sign change anywhere
@@ -98,6 +98,8 @@ def test_rational_roots():
         ([Fraction(1, 2), Fraction(-3, 4)], [Fraction(2, 3)]),
         ([10**40 + 1, 0, 1], []),
         ([-(10**40), 0, 1], [-(10**20), 10**20]),
+        ([-(10**45), 3 * 10**30, -3 * 10**15, 1], [10**15]),  # (x - 10^15)^3
+        ([-(2**90), 0, 0, 1], [2**30]),     # bound 2^(1 + ceil(91/3)) = 2^32
     ],
 )
 def test_rational_roots_cases(coeffs, roots):

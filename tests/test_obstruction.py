@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from seljac import cli, kernels
 from seljac.arith import prime_power
+from seljac.decompose import predict_end_algebra
 from seljac.lattice import coprime_pairs
 from seljac.obstruction import (
     FeasibilityReport,
@@ -140,6 +141,20 @@ def test_feasibility_json():
 def test_feasibility_sweep_singles_out_3_4():
     feasible = [(r.n, r.q) for r in feasibility_sweep(12, 128) if r.feasible]
     assert feasible == [(3, 4)]
+
+
+def test_feasible_pairs_are_the_constant_matrix_top_levels():
+    # over criterion 4's grid, the square-case screen and the algebra table
+    # single out the same pair: the n = 3 pairs whose top level, of
+    # modulus q, is the matrix factor Mat_2(Q(zeta_4))
+    feasible = {(r.n, r.q) for r in feasibility_sweep(50, 1024) if r.feasible}
+    matrix_top = set()
+    for pair in coprime_pairs([3], 1024):
+        desc = predict_end_algebra(pair, "S3")
+        top = dict(zip((lv.modulus for lv in desc.levels), desc.factors))[pair.q]
+        if top.kind == "matrix":
+            matrix_top.add((pair.n, pair.q))
+    assert feasible == matrix_top == {(3, 4)}
 
 
 def test_sweep_skips_shared_prime():
