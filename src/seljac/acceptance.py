@@ -289,10 +289,10 @@ def criterion_9():
 
 def _random_squarefree(rng: random.Random, n: int, zero_constant: bool) -> Poly:
     while True:
-        coeffs = [Fraction(rng.randint(-6, 6)) for _ in range(n)]
-        coeffs.append(Fraction(rng.choice([-3, -2, -1, 1, 2, 3])))
+        coeffs = [rng.randint(-6, 6) for _ in range(n)]
+        coeffs.append(rng.choice([-3, -2, -1, 1, 2, 3]))
         if zero_constant:
-            coeffs[0] = Fraction(0)
+            coeffs[0] = 0
         f = Poly(coeffs)
         if poly_gcd(f, f.derivative()).degree == 0:
             return f

@@ -98,10 +98,12 @@ def _emit_records(args, records, text, json_line) -> None:
 def _head(args, n: int, ceiling=None) -> Pair:
     """The pair of n and q = p**r from --q and/or --p/--r, whose
     consistency is enforced first. A q too long to print, or one that
-    ceiling(n, q) rejects by raising, is refused before p or q is
-    trial-divided. With --p/--r the pair is `prime_pair` once p is proved
-    prime, a test of about sqrt(p) steps, and q is never factored; a bare
-    --q is factored once by `validate_pair`, about sqrt(q) steps."""
+    ceiling(n, q) rejects by raising, is refused before p or q is tested.
+    With --p/--r the pair is `prime_pair` once p is proved prime, and q is
+    never factored; a bare --q is factored once by `validate_pair`. Either
+    test takes O(log q) integer roots and modular powers (`prime_power`),
+    and a p of `arith.CERTIFIED_BELOW` or more that it cannot prove prime
+    is refused."""
     q, p, r = args.q, args.p, args.r
     if (p is None) != (r is None):
         raise ValueError("--p and --r must be given together")
@@ -178,9 +180,8 @@ SPECTRUM_Q_MAX = 2**20
 SPECTRUM_SLICE = 2**12
 
 # The most lattice points (n-1)(q-1)/2 that genus counts. The count takes
-# min(n, q) - 1 steps and stores no point, so the ceiling bounds the trial
-# division of q: at 2**22 it takes about 0.1 s at n = 3 and at
-# n = 2**23 + 1, each in about 15 MB.
+# min(n, q) - 1 steps and stores no point: at 2**22 it takes about 0.1 s
+# at n = 3 and at n = 2**23 + 1, each in about 15 MB.
 GENUS_POINTS_MAX = 2**22
 
 

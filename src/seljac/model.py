@@ -16,11 +16,20 @@ dicts agree exactly when b*n - a*q = 1 (otherwise the lone t-free power
 of s differs) and frev_k = c_(n-k) for every k (otherwise some monomial
 carries a different coefficient), so the check catches wrong gluing
 exponents and a wrong reversal.
+
+The coefficients are scaled integers. A `Poly` is its content n/d, in
+lowest terms, times a primitive integer vector, and each side is kept
+times the d of its own polynomial (f on the left, frev on the right): an
+integer dict in which the lone power of s carries d. No term from f or
+frev is t-free except at s^0, so two equal integer dicts hold the same d
+at s^1 t^0, and dividing it out gives equal sides. Conversely, d is the
+least common denominator of the polynomial's coefficients, and the lone
+power of s adds the integer 1 to at most one of them, which keeps that
+denominator, so equal sides have equal d and equal integer dicts.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .lattice import Pair
 from .poly import Poly, reversed_poly
@@ -33,12 +42,14 @@ def gluing_exponents(pair: Pair) -> tuple[int, int]:
     return a, b
 
 
-def _side(lead: tuple[int, int], terms) -> dict[tuple[int, int], Fraction]:
-    """The monomial s^lead[0] t^lead[1] minus each c * s^e t^g in terms
-    (given as (c, (e, g))), with zero coefficients dropped."""
-    out = {lead: Fraction(1)}
-    for c, key in terms:
-        out[key] = out.get(key, 0) - c
+def _side(lead: tuple[int, int], f: Poly, keys) -> dict[tuple[int, int], int]:
+    """f's content denominator d times the monomial s^lead[0] t^lead[1]
+    minus each coefficient of f times s^e t^g, for the keys (e, g) given in
+    degree order; zero coefficients dropped."""
+    n, d = f._n, f._d
+    out = {lead: d}
+    for v, key in zip(f.ints, keys):
+        out[key] = out.get(key, 0) - n * v
     return {key: c for key, c in out.items() if c}
 
 
@@ -49,10 +60,9 @@ def chart_identity_check(f: Poly, pair: Pair) -> bool:
     if f.degree != n:
         raise ValueError(f"f has degree {f.degree}, not the pair's n = {n}")
     a, b = gluing_exponents(pair)
-    cleared_f = ((c, (b * (n - k), q * (n - k))) for k, c in enumerate(f.coeffs))
-    lhs = _side((b * n - a * q, 0), cleared_f)
-    frev_w = ((c, (b * k, q * k)) for k, c in enumerate(reversed_poly(f, n).coeffs))
-    rhs = _side((1, 0), frev_w)
+    frev = reversed_poly(f, n)
+    lhs = _side((b * n - a * q, 0), f, ((b * (n - k), q * (n - k)) for k in range(n + 1)))
+    rhs = _side((1, 0), frev, ((b * k, q * k) for k in range(n + 1)))
     return lhs == rhs
 
 

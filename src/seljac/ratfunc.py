@@ -42,19 +42,7 @@ class RatFunc:
         self.num: Poly = pn
         self.den: Poly = pd
 
-    @classmethod
-    def _make(cls, num: Poly, den: Poly) -> RatFunc:
-        """A RatFunc from num/den already in lowest terms with den monic
-        (the zero function as 0/1)."""
-        r = object.__new__(cls)
-        r.num = num
-        r.den = den
-        return r
-
     # ---- structure ----
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
 
     @property
     def is_constant(self) -> bool:

@@ -1,22 +1,53 @@
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from seljac import arith
 from seljac.arith import (
+    CERTIFIED_BELOW,
     euler_phi_prime_power,
     fraction_is_square,
     fraction_sqrt,
     is_perfect_square,
     is_prime,
-    least_prime_factor,
     prime_power,
     prime_powers_upto,
     primitive_count,
 )
 from seljac.lattice import coprime_pairs
+
+
+# ---- the trial-division oracle ----
+
+
+def least_prime_factor(m: int) -> int:
+    """The least prime dividing m >= 2, by trial division: 2, then odd d
+    while d*d <= m; m itself when none divides it."""
+    if m % 2 == 0:
+        return 2
+    d = 3
+    while d * d <= m:
+        if m % d == 0:
+            return d
+        d += 2
+    return m
+
+
+def prime_power_by_trial_division(q: int) -> tuple[int, int] | None:
+    """`prime_power` as it was first written: divide out the least prime
+    factor and check that nothing else is left."""
+    if q < 2:
+        return None
+    p = least_prime_factor(q)
+    r = 0
+    while q % p == 0:
+        q //= p
+        r += 1
+    return (p, r) if q == 1 else None
 
 
 def test_is_prime_matches_sympy():
@@ -29,6 +60,102 @@ def test_is_prime_matches_sympy():
 def test_least_prime_factor_matches_sympy():
     for m in [*range(2, 2000), 10**9 + 7, (10**9 + 7) * 3, 1000003**2]:
         assert least_prime_factor(m) == min(sympy.factorint(m)), m
+
+
+def test_prime_power_matches_trial_division_below_a_million():
+    for m in range(-3, 10**6):
+        assert prime_power(m) == prime_power_by_trial_division(m), m
+
+
+def _sympy_prime_power(q: int) -> tuple[int, int] | None:
+    factors = sympy.factorint(q)
+    return next(iter(factors.items())) if len(factors) == 1 else None
+
+
+# The least strong pseudoprime to the first k prime bases, k = 1, ..., 13
+# (OEIS A014233): each is composite, and each passes Miller-Rabin to the
+# bases of the row it bounds.
+STRONG_PSEUDOPRIMES = [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+]
+
+
+def test_base_sets_are_bounded_by_their_least_strong_pseudoprimes():
+    assert [bound for bound, _ in arith._MILLER_RABIN] == STRONG_PSEUDOPRIMES
+    assert CERTIFIED_BELOW == STRONG_PSEUDOPRIMES[-1]
+    for bound, bases in arith._MILLER_RABIN:
+        assert not sympy.isprime(bound)
+        assert arith._strong_probable_prime(bound, bases)
+        assert bases == tuple(sympy.primerange(2, bases[-1] + 1))
+
+
+@pytest.mark.parametrize("m", STRONG_PSEUDOPRIMES[:-1])
+def test_strong_pseudoprimes_are_not_prime_powers(m):
+    # each is the least composite that its own row's bases miss, so a small
+    # factor or the next row's bases must catch it
+    assert prime_power(m) is None
+    assert is_prime(m) is False
+
+
+def test_prime_power_matches_sympy_on_seeded_inputs():
+    rng = random.Random(20150801)
+    cases = [3**1000, 2**1000, 101**2, 10007**3, (10**12 - 11) ** 5]
+    for _ in range(150):
+        p = sympy.prevprime(rng.randrange(3, 10**rng.randint(2, 12)))
+        cases.append(p ** rng.randint(1, 5))
+    for _ in range(100):
+        a = sympy.nextprime(rng.randrange(100, 10**rng.randint(3, 7)))
+        b = sympy.nextprime(rng.randrange(100, 10**rng.randint(3, 7)))
+        cases.append(a * b)
+        cases.append(a * b * b)
+    for q in cases:
+        assert prime_power(q) == _sympy_prime_power(q), q
+    # products of known primes too large for factorint to be quick
+    m61, m31 = 2**61 - 1, 2**31 - 1
+    for q in (m61 * m31, m61**2 * m31, m61 * (10**12 - 11) ** 3):
+        assert prime_power(q) is None
+    assert prime_power(m61**3) == (m61, 3)
+
+
+@given(st.integers(1, 10**400), st.integers(2, 300))
+@example(10**30, 3)
+@example(2**150 - 1, 3)
+def test_integer_root_is_the_floor_of_the_real_root(m, l):
+    assert arith._root(m, l) == sympy.integer_nthroot(m, l)[0]
+
+
+@given(st.integers(1, 10**60), st.integers(2, 60), st.sampled_from([-1, 0, 1]))
+def test_integer_root_near_an_exact_power(x, l, d):
+    m = x**l + d
+    if m >= 1:
+        assert arith._root(m, l) == sympy.integer_nthroot(m, l)[0]
+
+
+MESSAGE = (
+    r"^cannot prove {} prime: the primality test is certain only below 3317044064679887385961981$"
+)
+
+
+@pytest.mark.parametrize(
+    "q,base",
+    [
+        (2**89 - 1, 2**89 - 1),  # a Mersenne prime above the bound
+        ((2**89 - 1) ** 3, 2**89 - 1),  # its cube: the root is taken first
+        (CERTIFIED_BELOW, CERTIFIED_BELOW),  # composite, but no base set here says so
+    ],
+)
+def test_a_probable_prime_past_the_bound_is_refused(q, base):
+    for check in (prime_power, is_prime):
+        with pytest.raises(ValueError, match=MESSAGE.format(base)):
+            check(q)
+
+
+def test_a_composite_past_the_bound_is_no_prime_power():
+    # a factor below 100, or base 2 alone, proves these composite
+    assert prime_power((2**89 - 1) * (2**107 - 1)) is None
+    assert prime_power(CERTIFIED_BELOW * 3) is None
+    assert prime_power((2**89 - 1) * 101) is None
 
 
 @pytest.mark.parametrize(

@@ -296,8 +296,8 @@ def test_exponent_ceiling_before_power(capsys, r):
 
 def test_p_r_path_does_not_factor_q(capsys, monkeypatch):
     # --p/--r give q = p**r already: a q above the spectrum ceiling is
-    # rejected before p is tested or q is factored, whose trial division
-    # costs sqrt(q) = p steps. A bare --q is factored once, by validate_pair.
+    # rejected before p is tested or q is factored. A bare --q is factored
+    # once, by validate_pair.
     calls = []
 
     def counting(m, real=arith.prime_power):

@@ -333,6 +333,21 @@ _JINV_T_COEFFS = [
     ("jinv", "--poly", "t*x^3 + t*x^2 - x"),
 ]
 
+# A prime p near 10^18 and q = (10^9 + 7)^2 given as --q: before
+# prime_power took O(log q) steps neither finished, so there is no older
+# recording to match; test_polylog_factoring_rows_match_closed_forms checks
+# them.
+_POLYLOG_FACTORING = [
+    ("heart", "--galois", "S4", "--p", "1000000000000000003"),
+    ("decompose", "--n", "3", "--q", "1000000014000000049"),
+]
+
+# A prime above arith.CERTIFIED_BELOW (2^89 - 1), which no Miller-Rabin
+# base set here proves prime: it exits 2 with seljac's own message.
+_UNCERTIFIED = [
+    ("decompose", "--n", "3", "--q", "618970019642690137449562111"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -363,6 +378,8 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _NUMERAL_DIGITS for v in _both(*argv)),
     *(v for argv in _J_DIGITS for v in _both(*argv)),
     *(v for argv in _JINV_T_COEFFS for v in _both(*argv)),
+    *(v for argv in _POLYLOG_FACTORING for v in _both(*argv)),
+    *(v for argv in _UNCERTIFIED for v in _both(*argv)),
 ]
 
 
@@ -405,7 +422,7 @@ def test_corpus_exit_codes():
         for argv in (
             *_INVALID, *_INVALID_LATER, *_CEILINGS, *_LARGE_P, *_GENUS_CEILING, *_Q_DIGITS,
             *_T_SUMS_INVALID, *_GENUS_LARGE_PRIME, *_ZERO_POLY, *_NUMERAL_DIGITS, *_J_DIGITS,
-            _JINV_T_COEFFS[0],
+            _JINV_T_COEFFS[0], *_UNCERTIFIED,
         )
         for v in _both(*argv)
     }
@@ -428,6 +445,26 @@ def test_large_p_pairs_match_closed_forms():
             ]
         else:
             assert out["b"] * n - out["a"] * q == 1 and out["identity"] is True
+
+
+def test_polylog_factoring_rows_match_closed_forms():
+    # S4 acts doubly transitively, so its commutant is the scalars; new_dim
+    # at level i is (n-1)(p^i - p^(i-1))/2; 2^89 - 1 is refused, not answered
+    recorded = {tuple(rec["argv"]): rec for rec in _recorded()}
+    heart, decompose = (json.loads(recorded[(*argv, "--format", "json")]["stdout"])
+                        for argv in _POLYLOG_FACTORING)
+    assert heart == {"commutant_dim": 1, "degree": 4, "doubly_transitive": True,
+                     "group": "S4", "p": 10**18 + 3}
+    n, p, r = decompose["n"], decompose["p"], decompose["r"]
+    assert (n, p, r, decompose["q"]) == (3, 10**9 + 7, 2, (10**9 + 7) ** 2)
+    assert [level["new_dim"] for level in decompose["levels"]] == [
+        (n - 1) * (p**i - p ** (i - 1)) // 2 for i in range(1, r + 1)
+    ]
+    for argv in _both(*_UNCERTIFIED[0]):
+        assert recorded[argv]["stderr"] == (
+            f"error: cannot prove {2**89 - 1} prime: the primality test is certain only "
+            "below 3317044064679887385961981\n"
+        )
 
 
 def test_corpus_reaches_every_galois_label():

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from seljac import model
 from seljac.arith import prime_power
@@ -123,10 +123,85 @@ def test_chart_identity_catches_unreversed_coefficients(monkeypatch):
 COEFF = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 
 
-@given(st.sampled_from([(n, q) for n, q in VALID_PAIRS if n <= 8]), st.data())
-def test_chart_identity_holds_on_random_rational_f(pair, data):
-    n, q = pair
+def _random_f(n, data):
     constant = data.draw(st.just(Fraction(0)) | COEFF)  # f(0) = 0: frev loses degree
     middle = data.draw(st.lists(COEFF, min_size=n - 1, max_size=n - 1))
     lead = data.draw(COEFF.filter(bool))
-    assert chart_identity_check(Poly([constant, *middle, lead]), validate_pair(n, q)) is True
+    return Poly([constant, *middle, lead])
+
+
+@given(st.sampled_from([(n, q) for n, q in VALID_PAIRS if n <= 8]), st.data())
+def test_chart_identity_holds_on_random_rational_f(pair, data):
+    n, q = pair
+    assert chart_identity_check(_random_f(n, data), validate_pair(n, q)) is True
+
+
+# ---- the Fraction oracle ----
+
+
+def fraction_chart_identity(f: Poly, pair) -> bool:
+    """`chart_identity_check` on `Fraction` coefficients, as it was first
+    written, with the gluing exponents and the reversal read from `model`
+    at each call."""
+    n, q = pair.n, pair.q
+    a, b = model.gluing_exponents(pair)
+
+    def side(lead, terms):
+        out = {lead: Fraction(1)}
+        for c, key in terms:
+            out[key] = out.get(key, 0) - c
+        return {key: c for key, c in out.items() if c}
+
+    cleared_f = ((c, (b * (n - k), q * (n - k))) for k, c in enumerate(f.coeffs))
+    lhs = side((b * n - a * q, 0), cleared_f)
+    frev = model.reversed_poly(f, n)
+    rhs = side((1, 0), ((c, (b * k, q * k)) for k, c in enumerate(frev.coeffs)))
+    return lhs == rhs
+
+
+# A wrong reversal for every f: x^n f(1/x) halved (its content denominator
+# changes), shifted up one degree, or with 1 added; and one for every f
+# that is not a palindrome, f itself.
+WRONG_REVERSALS = {
+    "halved": lambda g, n: reversed_poly(g, n) * Fraction(1, 2),
+    "shifted": lambda g, n: reversed_poly(g, n + 1),
+    "plus one": lambda g, n: reversed_poly(g, n) + 1,
+    "unreversed": lambda g, n: g,
+}
+
+# Gluing exponents off by q in b or by one in a: b*n - a*q is no longer 1.
+WRONG_GLUINGS = {
+    "b + q": lambda a, b, q: (a, b + q),
+    "a + 1": lambda a, b, q: (a + 1, b),
+    "a - 1": lambda a, b, q: (a - 1, b),
+}
+
+MODEL_PAIRS = [(n, q) for n, q in VALID_PAIRS if n <= 8]
+
+
+@given(st.sampled_from(MODEL_PAIRS), st.data())
+def test_integer_identity_matches_the_fraction_oracle(pair, data):
+    n, q = pair
+    f, pair = _random_f(n, data), validate_pair(n, q)
+    assert chart_identity_check(f, pair) is fraction_chart_identity(f, pair) is True
+
+
+@given(st.sampled_from(MODEL_PAIRS), st.sampled_from(sorted(WRONG_REVERSALS)), st.data())
+def test_both_checks_refuse_a_wrong_reversal(pair, name, data):
+    n, q = pair
+    f, pair = _random_f(n, data), validate_pair(n, q)
+    if name == "unreversed":
+        assume(reversed_poly(f, n) != f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "reversed_poly", WRONG_REVERSALS[name])
+        assert chart_identity_check(f, pair) is fraction_chart_identity(f, pair) is False
+
+
+@given(st.sampled_from(MODEL_PAIRS), st.sampled_from(sorted(WRONG_GLUINGS)), st.data())
+def test_both_checks_refuse_wrong_gluing_exponents(pair, name, data):
+    n, q = pair
+    f, pair = _random_f(n, data), validate_pair(n, q)
+    a, b = gluing_exponents(pair)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "gluing_exponents", lambda _: WRONG_GLUINGS[name](a, b, q))
+        assert chart_identity_check(f, pair) is fraction_chart_identity(f, pair) is False
