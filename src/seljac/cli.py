@@ -13,12 +13,16 @@ and all through one `writelines`: a text renderer, or a JSON one that
 fills a fixed template with the line the encoder would write for the
 report's `_asdict()`, which the tests check record by record.
 `spectrum` writes its own way too: its up to 2^20 - 1 multiplicities are
-formatted by C loops over ranges of exponents, with no dict between, and
-written as they are made, so its memory does not grow with q: the text
-`SPECTRUM_SLICE` lines at a time, the JSON one group of keys at a time
-(`_key_groups`), each group sorted on its own into the order that the
-encoder's sort_keys would give. The tests check the JSON against the
-encoder and the text against the per-entry lines, byte for byte. The
+formatted by one %-template per range of exponents (`_spectrum_lines`),
+with no dict between, and written as they are made, so its memory does
+not grow with q: the text `SPECTRUM_SLICE` lines at a time, the JSON one
+group of at most 1,111 keys at a time (`_key_groups`), each group sorted
+on its own into the order that the encoder's sort_keys would give. For
+q > 2n each run of equal multiplicity holds two or more exponents, so the
+template carries each run's multiplicity and the exponents alone fill it;
+otherwise it takes (exponent, multiplicity) pairs. The tests check the
+JSON against the encoder and the text against the per-entry lines, byte
+for byte, on both sides of q = 2n. The
 subcommands keyed by (n, q) get one `lattice.Pair` from `_head`, which
 checks the flags and any ceiling first, then builds the pair from --p/--r
 once p is proved prime, or factors --q once; they pass the pair down and
@@ -44,6 +48,7 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 
 from .acceptance import run_all
 from .arith import is_prime
@@ -171,9 +176,10 @@ def _feasible_json(rep) -> str:
 
 
 # The largest q that spectrum accepts: its output has q - 1 entries, 13-23
-# MB at 2**20. Written as it is made, it takes about 0.95 s at n = 7 and
-# 1.0-1.4 s when n is near q, on a 2-core VM with Python 3.11, in either
-# format; the process peaks at about 16 MB, 1 MB above `genus --n 3 --q 2`.
+# MB at 2**20. Written as it is made, it takes about 0.2-0.3 s in text and
+# 0.35-0.5 s in JSON at n = 7, and 0.55-0.8 s in text and 0.7-1.2 s in
+# JSON when n is near q, on a 2-core VM with Python 3.11; the process
+# peaks at 15.2-15.7 MB, under 1 MB above `genus --n 3 --q 2`.
 SPECTRUM_Q_MAX = 2**20
 
 # spectrum writes its text this many lines at a time.
@@ -229,23 +235,47 @@ def _cmd_genus(args) -> int:
 
 
 def _key_groups(q: int) -> Iterator[list[range]]:
-    """The exponents 1..q-1 as groups of ranges, in the order that
+    """The exponents 1..q-1 as groups of nonempty ranges, in the order that
     sort_keys gives their decimal keys: sorted as text, the keys of a group
     all come before those of the next. With D the digit count of q - 1 and
-    d = max(D - 4, 0), a group holds the keys that start with one d-digit
-    prefix s (for d = 0, every key), at most 11,111 of them, and the keys
-    shorter than d digits that s extends by zeros alone, which sort just
-    before s and start no earlier prefix."""
+    d = D - 3, for d <= 0 the one group is every key, as one range; else a
+    group holds the keys that start with one d-digit prefix s, at most
+    1,111 of them, and the keys shorter than d digits that s extends by
+    zeros alone, which sort just before s and start no earlier prefix."""
     top = len(str(q - 1))
-    d = max(top - 4, 0)
-    for s in range(10**d // 10, 10**d):
+    d = top - 3
+    if d <= 0:
+        yield [range(1, q)]
+        return
+    for s in range(10 ** (d - 1), 10**d):
         shorter = [range(s // 10**k, s // 10**k + 1) for k in range(d - 1, 0, -1)
                    if s % 10**k == 0]
         yield shorter + [
-            range(max(s * 10 ** (length - d), 10 ** (length - 1)),
-                  min((s + 1) * 10 ** (length - d), q))
-            for length in range(max(d, 1), top + 1)
+            range(lo, min(lo + 10 ** (length - d), q))
+            for length in range(d, top + 1)
+            if (lo := s * 10 ** (length - d)) < q
         ]
+
+
+def _spectrum_lines(spec, ranges: list[range], key: str) -> str:
+    """The line key % i, then floor(n*i/q) and "\n", for each exponent i of
+    ranges in turn, made by one %-template over them all. For q > 2n every
+    run of equal multiplicity holds two or more exponents, so the template
+    repeats key with the run's multiplicity written in once per exponent
+    and takes the exponents alone; otherwise most runs hold one exponent,
+    and the template takes (i, multiplicity) pairs."""
+    if spec.q > 2 * spec.n:
+        line = key.replace("%", "%%") + "%d\n"
+        pieces = []
+        for exponents in ranges:
+            ks, lengths = spec.runs_over(exponents)
+            pieces += map(mul, map(line.__mod__, ks), lengths)
+        return "".join(pieces) % tuple(chain.from_iterable(ranges))
+    size = sum(map(len, ranges))
+    values = [0] * (2 * size)
+    values[::2] = chain.from_iterable(ranges)
+    values[1::2] = chain.from_iterable(map(spec.multiplicities_over, ranges))
+    return (key + "%d\n") * size % tuple(values)
 
 
 def _cmd_spectrum(args) -> int:
@@ -260,19 +290,17 @@ def _cmd_spectrum(args) -> int:
         # record. Each group is formatted, sorted and written on its own.
         head = '{"multiplicities": {'
         for group in _key_groups(spec.q):
-            exponents = chain.from_iterable(group)
-            mults = chain.from_iterable(map(spec.multiplicities_over, group))
+            entries = _spectrum_lines(spec, group, '"%d": ').splitlines()
+            entries.sort()
             write(head)
-            write(", ".join(sorted(map('"{}": {}'.format, exponents, mults))))
+            write(", ".join(entries))
             head = ", "
         write("}, " + _dump(rest)[1:] + "\n")
     else:
         write(_header(rest) + "\n")
         for start in range(1, spec.q, SPECTRUM_SLICE):
             exponents = range(start, min(start + SPECTRUM_SLICE, spec.q))
-            write("\n".join(map("i={}  mult={}".format, exponents,
-                                spec.multiplicities_over(exponents))))
-            write("\n")
+            write(_spectrum_lines(spec, [exponents], "i=%d  mult="))
         write(f"total = {rest['total']}  primitive = {rest['primitive_total']}\n")
     return 0
 
@@ -436,6 +464,8 @@ def _cmd_model_check(args) -> int:
 
 
 def _cmd_heart(args) -> int:
+    if args.n is not None and args.n < 2:  # no sum-zero module to act on
+        raise ValueError(f"degree n must be >= 2, got {args.n}")
     if args.galois is not None:
         group = GROUPS.get(args.galois)
         if group is None:

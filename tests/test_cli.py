@@ -206,8 +206,10 @@ def _spectrum_out(n, q, fmt):
     return out.getvalue()
 
 
-_SPECTRUM_PAIRS = st.tuples(
-    st.integers(3, 40), st.sampled_from([q for q in range(2, 4097) if arith.prime_power(q)])
+# n up to max(40, 3q), so that both q > 2n (runs of two or more exponents)
+# and q < 2n (runs of mostly one) are drawn at every q.
+_SPECTRUM_PAIRS = st.sampled_from([q for q in range(2, 4097) if arith.prime_power(q)]).flatmap(
+    lambda q: st.tuples(st.integers(3, max(40, 3 * q)), st.just(q))
 ).filter(lambda nq: math.gcd(*nq) == 1)
 
 
@@ -215,11 +217,15 @@ _SPECTRUM_PAIRS = st.tuples(
 # at q = 2, 7, 9), and n close to q (40 at 81, 317, 343). Past q = 10^4 the
 # JSON is written in several decimal-prefix groups: keys up to five digits
 # under one prefix digit (10007, 59049, 65536, 100003) and six digits under
-# two (131072), with n > q at 65536, as n = q + 1.
+# two (131072), with n > q at 65536, as n = q + 1. Then pairs on both
+# sides of q = 2n, where spectrum switches from one template entry per
+# run to one per exponent: 41 against 2*20 and 2*21, 1024 against 2*511
+# and 2*513, and n = q - 1 at 131072.
 @pytest.mark.parametrize("n,q", [(3, 2), (11, 2), (3, 1024), (7, 1024), (10, 1009),
                                  (11, 7), (11, 9), (11, 16), (40, 81), (40, 317), (40, 343),
                                  (10, 10007), (7, 59049), (65537, 65536), (3, 100003),
-                                 (7, 131072)])
+                                 (7, 131072), (20, 41), (21, 41), (511, 1024), (513, 1024),
+                                 (131071, 131072)])
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_spectrum_bytes_match_per_entry_output(n, q, fmt):
     assert _spectrum_out(n, q, fmt) == _spectrum_oracle(n, q, fmt)
@@ -667,6 +673,15 @@ def test_heart_rejects(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("n", [-3, 0, 1])
+@pytest.mark.parametrize("rest", [("--p", "2"), ("--p", "4"), ("--galois", "S3", "--p", "5")])
+def test_heart_refuses_degree_below_two(capsys, n, rest):
+    # one message for every n < 2, before the group, the label or p is read
+    assert run(capsys, "heart", "--n", str(n), *rest) == (
+        2, "", f"error: degree n must be >= 2, got {n}\n"
+    )
 
 
 @pytest.mark.parametrize(

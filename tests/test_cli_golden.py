@@ -348,6 +348,23 @@ _UNCERTIFIED = [
     ("decompose", "--n", "3", "--q", "618970019642690137449562111"),
 ]
 
+# Spectra on both sides of q = 2n, where runs of equal multiplicity go
+# from two or more exponents long (q > 2n) to mostly one (q < 2n).
+_SPECTRUM_SWITCH = [
+    ("spectrum", "--n", "20", "--q", "41"),
+    ("spectrum", "--n", "21", "--q", "41"),
+    ("spectrum", "--n", "511", "--q", "1024"),
+    ("spectrum", "--n", "513", "--q", "1024"),
+]
+
+# heart with a degree below 2: each exits 2 with one message, before the
+# group is built or p is tested.
+_HEART_DEGREE = [
+    ("heart", "--n", "-3", "--p", "2"),
+    ("heart", "--n", "0", "--p", "2"),
+    ("heart", "--n", "1", "--p", "2"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -380,6 +397,8 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _JINV_T_COEFFS for v in _both(*argv)),
     *(v for argv in _POLYLOG_FACTORING for v in _both(*argv)),
     *(v for argv in _UNCERTIFIED for v in _both(*argv)),
+    *(v for argv in _SPECTRUM_SWITCH for v in _both(*argv)),
+    *(v for argv in _HEART_DEGREE for v in _both(*argv)),
 ]
 
 
@@ -422,7 +441,7 @@ def test_corpus_exit_codes():
         for argv in (
             *_INVALID, *_INVALID_LATER, *_CEILINGS, *_LARGE_P, *_GENUS_CEILING, *_Q_DIGITS,
             *_T_SUMS_INVALID, *_GENUS_LARGE_PRIME, *_ZERO_POLY, *_NUMERAL_DIGITS, *_J_DIGITS,
-            _JINV_T_COEFFS[0], *_UNCERTIFIED,
+            _JINV_T_COEFFS[0], *_UNCERTIFIED, *_HEART_DEGREE,
         )
         for v in _both(*argv)
     }

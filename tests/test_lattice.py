@@ -219,6 +219,21 @@ def test_spectrum_matches_per_entry_oracle(pair):
     assert spec.primitive_total() == sum(m for i, m in mult.items() if i % spec.p)
 
 
+@given(st.sampled_from(RUN_PAIRS), st.data())
+def test_runs_over_spell_out_each_multiplicity(pair, data):
+    # each k repeated over its run's length, run after run, is the
+    # per-entry multiplicity list of any subrange of 1..q-1
+    n, q = pair
+    start = data.draw(st.integers(1, q - 1))
+    stop = data.draw(st.integers(start + 1, q))
+    ks, lengths = full_spectrum(validate_pair(n, q)).runs_over(range(start, stop))
+    lengths = list(lengths)
+    assert len(lengths) == len(ks) and min(lengths) >= 0
+    assert [k for k, length in zip(ks, lengths) for _ in range(length)] == [
+        n * i // q for i in range(start, stop)
+    ]
+
+
 def test_multiplicities_view_rejects_other_keys():
     mult = full_spectrum(validate_pair(3, 8)).multiplicities
     for key in (0, 8, -1, "1"):
