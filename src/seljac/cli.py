@@ -16,13 +16,17 @@ report's `_asdict()`, which the tests check record by record.
 formatted by one %-template per range of exponents (`_spectrum_lines`),
 with no dict between, and written as they are made, so its memory does
 not grow with q: the text `SPECTRUM_SLICE` lines at a time, the JSON one
-group of at most 1,111 keys at a time (`_key_groups`), each group sorted
-on its own into the order that the encoder's sort_keys would give. For
-q > 2n each run of equal multiplicity holds two or more exponents, so the
-template carries each run's multiplicity and the exponents alone fill it;
-otherwise it takes (exponent, multiplicity) pairs. The tests check the
-JSON against the encoder and the text against the per-entry lines, byte
-for byte, on both sides of q = 2n. The
+group of keys at a time (`_key_groups`), each group the keys under one
+decimal prefix, at most `SPECTRUM_GROUP` of them, and a few shorter keys,
+sorted on its own into the order that the encoder's sort_keys would give.
+For q > 2n each run of equal multiplicity holds two or more exponents, so
+the template carries each run's multiplicity and the exponents alone fill
+it; otherwise it takes (exponent, multiplicity) pairs. For q >= 10n each
+run holds ten or more, and the JSON writes the deepest keys of a group ten
+to a line, one slice of a ten-entry template per run, so the sort sees
+about a fifth as many lines. The tests check the JSON against the encoder
+and the text against the per-entry lines, byte for byte, on both sides of
+q = 2n and q = 10n. The
 subcommands keyed by (n, q) get one `lattice.Pair` from `_head`, which
 checks the flags and any ceiling first, then builds the pair from --p/--r
 once p is proved prime, or factors --q once; they pass the pair down and
@@ -176,17 +180,20 @@ def _feasible_json(rep) -> str:
 
 
 # The largest q that spectrum accepts: its output has q - 1 entries, 13-23
-# MB at 2**20. Written as it is made, it takes about 0.2-0.3 s in text and
-# 0.35-0.5 s in JSON at n = 7, and 0.55-0.8 s in text and 0.7-1.2 s in
-# JSON when n is near q, on a 2-core VM with Python 3.11; the process
-# peaks at 15.2-15.7 MB, under 1 MB above `genus --n 3 --q 2`.
+# MB at 2**20. Written as it is made, it takes about 0.15 s in text and
+# 0.19 s in JSON at n = 7, and 0.3-0.47 s in text and 0.37-0.53 s in JSON
+# when n is near q, interpreter start included, on a 2-core VM with
+# Python 3.11; the process peaks at 15.9-16.3 MB, 1-1.5 MB above
+# `genus --n 3 --q 2`.
 SPECTRUM_Q_MAX = 2**20
 
-# spectrum writes its text this many lines at a time.
+# spectrum writes its text this many lines at a time, and sorts its JSON
+# keys in groups of at most this many under one decimal prefix.
 SPECTRUM_SLICE = 2**12
+SPECTRUM_GROUP = 1111
 
 # The most lattice points (n-1)(q-1)/2 that genus counts. The count takes
-# min(n, q) - 1 steps and stores no point: at 2**22 it takes about 0.1 s
+# n - 1 steps for n < q, O(log q) for n > q, and stores no point: at 2**22 it takes about 0.1 s
 # at n = 3 and at n = 2**23 + 1, each in about 15 MB.
 GENUS_POINTS_MAX = 2**22
 
@@ -237,45 +244,84 @@ def _cmd_genus(args) -> int:
 def _key_groups(q: int) -> Iterator[list[range]]:
     """The exponents 1..q-1 as groups of nonempty ranges, in the order that
     sort_keys gives their decimal keys: sorted as text, the keys of a group
-    all come before those of the next. With D the digit count of q - 1 and
-    d = D - 3, for d <= 0 the one group is every key, as one range; else a
-    group holds the keys that start with one d-digit prefix s, at most
-    1,111 of them, and the keys shorter than d digits that s extends by
-    zeros alone, which sort just before s and start no earlier prefix."""
-    top = len(str(q - 1))
-    d = top - 3
-    if d <= 0:
+    all come before those of the next. For q <= SPECTRUM_GROUP + 1 the one
+    group is every key, as one range. Otherwise the decimal prefixes s are
+    walked in text order from 1..9: the keys that start with s, the ranges
+    [s*10^k, (s+1)*10^k) below q, are one group if there are at most
+    SPECTRUM_GROUP of them, its last range the deepest, whose keys all have
+    one digit count; if there are more, the key s alone joins the next
+    group made, since it sorts just before every other key that starts with
+    s, and the ten prefixes s0..s9 are walked in turn. So a group holds at
+    most SPECTRUM_GROUP keys under its prefix and one shorter key for each
+    digit count below the prefix's: 126 groups at q = 2^17 and 945 at
+    2^20, of at most 1,114 keys."""
+    if q <= SPECTRUM_GROUP + 1:
         yield [range(1, q)]
         return
-    for s in range(10 ** (d - 1), 10**d):
-        shorter = [range(s // 10**k, s // 10**k + 1) for k in range(d - 1, 0, -1)
-                   if s % 10**k == 0]
-        yield shorter + [
-            range(lo, min(lo + 10 ** (length - d), q))
-            for length in range(d, top + 1)
-            if (lo := s * 10 ** (length - d)) < q
-        ]
+    shorter = []
+    prefixes = list(range(9, 0, -1))
+    while prefixes:
+        s = prefixes.pop()
+        keys = []
+        lo, hi = s, s + 1
+        while lo < q:
+            keys.append(range(lo, min(hi, q)))
+            lo, hi = 10 * lo, 10 * hi
+        if sum(map(len, keys)) <= SPECTRUM_GROUP:
+            yield shorter + keys
+            shorter = []
+        else:
+            shorter.append(keys[0])
+            prefixes += range(10 * s + 9, 10 * s - 1, -1)
 
 
-def _spectrum_lines(spec, ranges: list[range], key: str) -> str:
+def _spectrum_lines(spec, ranges: list[range], key: str, decades: bool = False) -> str:
     """The line key % i, then floor(n*i/q) and "\n", for each exponent i of
     ranges in turn, made by one %-template over them all. For q > 2n every
     run of equal multiplicity holds two or more exponents, so the template
     repeats key with the run's multiplicity written in once per exponent
     and takes the exponents alone; otherwise most runs hold one exponent,
-    and the template takes (i, multiplicity) pairs."""
+    and the template takes (i, multiplicity) pairs. With decades, for
+    q >= 10n, the last range's entries are written ten to a line instead
+    (`_decade_pieces`)."""
     if spec.q > 2 * spec.n:
         line = key.replace("%", "%%") + "%d\n"
         pieces = []
-        for exponents in ranges:
+        for exponents in ranges[:-1] if decades else ranges:
             ks, lengths = spec.runs_over(exponents)
             pieces += map(mul, map(line.__mod__, ks), lengths)
+        if decades:
+            pieces += _decade_pieces(spec, ranges[-1], line)
         return "".join(pieces) % tuple(chain.from_iterable(ranges))
     size = sum(map(len, ranges))
     values = [0] * (2 * size)
     values[::2] = chain.from_iterable(ranges)
     values[1::2] = chain.from_iterable(map(spec.multiplicities_over, ranges))
     return (key + "%d\n") * size % tuple(values)
+
+
+def _decade_pieces(spec, exponents: range, line: str) -> list[str]:
+    """The template of line % k, one entry per exponent of exponents with
+    k its multiplicity, each entry followed by ", " but for those of an
+    exponent ending in 9 and the last exponent, which end a line. For
+    q >= 10n a run of equal multiplicity holds ten exponents or more, so
+    each run is one slice of its ten-entry unit, taken from the run's
+    offset mod 10: with w the width of an entry and its ", ", the unit
+    spans 10w - 1 characters, its last entry ending in "\n"."""
+    pieces = []
+    at = exponents.start % 10
+    ks, lengths = spec.runs_over(exponents)
+    for k, length in zip(ks, lengths):
+        entry = line % k
+        width = len(entry) + 1
+        unit = (entry[:-1] + ", ") * 9 + entry
+        end = at + length
+        stop = end // 10 * (10 * width - 1) + end % 10 * width
+        pieces.append((unit * (end // 10 + 1))[at * width:stop])
+        at = end % 10
+    if at:
+        pieces[-1] = pieces[-1][:-2] + "\n"
+    return pieces
 
 
 def _cmd_spectrum(args) -> int:
@@ -288,9 +334,13 @@ def _cmd_spectrum(args) -> int:
         # that sort_keys gives their keys, since '"' sorts below every
         # digit; and "multiplicities" sorts before every other key of the
         # record. Each group is formatted, sorted and written on its own.
+        # A line of ten entries sorts as its first: its keys share a
+        # decade and a digit count, and no key of the group lies between
+        # them or extends them, since they are the group's deepest.
         head = '{"multiplicities": {'
+        decades = spec.q > SPECTRUM_GROUP + 1 and spec.q >= 10 * spec.n
         for group in _key_groups(spec.q):
-            entries = _spectrum_lines(spec, group, '"%d": ').splitlines()
+            entries = _spectrum_lines(spec, group, '"%d": ', decades).splitlines()
             entries.sort()
             write(head)
             write(", ".join(entries))

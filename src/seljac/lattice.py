@@ -17,9 +17,9 @@ automorphism multiplies y by a primitive root of unity; the form indexed
 by (j, i) picks up exponent i, and the eigenvalue with exponent -i has
 multiplicity floor(n*i/q), the number of points in row q - i. It is
 constant on runs: floor(n*i/q) = k exactly for ceil(k*q/n) <= i <
-ceil((k+1)*q/n). So a spectrum is held as n, q and p, and one count of
-at most min(n, q) - 1 terms over the runs serves the points and the
-spectrum; nothing of size q or n is built.
+ceil((k+1)*q/n). So a spectrum is held as n, q and p, and one count
+serves the points and the spectrum: for n < q a sum of n - 1 run bounds,
+for n > q a floor sum in O(log q) steps; nothing of size q or n is built.
 """
 from __future__ import annotations
 
@@ -92,19 +92,41 @@ def _run_bounds(n: int, q: int, ks: range | None = None) -> Iterator[int]:
     return map(floordiv, range(ks.start * q + n - 1, ks.stop * q + n - 1, q), repeat(n))
 
 
+def _floor_sum(count: int, m: int, a: int, b: int = 0) -> int:
+    """The sum of floor((a*i + b)/m) over i = 0..count-1, for m >= 1 and
+    a, b >= 0, in O(log m) steps. The parts a//m and b//m of each term sum
+    in closed form; what is left counts the lattice points under a line of
+    slope a/m < 1, which is the same sum with the axes swapped: count and m
+    trade places with the height of the line and a, as in Euclid."""
+    total = 0
+    while True:
+        if a >= m:
+            total += count * (count - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += count * (b // m)
+            b %= m
+        top = a * count + b
+        if top < m:
+            return total
+        count, b = divmod(top, m)
+        m, a = a, m
+
+
 def _count_below(n: int, q: int) -> int:
     """The interior point count, which is the sum of floor(n*i/q) over
     i = 1..q-1. For n < q it telescopes over the runs to (n-1)*q minus the
-    n - 1 inner bounds; for n > q it sums the q - 1 terms, the shorter loop."""
+    n - 1 inner bounds; for n > q it is a floor sum in O(log q) steps."""
     if n > q:
-        return sum(_multiplicities_over(n, q, range(1, q)))
+        return _floor_sum(q, q, n)
     return (n - 1) * q - sum(_run_bounds(n, q))
 
 
 class _InteriorPoints:
     """The interior points (j, i) of the (n, q) triangle in lexicographic
     order, as a view: it holds n and q only, counts the points in
-    O(min(n, q)) steps, and makes them one at a time as it is iterated."""
+    O(min(n, q)) steps (`_count_below`), and makes them one at a time as it
+    is iterated."""
 
     __slots__ = ("_n", "_q")
 
@@ -184,7 +206,7 @@ class EigenSpectrum(NamedTuple):
 
     `total()` sums over the runs, and `primitive_total()` takes off the
     entries at multiples of p, which sum the same way; every sum takes at
-    most min(n, q) - 1 terms in a C loop. `multiplicities`
+    most min(n, q) - 1 terms (`_count_below`). `multiplicities`
     reads the same numbers per exponent, in ascending order of i, from a
     view that stores nothing of size q; `multiplicities_over` reads them
     over any range of exponents, and `runs_over` gives the runs that meet

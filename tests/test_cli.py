@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import seljac
 from seljac import arith, cli, decompose, lattice, model
@@ -213,6 +213,32 @@ _SPECTRUM_PAIRS = st.sampled_from([q for q in range(2, 4097) if arith.prime_powe
 ).filter(lambda nq: math.gcd(*nq) == 1)
 
 
+# Past the one JSON group (q > 1112) with q >= 10n, where the deepest
+# range of each group is written ten entries to a line.
+_DECADE_PAIRS = st.sampled_from(
+    [q for q in range(cli.SPECTRUM_GROUP + 2, 2**17 + 1) if arith.prime_power(q)]
+).flatmap(lambda q: st.tuples(st.integers(3, q // 10), st.just(q))).filter(
+    lambda nq: math.gcd(*nq) == 1
+)
+
+
+def _assert_same_text(out, expected):
+    # the length and the first differing offset first: on a mismatch they
+    # report at once, where pytest's diff of two long strings takes minutes
+    assert (len(out), _common_prefix(out, expected)) == (len(expected), len(expected))
+    assert out == expected
+
+
+def _common_prefix(a, b):
+    """The length of the longest common prefix of a and b, by bisection
+    over prefix comparisons."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if a[:mid] == b[:mid] else (lo, mid - 1)
+    return lo
+
+
 # Pinned: q = 2, keys that cross digit lengths (1009, 1024), n > q (n = 11
 # at q = 2, 7, 9), and n close to q (40 at 81, 317, 343). Past q = 10^4 the
 # JSON is written in several decimal-prefix groups: keys up to five digits
@@ -220,20 +246,32 @@ _SPECTRUM_PAIRS = st.sampled_from([q for q in range(2, 4097) if arith.prime_powe
 # two (131072), with n > q at 65536, as n = q + 1. Then pairs on both
 # sides of q = 2n, where spectrum switches from one template entry per
 # run to one per exponent: 41 against 2*20 and 2*21, 1024 against 2*511
-# and 2*513, and n = q - 1 at 131072.
+# and 2*513, and n = q - 1 at 131072. Then the last q of one JSON group
+# and the first past it (1109 and 1117, both prime: 1112 is the threshold),
+# and n on both sides of q/10 at 10007 and 131072, where the deepest range
+# of each group goes to ten entries a line. At (7, 10007) the runs end
+# mid-decade (at 4288) and on a 9 (at 1429), and the range 10000..10006
+# ends mid-decade; at (3, 1117) the range 1000..1116 does.
 @pytest.mark.parametrize("n,q", [(3, 2), (11, 2), (3, 1024), (7, 1024), (10, 1009),
                                  (11, 7), (11, 9), (11, 16), (40, 81), (40, 317), (40, 343),
                                  (10, 10007), (7, 59049), (65537, 65536), (3, 100003),
                                  (7, 131072), (20, 41), (21, 41), (511, 1024), (513, 1024),
-                                 (131071, 131072)])
+                                 (131071, 131072), (3, 1109), (3, 1117), (1000, 10007),
+                                 (1001, 10007), (7, 10007), (13107, 131072), (13109, 131072)])
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_spectrum_bytes_match_per_entry_output(n, q, fmt):
-    assert _spectrum_out(n, q, fmt) == _spectrum_oracle(n, q, fmt)
+    _assert_same_text(_spectrum_out(n, q, fmt), _spectrum_oracle(n, q, fmt))
 
 
 @given(_SPECTRUM_PAIRS, st.sampled_from(["json", "text"]))
 def test_spectrum_bytes_match_per_entry_output_sampled(pair, fmt):
-    assert _spectrum_out(*pair, fmt) == _spectrum_oracle(*pair, fmt)
+    _assert_same_text(_spectrum_out(*pair, fmt), _spectrum_oracle(*pair, fmt))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_DECADE_PAIRS)
+def test_spectrum_json_in_ten_entry_lines_matches_per_entry_output(pair):
+    _assert_same_text(_spectrum_out(*pair, "json"), _spectrum_oracle(*pair, "json"))
 
 
 def _decimal_key_order(qs):
@@ -259,6 +297,25 @@ def test_key_groups_follow_sorted_key_order(qs):
     # 4-digit keys the one group is every exponent)
     for q, order in _decimal_key_order(qs).items():
         assert _group_order(q) == order, q
+
+
+@pytest.mark.parametrize("q,count", [(1112, 1), (1117, 9), (2**17, 126), (2**20, 945)])
+def test_key_groups_are_bounded_in_size(q, count):
+    # up to q = 1112 the one group is every key; past it a group holds at
+    # most SPECTRUM_GROUP keys under its prefix and one shorter key per
+    # digit count below the prefix's, and its last range is its deepest:
+    # keys of one digit count, which no other key of the group extends
+    groups = list(cli._key_groups(q))
+    assert len(groups) == count
+    if count == 1:
+        assert groups == [[range(1, q)]]
+        return
+    for group in groups:
+        last = group[-1]
+        assert min(map(len, group)) > 0
+        assert len(str(last.start)) == len(str(last.stop - 1))
+        assert all(len(str(r.stop - 1)) < len(str(last.start)) for r in group[:-1])
+        assert sum(map(len, group)) <= cli.SPECTRUM_GROUP + len(str(q - 1)) - 1
 
 
 class _Discard:

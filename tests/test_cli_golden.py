@@ -365,6 +365,16 @@ _HEART_DEGREE = [
     ("heart", "--n", "1", "--p", "2"),
 ]
 
+# JSON spectra on both sides of the one-group threshold (q = 1109 and
+# 1117, both prime), and at q = 10007 with runs of ten or more exponents
+# (n = 7) and with runs shorter than ten (n = 1001).
+_SPECTRUM_DECADES = [
+    ("spectrum", "--n", "3", "--q", "1109", "--format", "json"),
+    ("spectrum", "--n", "3", "--q", "1117", "--format", "json"),
+    ("spectrum", "--n", "7", "--q", "10007", "--format", "json"),
+    ("spectrum", "--n", "1001", "--q", "10007", "--format", "json"),
+]
+
 CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _README for v in _both(*argv)),
     *(v for poly in _GALOIS for v in _both("galois", "--poly", poly)),
@@ -399,6 +409,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _UNCERTIFIED for v in _both(*argv)),
     *(v for argv in _SPECTRUM_SWITCH for v in _both(*argv)),
     *(v for argv in _HEART_DEGREE for v in _both(*argv)),
+    *_SPECTRUM_DECADES,
 ]
 
 

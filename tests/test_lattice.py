@@ -192,6 +192,26 @@ RUN_PAIRS = [
 ]
 
 
+@given(st.integers(1, 3000), st.integers(1, 20000))
+def test_count_below_matches_direct_sum(q, n):
+    # the per-term sum that the floor sum replaced for n > q, and that the
+    # run bounds telescope for n < q
+    assert lattice._count_below(n, q) == sum(n * i // q for i in range(1, q))
+
+
+@given(st.integers(0, 300), st.integers(1, 300), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_floor_sum_matches_direct_sum(count, m, a, b):
+    assert lattice._floor_sum(count, m, a, b) == sum((a * i + b) // m for i in range(count))
+
+
+def test_count_below_at_the_spectrum_ceiling():
+    # n > q at q = 2^20 in O(log q) steps, as spectrum's total() and
+    # primitive_total() take it: (n-1)(q-1)/2 for coprime n and q
+    q = 2**20
+    for n in (q + 1, 3 * q + 1, 2**40 + 1):
+        assert lattice._count_below(n, q) == (n - 1) * (q - 1) // 2
+
+
 @given(st.sampled_from(RUN_PAIRS))
 def test_run_bounds_split_the_exponents(pair):
     # 1, the n - 1 inner bounds and q split 1..q-1 into the n runs, where
