@@ -28,9 +28,10 @@ about a fifth as many lines. The tests check the JSON against the encoder
 and the text against the per-entry lines, byte for byte, on both sides of
 q = 2n and q = 10n. The
 subcommands keyed by (n, q) get one `lattice.Pair` from `_head`, which
-checks the flags and any ceiling first, then builds the pair from --p/--r
-once p is proved prime, or factors --q once; they pass the pair down and
-print its `_asdict()` as the payload head.
+checks the flags, the digits of q and of the genus and any ceiling on q
+first, then builds the pair from --p/--r once p is proved prime, or
+factors --q once; they pass the pair down and print its `_asdict()` as the
+payload head.
 The parser is built from one table, once per process, on the first `main`
 call; each subcommand stores its handler's name, and `main` looks that
 name up in the module at dispatch, so a handler rebound on the module (a
@@ -104,10 +105,10 @@ def _emit_records(args, records, text, json_line) -> None:
     sys.stdout.writelines(f"{render(record)}\n" for record in records)
 
 
-def _head(args, n: int, ceiling=None) -> Pair:
+def _head(args, n: int, q_max: int | None = None) -> Pair:
     """The pair of n and q = p**r from --q and/or --p/--r, whose
-    consistency is enforced first. A q too long to print, or one that
-    ceiling(n, q) rejects by raising, is refused before p or q is tested.
+    consistency is enforced first. A q or a genus (n-1)(q-1)/2 too long to
+    print, or a q above q_max, is refused before p or q is tested.
     With --p/--r the pair is `prime_pair` once p is proved prime, and q is
     never factored; a bare --q is factored once by `validate_pair`. Either
     test takes O(log q) integer roots and modular powers (`prime_power`),
@@ -128,8 +129,12 @@ def _head(args, n: int, ceiling=None) -> Pair:
         q = p**r
         if q >= 10**DIGITS_MAX:  # too long to print
             raise ValueError(f"q = {p}^{r} has more than {DIGITS_MAX} digits")
-    if ceiling is not None:
-        ceiling(n, q)
+    genus = (n - 1) * (q - 1) // 2
+    # 2**(3d) < 10**d, so the power is built only for a genus near the limit
+    if genus.bit_length() > 3 * DIGITS_MAX and genus >= 10**DIGITS_MAX:
+        raise ValueError(f"the genus (n-1)(q-1)/2 has more than {DIGITS_MAX} digits")
+    if q_max is not None and q > q_max:
+        raise ValueError(f"{args.subcommand} needs q at most {q_max}, got {q}")
     if p is None:
         return validate_pair(n, q)
     if not is_prime(p):
@@ -180,8 +185,8 @@ def _feasible_json(rep) -> str:
 
 
 # The largest q that spectrum accepts: its output has q - 1 entries, 13-23
-# MB at 2**20. Written as it is made, it takes about 0.15 s in text and
-# 0.19 s in JSON at n = 7, and 0.3-0.47 s in text and 0.37-0.53 s in JSON
+# MB at 2**20. Written as it is made, it takes about 0.17 s in text and
+# 0.20 s in JSON at n = 7, and 0.36-0.43 s in text and 0.46 s in JSON
 # when n is near q, interpreter start included, on a 2-core VM with
 # Python 3.11; the process peaks at 15.9-16.3 MB, 1-1.5 MB above
 # `genus --n 3 --q 2`.
@@ -191,22 +196,6 @@ SPECTRUM_Q_MAX = 2**20
 # keys in groups of at most this many under one decimal prefix.
 SPECTRUM_SLICE = 2**12
 SPECTRUM_GROUP = 1111
-
-# The most lattice points (n-1)(q-1)/2 that genus counts. The count takes
-# n - 1 steps for n < q, O(log q) for n > q, and stores no point: at 2**22 it takes about 0.1 s
-# at n = 3 and at n = 2**23 + 1, each in about 15 MB.
-GENUS_POINTS_MAX = 2**22
-
-
-def _spectrum_ceiling(n: int, q: int) -> None:
-    if q > SPECTRUM_Q_MAX:
-        raise ValueError(f"spectrum needs q at most {SPECTRUM_Q_MAX}, got {q}")
-
-
-def _genus_ceiling(n: int, q: int) -> None:
-    if (n - 1) * (q - 1) // 2 > GENUS_POINTS_MAX:
-        raise ValueError(f"genus needs (n-1)(q-1)/2 at most {GENUS_POINTS_MAX} lattice points")
-
 
 # The largest --q-max a scan accepts. Both scans sieve every prime power up
 # to --q-max before the first record, in memory that grows with it.
@@ -229,7 +218,7 @@ def _check_scan_limits(n_top: int, q_max: int) -> None:
 
 
 def _cmd_genus(args) -> int:
-    pair = _head(args, args.n, _genus_ceiling)
+    pair = _head(args, args.n)
     lattice = genus_lattice(pair)
     formula = genus_formula(pair)
     hurwitz = hurwitz_genus(pair)
@@ -325,7 +314,7 @@ def _decade_pieces(spec, exponents: range, line: str) -> list[str]:
 
 
 def _cmd_spectrum(args) -> int:
-    pair = _head(args, args.n, _spectrum_ceiling)
+    pair = _head(args, args.n, SPECTRUM_Q_MAX)
     spec = full_spectrum(pair)
     rest = {**pair._asdict(), "total": spec.total(), "primitive_total": spec.primitive_total()}
     write = sys.stdout.write

@@ -18,8 +18,8 @@ by (j, i) picks up exponent i, and the eigenvalue with exponent -i has
 multiplicity floor(n*i/q), the number of points in row q - i. It is
 constant on runs: floor(n*i/q) = k exactly for ceil(k*q/n) <= i <
 ceil((k+1)*q/n). So a spectrum is held as n, q and p, and one count
-serves the points and the spectrum: for n < q a sum of n - 1 run bounds,
-for n > q a floor sum in O(log q) steps; nothing of size q or n is built.
+serves the points and the spectrum: a floor sum in O(log q) steps, with
+nothing of size q or n built.
 """
 from __future__ import annotations
 
@@ -83,12 +83,11 @@ def _multiplicities_over(n: int, q: int, exponents: range) -> Iterator[int]:
     return map(floordiv, range(n * start, n * stop, n * step), repeat(q))
 
 
-def _run_bounds(n: int, q: int, ks: range | None = None) -> Iterator[int]:
-    """ceil(k*q/n) = (k*q + n - 1)//n for each k in ks, a range of step 1
-    that defaults to 1..n-1, by a C loop. With 1 before the default bounds
-    and q after, they bound the runs: floor(n*i/q) == k exactly from bound
-    k up to, not including, bound k + 1."""
-    ks = range(1, n) if ks is None else ks
+def _run_bounds(n: int, q: int, ks: range) -> Iterator[int]:
+    """ceil(k*q/n) = (k*q + n - 1)//n for each k in ks, a range of step 1,
+    by a C loop. With 1 before the bounds of 1..n-1 and q after, they bound
+    the runs: floor(n*i/q) == k exactly from bound k up to, not including,
+    bound k + 1."""
     return map(floordiv, range(ks.start * q + n - 1, ks.stop * q + n - 1, q), repeat(n))
 
 
@@ -115,18 +114,16 @@ def _floor_sum(count: int, m: int, a: int, b: int = 0) -> int:
 
 def _count_below(n: int, q: int) -> int:
     """The interior point count, which is the sum of floor(n*i/q) over
-    i = 1..q-1. For n < q it telescopes over the runs to (n-1)*q minus the
-    n - 1 inner bounds; for n > q it is a floor sum in O(log q) steps."""
-    if n > q:
-        return _floor_sum(q, q, n)
-    return (n - 1) * q - sum(_run_bounds(n, q))
+    i = 1..q-1 (the term at i = 0 is 0), as a floor sum in O(log q)
+    steps."""
+    return _floor_sum(q, q, n)
 
 
 class _InteriorPoints:
     """The interior points (j, i) of the (n, q) triangle in lexicographic
     order, as a view: it holds n and q only, counts the points in
-    O(min(n, q)) steps (`_count_below`), and makes them one at a time as it
-    is iterated."""
+    O(log q) steps (`_count_below`), and makes them one at a time as it is
+    iterated."""
 
     __slots__ = ("_n", "_q")
 
@@ -204,9 +201,9 @@ class EigenSpectrum(NamedTuple):
     """The multiplicities floor(n*i/q) of the exponents i = 1..q-1, as
     runs of equal value; q = p**r.
 
-    `total()` sums over the runs, and `primitive_total()` takes off the
-    entries at multiples of p, which sum the same way; every sum takes at
-    most min(n, q) - 1 terms (`_count_below`). `multiplicities`
+    `total()` sums them, and `primitive_total()` takes off the entries at
+    multiples of p, which sum the same way; each sum is one floor sum of
+    O(log q) steps (`_count_below`). `multiplicities`
     reads the same numbers per exponent, in ascending order of i, from a
     view that stores nothing of size q; `multiplicities_over` reads them
     over any range of exponents, and `runs_over` gives the runs that meet

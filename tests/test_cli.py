@@ -452,17 +452,16 @@ def test_pair_taking_functions_do_not_factor_q(monkeypatch):
         ("--n", "3", "--p", "1000000000000037", "--r", "1"),
     ],
 )
-def test_genus_points_ceiling(capsys, monkeypatch, argv):
-    # a lattice above the ceiling is rejected before any point is
-    # enumerated, and before q is factored or p is tested for primality
-    built, tested = [], []
-    monkeypatch.setattr(cli, "genus_lattice", lambda pair: built.append(pair))
-    monkeypatch.setattr(cli, "is_prime", lambda p: tested.append(p) or True)
+def test_genus_answers_large_lattices(capsys, monkeypatch, argv):
+    # a lattice of far more than 2^22 points, at a large q or a large n, is
+    # counted by one floor sum: (n-1)(q-1)/2, with q factored or p tested
+    # for primality at most once
     calls = _count_prime_power(monkeypatch)
     code, out, err = run(capsys, "genus", *argv)
-    assert (code, out) == (2, "")
-    assert err == f"error: genus needs (n-1)(q-1)/2 at most {cli.GENUS_POINTS_MAX} lattice points\n"
-    assert built == calls == tested == []
+    n = int(argv[1])
+    q = int(argv[3]) if argv[2] == "--q" else int(argv[3]) ** int(argv[5])
+    assert (code, out, err) == (0, f"{(n - 1) * (q - 1) // 2}\n", "")
+    assert len(calls) <= 1, calls
 
 
 @pytest.mark.parametrize(
@@ -493,6 +492,24 @@ def test_q_digits_ceiling_is_inclusive(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("command", ["genus", "decompose"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_genus_digits_ceiling(capsys, monkeypatch, command, fmt):
+    # a genus (n-1)(q-1)/2 too long to print is refused with seljac's own
+    # message before q is factored; the largest printable genus still prints
+    monkeypatch.setattr(cli, "DIGITS_MAX", 3)
+    calls = _count_prime_power(monkeypatch)
+    for argv in (("--n", "3", "--q", "1009"), ("--n", "251", "--p", "3", "--r", "2")):
+        assert run(capsys, command, *argv, "--format", fmt) == (
+            2, "", "error: the genus (n-1)(q-1)/2 has more than 3 digits\n"
+        )
+    assert calls == []
+    code, out, err = run(capsys, command, "--n", "10", "--q", "223", "--format", fmt)
+    assert (code, err) == (0, "")
+    genus = json.loads(out)["genus"] if fmt == "json" else out.split()[-1]
+    assert str(genus) == "999"
+
+
 def test_output_digits_ceiling(capsys):
     # a 4300-digit constant is read, but j has a coefficient of about
     # 8600 digits: jinv exits 2 with its own message, in text and JSON,
@@ -505,14 +522,6 @@ def test_output_digits_ceiling(capsys):
     assert run_json(capsys, "galois", "--poly", poly, "--format", "json")["label"] == "S3"
     model = run_json(capsys, "model-check", "--poly", poly, "--q", "5", "--format", "json")
     assert model["identity"] is True
-
-
-def test_genus_points_ceiling_is_inclusive(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "GENUS_POINTS_MAX", 6)
-    assert run(capsys, "genus", "--n", "4", "--q", "5") == (0, "6\n", "")
-    assert run(capsys, "genus", "--n", "3", "--q", "8") == (
-        2, "", "error: genus needs (n-1)(q-1)/2 at most 6 lattice points\n"
-    )
 
 
 _JSON_VALUES = st.recursive(

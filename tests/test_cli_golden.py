@@ -197,11 +197,12 @@ _LARGE_P = [
     ("spectrum", "--n", "3", "--p", "1000000007", "--r", "2"),
 ]
 
-# Lattices above the genus ceiling of (n-1)(q-1)/2 points, at a large q
-# and at a large n: both exit 2 before a point is enumerated.
-_GENUS_CEILING = [
+# Lattices of far more than 2^22 points, at a large q, at a large n and
+# at both: one floor sum counts each, and no point is made.
+_GENUS_HUGE = [
     ("genus", "--n", "3", "--p", "2", "--r", "1000"),
     ("genus", "--n", "100000001", "--q", "2"),
+    ("genus", "--n", "1000000000001", "--q", "2199023255552"),
 ]
 
 # Ten levels at q = 2^10: the JSON level keys sort as text ("1", "10",
@@ -247,8 +248,8 @@ _SPECTRUM_RUNS = [
     ("spectrum", "--n", "7", "--q", "1048576"),
 ]
 
-# A lattice above the genus ceiling at a large prime q, given as --q and
-# as --p/--r: both exit 2 before q is factored or p tested for primality.
+# A lattice at a large prime q, given as --q and as --p/--r: q is
+# factored, or p tested for primality, once.
 _GENUS_LARGE_PRIME = [
     ("genus", "--n", "3", "--q", "1000000000000037"),
     ("genus", "--n", "3", "--p", "1000000000000037", "--r", "1"),
@@ -260,9 +261,9 @@ _ZERO_POLY = [
     ("galois", "--poly=-t"),
 ]
 
-# Lattices at and near the genus ceiling of 2^22 points, at a large q and
-# at a large n: the count is a sum of n - 1 column heights, and nothing of
-# size q or n is built.
+# Lattices of 2^22 points or about that, at a large q and at a large n:
+# the count is a floor sum in O(log q) steps, and nothing of size q or n
+# is built.
 _GENUS_LARGE = [
     ("genus", "--n", "5", "--q", "131072"),
     ("genus", "--n", "3", "--q", "4194304"),
@@ -389,7 +390,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _SPECTRUM_LATER for v in _both(*argv)),
     *(v for argv in _CEILINGS for v in _both(*argv)),
     *(v for argv in _LARGE_P for v in _both(*argv)),
-    *(v for argv in _GENUS_CEILING for v in _both(*argv)),
+    *(v for argv in _GENUS_HUGE for v in _both(*argv)),
     *(v for argv in _TEN_LEVELS for v in _both(*argv)),
     *(v for argv in _Q_DIGITS for v in _both(*argv)),
     *(v for argv in _T_SUMS_INVALID for v in _both(*argv)),
@@ -450,8 +451,8 @@ def test_corpus_exit_codes():
     invalid = {
         v
         for argv in (
-            *_INVALID, *_INVALID_LATER, *_CEILINGS, *_LARGE_P, *_GENUS_CEILING, *_Q_DIGITS,
-            *_T_SUMS_INVALID, *_GENUS_LARGE_PRIME, *_ZERO_POLY, *_NUMERAL_DIGITS, *_J_DIGITS,
+            *_INVALID, *_INVALID_LATER, *_CEILINGS, *_LARGE_P, *_Q_DIGITS,
+            *_T_SUMS_INVALID, *_ZERO_POLY, *_NUMERAL_DIGITS, *_J_DIGITS,
             _JINV_T_COEFFS[0], *_UNCERTIFIED, *_HEART_DEGREE,
         )
         for v in _both(*argv)
@@ -475,6 +476,16 @@ def test_large_p_pairs_match_closed_forms():
             ]
         else:
             assert out["b"] * n - out["a"] * q == 1 and out["identity"] is True
+
+
+def test_large_genus_rows_match_closed_form():
+    # every large lattice prints (n-1)(q-1)/2, in text and in JSON
+    recorded = {tuple(rec["argv"]): rec for rec in _recorded()}
+    for argv in (*_GENUS_HUGE, *_GENUS_LARGE_PRIME, *_GENUS_LARGE):
+        out = json.loads(recorded[(*argv, "--format", "json")]["stdout"])
+        n, q = out["n"], out["q"]
+        assert out["genus"] == (n - 1) * (q - 1) // 2, argv
+        assert recorded[argv]["stdout"] == f"{out['genus']}\n"
 
 
 def test_polylog_factoring_rows_match_closed_forms():

@@ -150,7 +150,8 @@ def test_interior_points_match_oracle(pair):
 
 @pytest.mark.parametrize("n,q", [(3, 2**22), (8388609, 2)])
 def test_genus_lattice_builds_nothing_of_size_q_or_n(n, q):
-    # both lattices hold 2^22 points or one fewer, the genus ceiling
+    # both lattices hold 2^22 points or one fewer, and the floor sum counts
+    # them in O(log q) steps without making one
     pair = validate_pair(n, q)
     tracemalloc.start()
     try:
@@ -194,9 +195,17 @@ RUN_PAIRS = [
 
 @given(st.integers(1, 3000), st.integers(1, 20000))
 def test_count_below_matches_direct_sum(q, n):
-    # the per-term sum that the floor sum replaced for n > q, and that the
-    # run bounds telescope for n < q
+    # the per-term sum that the floor sum stands for
     assert lattice._count_below(n, q) == sum(n * i // q for i in range(1, q))
+
+
+@given(st.integers(2, 3000).flatmap(lambda q: st.tuples(st.just(q), st.integers(1, q - 1))))
+def test_count_below_matches_telescoped_runs(qn):
+    # for n < q the sum telescopes over the runs to (n-1)*q minus the
+    # n - 1 inner run bounds: a second count, independent of Euclid's
+    q, n = qn
+    telescoped = (n - 1) * q - sum(lattice._run_bounds(n, q, range(1, n)))
+    assert lattice._count_below(n, q) == telescoped
 
 
 @given(st.integers(0, 300), st.integers(1, 300), st.integers(0, 10**6), st.integers(0, 10**6))
@@ -205,10 +214,11 @@ def test_floor_sum_matches_direct_sum(count, m, a, b):
 
 
 def test_count_below_at_the_spectrum_ceiling():
-    # n > q at q = 2^20 in O(log q) steps, as spectrum's total() and
-    # primitive_total() take it: (n-1)(q-1)/2 for coprime n and q
-    q = 2**20
-    for n in (q + 1, 3 * q + 1, 2**40 + 1):
+    # n on both sides of q = 2^20 in O(log q) steps, as spectrum's total()
+    # and primitive_total() take it, and a pair with n < q past it, as
+    # genus takes it: (n-1)(q-1)/2 for coprime n and q
+    pairs = [(n, 2**20) for n in (3, 2**20 - 1, 2**20 + 1, 3 * 2**20 + 1, 2**40 + 1)]
+    for n, q in [*pairs, (10**12 + 1, 2**41)]:
         assert lattice._count_below(n, q) == (n - 1) * (q - 1) // 2
 
 
@@ -218,7 +228,7 @@ def test_run_bounds_split_the_exponents(pair):
     # floor(n*i/q) is k on run k; for n > q some runs are empty
     n, q = pair
     spec = full_spectrum(validate_pair(n, q))
-    bounds = [1, *lattice._run_bounds(n, q), q]
+    bounds = [1, *lattice._run_bounds(n, q, range(1, n)), q]
     assert len(bounds) == n + 1 and bounds == sorted(bounds)
     for k in range(n):
         assert all(n * i // q == k for i in range(bounds[k], bounds[k + 1]))
