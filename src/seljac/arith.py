@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 
 
 # The primes below 100 and their product: one gcd with it finds every
@@ -145,26 +146,23 @@ def primitive_count(lo: int, hi: int, p: int) -> int:
 
 
 def prime_powers_upto(limit: int) -> list[tuple[int, int, int]]:
-    """All (q, p, r) with q = p**r <= limit, sorted by q."""
+    """All (q, p, r) with q = p**r <= limit, sorted by q. The sieve holds
+    r at each q and 0 elsewhere: each prime m <= sqrt(limit) strikes out
+    its multiples, then sets m^2, m^3, ... to 2, 3, ..., and the larger
+    primes keep their 1. It is read in q order, p = q or the exact r-th root."""
     if limit < 2:
         return []
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
     for m in range(2, math.isqrt(limit) + 1):
-        if sieve[m]:
-            step = len(range(m * m, limit + 1, m))
-            sieve[m * m :: m] = bytes(step)
-    out = []
-    for p in range(2, limit + 1):
-        if not sieve[p]:
-            continue
-        q, r = p, 1
-        while q <= limit:
-            out.append((q, p, r))
-            q *= p
-            r += 1
-    out.sort()
-    return out
+        if sieve[m] == 1:
+            sieve[m * m :: m] = bytes(len(range(m * m, limit + 1, m)))
+            q, r = m * m, 2
+            while q <= limit:
+                sieve[q] = r
+                q, r = q * m, r + 1
+    return [(q, q, 1) if (r := sieve[q]) == 1 else (q, _root(q, r), r)
+            for q in compress(range(limit + 1), sieve)]
 
 
 def is_perfect_square(m: int) -> bool:

@@ -16,22 +16,22 @@ report's `_asdict()`, which the tests check record by record.
 formatted by one %-template per range of exponents (`_spectrum_lines`),
 with no dict between, and written as they are made, so its memory does
 not grow with q: the text `SPECTRUM_SLICE` lines at a time, the JSON one
-group of keys at a time (`_key_groups`), each group the keys under one
-decimal prefix, at most `SPECTRUM_GROUP` of them, and a few shorter keys,
-sorted on its own into the order that the encoder's sort_keys would give.
-For q > 2n each run of equal multiplicity holds two or more exponents, so
-the template carries each run's multiplicity and the exponents alone fill
-it; otherwise it takes (exponent, multiplicity) pairs. For q >= 10n each
-run holds ten or more, and the JSON writes the deepest keys of a group ten
-to a line, one slice of a ten-entry template per run, so the sort sees
-about a fifth as many lines. The tests check the JSON against the encoder
-and the text against the per-entry lines, byte for byte, on both sides of
-q = 2n and q = 10n. The
-subcommands keyed by (n, q) get one `lattice.Pair` from `_head`, which
-checks the flags, the digits of q and of the genus and any ceiling on q
-first, then builds the pair from --p/--r once p is proved prime, or
-factors --q once; they pass the pair down and print its `_asdict()` as the
-payload head.
+group of keys at a time (`_key_groups`), each group every key up to
+q = `SPECTRUM_GROUP` + 1 and past it the keys under one decimal prefix, at
+most `SPECTRUM_GROUP` of them, and a few shorter keys, sorted on its own
+into the order that the encoder's sort_keys would give. For q > 2n each
+run of equal multiplicity holds two or more exponents, so the template
+carries each run's multiplicity and the exponents alone fill it;
+otherwise it takes (exponent, multiplicity) pairs. For q >= 10n each run
+holds ten or more, and the JSON writes each group's deepest keys, which
+end it, ten to a line, one slice of a ten-entry template per run, so the
+sort sees about a fifth as many lines. The tests check the JSON against
+the encoder and the text against the per-entry lines, byte for byte, on
+both sides of q = 2n and q = 10n. The subcommands keyed by (n, q) get
+one `lattice.Pair` from `_head`, which checks the flags, the digits of q
+and of the genus and any ceiling on q first, then builds the pair from
+--p/--r once p is proved prime, or factors --q once; they pass the pair
+down and print its `_asdict()` as the payload head.
 The parser is built from one table, once per process, on the first `main`
 call; each subcommand stores its handler's name, and `main` looks that
 name up in the module at dispatch, so a handler rebound on the module (a
@@ -88,8 +88,7 @@ def _plain(value):
 
 
 # One encoder for every record, built once rather than on each call. A
-# payload is a tree built afresh per record, so the cycle check is skipped:
-# it would cost a scan record more than the default hook itself.
+# payload is a tree built afresh per record, so it has no cycle to check.
 _dump = json.JSONEncoder(sort_keys=True, check_circular=False, default=_plain).encode
 
 
@@ -127,10 +126,10 @@ def _head(args, n: int, q_max: int | None = None) -> Pair:
         if q is not None and q != p**r:
             raise ValueError(f"--q {q} contradicts --p {p} --r {r}")
         q = p**r
-        if q >= 10**DIGITS_MAX:  # too long to print
+        # 2**(3d) < 10**d, so each power below is built only near the limit
+        if q.bit_length() > 3 * DIGITS_MAX and q >= 10**DIGITS_MAX:
             raise ValueError(f"q = {p}^{r} has more than {DIGITS_MAX} digits")
     genus = (n - 1) * (q - 1) // 2
-    # 2**(3d) < 10**d, so the power is built only for a genus near the limit
     if genus.bit_length() > 3 * DIGITS_MAX and genus >= 10**DIGITS_MAX:
         raise ValueError(f"the genus (n-1)(q-1)/2 has more than {DIGITS_MAX} digits")
     if q_max is not None and q > q_max:
@@ -233,19 +232,20 @@ def _cmd_genus(args) -> int:
 def _key_groups(q: int) -> Iterator[list[range]]:
     """The exponents 1..q-1 as groups of nonempty ranges, in the order that
     sort_keys gives their decimal keys: sorted as text, the keys of a group
-    all come before those of the next. For q <= SPECTRUM_GROUP + 1 the one
-    group is every key, as one range. Otherwise the decimal prefixes s are
-    walked in text order from 1..9: the keys that start with s, the ranges
-    [s*10^k, (s+1)*10^k) below q, are one group if there are at most
-    SPECTRUM_GROUP of them, its last range the deepest, whose keys all have
-    one digit count; if there are more, the key s alone joins the next
-    group made, since it sorts just before every other key that starts with
-    s, and the ten prefixes s0..s9 are walked in turn. So a group holds at
-    most SPECTRUM_GROUP keys under its prefix and one shorter key for each
-    digit count below the prefix's: 126 groups at q = 2^17 and 945 at
-    2^20, of at most 1,114 keys."""
+    all come before those of the next, and each group ends in its deepest
+    range, whose keys all have one digit count. For q <= SPECTRUM_GROUP + 1
+    the one group is the keys shorter than q - 1, then the rest. Otherwise
+    the decimal prefixes s are walked in text order from 1..9: the keys
+    that start with s, the ranges [s*10^k, (s+1)*10^k) below q, are one
+    group if there are at most SPECTRUM_GROUP of them; if there are more,
+    the key s alone joins the next group made, since it sorts just before
+    every other key that starts with s, and the ten prefixes s0..s9 are
+    walked in turn. So a group holds at most SPECTRUM_GROUP keys under its
+    prefix and one shorter key for each digit count below the prefix's:
+    126 groups at q = 2^17 and 945 at 2^20, of at most 1,114 keys."""
     if q <= SPECTRUM_GROUP + 1:
-        yield [range(1, q)]
+        deepest = 10 ** (len(str(q - 1)) - 1)
+        yield [keys for keys in (range(1, deepest), range(deepest, q)) if keys]
         return
     shorter = []
     prefixes = list(range(9, 0, -1))
@@ -327,7 +327,7 @@ def _cmd_spectrum(args) -> int:
         # decade and a digit count, and no key of the group lies between
         # them or extends them, since they are the group's deepest.
         head = '{"multiplicities": {'
-        decades = spec.q > SPECTRUM_GROUP + 1 and spec.q >= 10 * spec.n
+        decades = spec.q >= 10 * spec.n
         for group in _key_groups(spec.q):
             entries = _spectrum_lines(spec, group, '"%d": ', decades).splitlines()
             entries.sort()

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from seljac import arith
+from seljac import arith, cli
 from seljac.arith import (
     CERTIFIED_BELOW,
     euler_phi_prime_power,
@@ -207,6 +207,16 @@ def test_prime_powers_upto():
     assert {q for q, _, _ in listed} == {
         m for m in range(2, 301) if len(sympy.factorint(m)) == 1
     }
+    # each list is the one before it, then limit itself if it is p**r
+    previous = []
+    for limit in range(3001):
+        listed = prime_powers_upto(limit)
+        pr = prime_power_by_trial_division(limit)
+        assert listed == previous + ([(limit, *pr)] if pr else []), limit
+        previous = listed
+    assert len(prime_powers_upto(10**6)) == 78734
+    # the sieve holds r in a byte; the largest r a scan sieves is 23, 2^23
+    assert max(r for _, _, r in prime_powers_upto(cli.SCAN_Q_MAX)) == 23
 
 
 def test_coprime_pairs_order_and_filter():

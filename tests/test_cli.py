@@ -213,10 +213,10 @@ _SPECTRUM_PAIRS = st.sampled_from([q for q in range(2, 4097) if arith.prime_powe
 ).filter(lambda nq: math.gcd(*nq) == 1)
 
 
-# Past the one JSON group (q > 1112) with q >= 10n, where the deepest
-# range of each group is written ten entries to a line.
+# q >= 10n, where the deepest range of each JSON group is written ten
+# entries to a line.
 _DECADE_PAIRS = st.sampled_from(
-    [q for q in range(cli.SPECTRUM_GROUP + 2, 2**17 + 1) if arith.prime_power(q)]
+    [q for q in range(30, 2**17 + 1) if arith.prime_power(q)]
 ).flatmap(lambda q: st.tuples(st.integers(3, q // 10), st.just(q))).filter(
     lambda nq: math.gcd(*nq) == 1
 )
@@ -248,16 +248,18 @@ def _common_prefix(a, b):
 # run to one per exponent: 41 against 2*20 and 2*21, 1024 against 2*511
 # and 2*513, and n = q - 1 at 131072. Then the last q of one JSON group
 # and the first past it (1109 and 1117, both prime: 1112 is the threshold),
-# and n on both sides of q/10 at 10007 and 131072, where the deepest range
-# of each group goes to ten entries a line. At (7, 10007) the runs end
-# mid-decade (at 4288) and on a 9 (at 1429), and the range 10000..10006
-# ends mid-decade; at (3, 1117) the range 1000..1116 does.
+# and n on both sides of q/10 at 1009, 10007 and 131072, where the deepest
+# range of each group goes to ten entries a line, as it does from q = 30
+# at n = 3 (at 31 the one group's deepest range is 10..30). At (7, 10007)
+# the runs end mid-decade (at 4288) and on a 9 (at 1429), and the range
+# 10000..10006 ends mid-decade; at (3, 1117) the range 1000..1116 does.
 @pytest.mark.parametrize("n,q", [(3, 2), (11, 2), (3, 1024), (7, 1024), (10, 1009),
                                  (11, 7), (11, 9), (11, 16), (40, 81), (40, 317), (40, 343),
                                  (10, 10007), (7, 59049), (65537, 65536), (3, 100003),
                                  (7, 131072), (20, 41), (21, 41), (511, 1024), (513, 1024),
                                  (131071, 131072), (3, 1109), (3, 1117), (1000, 10007),
-                                 (1001, 10007), (7, 10007), (13107, 131072), (13109, 131072)])
+                                 (1001, 10007), (7, 10007), (13107, 131072), (13109, 131072),
+                                 (100, 1009), (101, 1009), (3, 31)])
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_spectrum_bytes_match_per_entry_output(n, q, fmt):
     _assert_same_text(_spectrum_out(n, q, fmt), _spectrum_oracle(n, q, fmt))
@@ -299,17 +301,17 @@ def test_key_groups_follow_sorted_key_order(qs):
         assert _group_order(q) == order, q
 
 
-@pytest.mark.parametrize("q,count", [(1112, 1), (1117, 9), (2**17, 126), (2**20, 945)])
+@pytest.mark.parametrize("q,count", [
+    (2, 1), (10, 1), (11, 1), (1112, 1), (1117, 9), (2**17, 126), (2**20, 945),
+])
 def test_key_groups_are_bounded_in_size(q, count):
     # up to q = 1112 the one group is every key; past it a group holds at
     # most SPECTRUM_GROUP keys under its prefix and one shorter key per
-    # digit count below the prefix's, and its last range is its deepest:
-    # keys of one digit count, which no other key of the group extends
+    # digit count below the prefix's; every group's last range is its
+    # deepest: keys of one digit count, which no other key of the group
+    # extends
     groups = list(cli._key_groups(q))
     assert len(groups) == count
-    if count == 1:
-        assert groups == [[range(1, q)]]
-        return
     for group in groups:
         last = group[-1]
         assert min(map(len, group)) > 0

@@ -1,8 +1,11 @@
 """Permutation groups, double transitivity, and mod-p commutant dimensions."""
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from seljac.heart import (
+    GROUPS,
     PermGroup,
     heart_centralizer_dim,
     is_doubly_transitive,
@@ -148,3 +151,58 @@ def test_centralizer_rejects_bad_modulus():
         heart_centralizer_dim(PermGroup.symmetric(3), 4)
     with pytest.raises(ValueError):
         heart_centralizer_dim(PermGroup.trivial(1), 2)
+
+
+def _orbit_counts(group: PermGroup) -> tuple[int, int]:
+    """(orbits on points, orbitals: orbits on ordered pairs), by closing
+    each point and pair under the generators."""
+    n = group.degree
+
+    def orbits(items, act):
+        seen, count = set(), 0
+        for start in items:
+            if start in seen:
+                continue
+            count += 1
+            seen.add(start)
+            frontier = [start]
+            while frontier:
+                x = frontier.pop()
+                for g in group.generators:
+                    y = act(g, x)
+                    if y not in seen:
+                        seen.add(y)
+                        frontier.append(y)
+        return count
+
+    points = orbits(range(n), lambda g, a: g[a])
+    pairs = orbits([(a, b) for a in range(n) for b in range(n)], lambda g, ab: (g[ab[0]], g[ab[1]]))
+    return points, pairs
+
+
+def _oracle_groups():
+    yield from GROUPS.values()
+    for n in range(2, 8):
+        yield from (PermGroup.symmetric(n), PermGroup.alternating(n),
+                    PermGroup.cyclic(n), PermGroup.trivial(n))
+    rng = random.Random(20061)
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3)))
+        yield PermGroup(n, gens)
+
+
+def test_centralizer_dim_counts_orbitals():
+    # A matrix that commutes with every permutation matrix is constant on
+    # orbitals, over any field, so the commutant of the permutation module
+    # has dimension #orbitals; for p not dividing n the constant vector
+    # splits off, and with it one dimension for the trivial summand and
+    # #orbits - 1 each way between it and the sum-zero module.
+    cases = 0
+    for group in _oracle_groups():
+        points, pairs = _orbit_counts(group)
+        for p in (2, 3, 5, 7, 11):
+            if group.degree % p:
+                assert heart_centralizer_dim(group, p) == pairs - 2 * points + 1, (group, p)
+                cases += 1
+    assert cases > 600
