@@ -12,26 +12,16 @@ The two scans write their reports through `_emit_records`, one line each
 and all through one `writelines`: a text renderer, or a JSON one that
 fills a fixed template with the line the encoder would write for the
 report's `_asdict()`, which the tests check record by record.
-`spectrum` writes its own way too: its up to 2^20 - 1 multiplicities are
-formatted by one %-template per range of exponents (`_spectrum_lines`),
-with no dict between, and written as they are made, so its memory does
-not grow with q: the text `SPECTRUM_SLICE` lines at a time, the JSON one
-group of keys at a time (`_key_groups`), each group every key up to
-q = `SPECTRUM_GROUP` + 1 and past it the keys under one decimal prefix, at
-most `SPECTRUM_GROUP` of them, and a few shorter keys, sorted on its own
-into the order that the encoder's sort_keys would give. For q > 2n each
-run of equal multiplicity holds two or more exponents, so the template
-carries each run's multiplicity and the exponents alone fill it;
-otherwise it takes (exponent, multiplicity) pairs. For q >= 10n each run
-holds ten or more, and the JSON writes each group's deepest keys, which
-end it, ten to a line, one slice of a ten-entry template per run, so the
-sort sees about a fifth as many lines. The tests check the JSON against
-the encoder and the text against the per-entry lines, byte for byte, on
-both sides of q = 2n and q = 10n. The subcommands keyed by (n, q) get
-one `lattice.Pair` from `_head`, which checks the flags, the digits of q
-and of the genus and any ceiling on q first, then builds the pair from
---p/--r once p is proved prime, or factors --q once; they pass the pair
-down and print its `_asdict()` as the payload head.
+`spectrum` writes its own way too: its up to 2^20 - 1 multiplicities
+go out about `SPECTRUM_SLICE` at a time, in memory flat in q, and the
+JSON keys in the closed-form order of sort_keys, with no sort
+(`_spectrum_chunks`). The tests check the JSON against the encoder and
+the text against the per-entry lines, byte for byte. The
+subcommands keyed by (n, q) get one `lattice.Pair` from `_head`, which
+checks the flags, the digits of q and of the genus and any ceiling on q
+first, then builds the pair from --p/--r once p is proved prime, or
+factors --q once; they pass the pair down and print its `_asdict()` as
+the payload head.
 The parser is built from one table, once per process, on the first `main`
 call; each subcommand stores its handler's name, and `main` looks that
 name up in the module at dispatch, so a handler rebound on the module (a
@@ -52,8 +42,7 @@ import os
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import chain
-from operator import mul
+from itertools import chain, repeat
 
 from .acceptance import run_all
 from .arith import is_prime
@@ -184,17 +173,15 @@ def _feasible_json(rep) -> str:
 
 
 # The largest q that spectrum accepts: its output has q - 1 entries, 13-23
-# MB at 2**20. Written as it is made, it takes about 0.17 s in text and
-# 0.20 s in JSON at n = 7, and 0.36-0.43 s in text and 0.46 s in JSON
-# when n is near q, interpreter start included, on a 2-core VM with
-# Python 3.11; the process peaks at 15.9-16.3 MB, 1-1.5 MB above
+# MB at 2**20. Written as it is made, it takes about 0.11 s in text and
+# 0.12 s in JSON at n = 7, and 0.33-0.34 s in text and 0.39-0.40 s in
+# JSON when n is near q, interpreter start included, on a 2-core VM with
+# Python 3.11; the process peaks at 15.0-15.3 MB, at most 0.4 MB above
 # `genus --n 3 --q 2`.
 SPECTRUM_Q_MAX = 2**20
 
-# spectrum writes its text this many lines at a time, and sorts its JSON
-# keys in groups of at most this many under one decimal prefix.
-SPECTRUM_SLICE = 2**12
-SPECTRUM_GROUP = 1111
+# spectrum writes its entries about this many at a time.
+SPECTRUM_SLICE = 1000
 
 # The largest --q-max a scan accepts. Both scans sieve every prime power up
 # to --q-max before the first record, in memory that grows with it.
@@ -229,88 +216,115 @@ def _cmd_genus(args) -> int:
     return 0
 
 
-def _key_groups(q: int) -> Iterator[list[range]]:
-    """The exponents 1..q-1 as groups of nonempty ranges, in the order that
-    sort_keys gives their decimal keys: sorted as text, the keys of a group
-    all come before those of the next, and each group ends in its deepest
-    range, whose keys all have one digit count. For q <= SPECTRUM_GROUP + 1
-    the one group is the keys shorter than q - 1, then the rest. Otherwise
-    the decimal prefixes s are walked in text order from 1..9: the keys
-    that start with s, the ranges [s*10^k, (s+1)*10^k) below q, are one
-    group if there are at most SPECTRUM_GROUP of them; if there are more,
-    the key s alone joins the next group made, since it sorts just before
-    every other key that starts with s, and the ten prefixes s0..s9 are
-    walked in turn. So a group holds at most SPECTRUM_GROUP keys under its
-    prefix and one shorter key for each digit count below the prefix's:
-    126 groups at q = 2^17 and 945 at 2^20, of at most 1,114 keys."""
-    if q <= SPECTRUM_GROUP + 1:
-        deepest = 10 ** (len(str(q - 1)) - 1)
-        yield [keys for keys in (range(1, deepest), range(deepest, q)) if keys]
-        return
-    shorter = []
-    prefixes = list(range(9, 0, -1))
-    while prefixes:
-        s = prefixes.pop()
-        keys = []
-        lo, hi = s, s + 1
-        while lo < q:
-            keys.append(range(lo, min(hi, q)))
-            lo, hi = 10 * lo, 10 * hi
-        if sum(map(len, keys)) <= SPECTRUM_GROUP:
-            yield shorter + keys
-            shorter = []
-        else:
-            shorter.append(keys[0])
-            prefixes += range(10 * s + 9, 10 * s - 1, -1)
+# spectrum's entry, which takes its key once its multiplicity is written
+# in, and what joins two entries, for JSON (True) and for text (False).
+_SPECTRUM_LINES = {True: ('"%%d": %d', ", "), False: ("i=%%d  mult=%d\n", "")}
 
 
-def _spectrum_lines(spec, ranges: list[range], key: str, decades: bool = False) -> str:
-    """The line key % i, then floor(n*i/q) and "\n", for each exponent i of
-    ranges in turn, made by one %-template over them all. For q > 2n every
-    run of equal multiplicity holds two or more exponents, so the template
-    repeats key with the run's multiplicity written in once per exponent
-    and takes the exponents alone; otherwise most runs hold one exponent,
-    and the template takes (i, multiplicity) pairs. With decades, for
-    q >= 10n, the last range's entries are written ten to a line instead
-    (`_decade_pieces`)."""
-    if spec.q > 2 * spec.n:
-        line = key.replace("%", "%%") + "%d\n"
-        pieces = []
-        for exponents in ranges[:-1] if decades else ranges:
-            ks, lengths = spec.runs_over(exponents)
-            pieces += map(mul, map(line.__mod__, ks), lengths)
-        if decades:
-            pieces += _decade_pieces(spec, ranges[-1], line)
-        return "".join(pieces) % tuple(chain.from_iterable(ranges))
-    size = sum(map(len, ranges))
-    values = [0] * (2 * size)
-    values[::2] = chain.from_iterable(ranges)
-    values[1::2] = chain.from_iterable(map(spec.multiplicities_over, ranges))
-    return (key + "%d\n") * size % tuple(values)
+def _prefixes(u: int) -> list[int]:
+    """The proper decimal prefixes of u that pad with zeros to u, the
+    shortest first: u // 10**j for j from the count of u's trailing zeros
+    down to 1 (1000 -> [1, 10, 100]), for u >= 1."""
+    keys = []
+    while u % 10 == 0:
+        u //= 10
+        keys.append(u)
+    return keys[::-1]
 
 
-def _decade_pieces(spec, exponents: range, line: str) -> list[str]:
-    """The template of line % k, one entry per exponent of exponents with
-    k its multiplicity, each entry followed by ", " but for those of an
-    exponent ending in 9 and the last exponent, which end a line. For
-    q >= 10n a run of equal multiplicity holds ten exponents or more, so
-    each run is one slice of its ten-entry unit, taken from the run's
-    offset mod 10: with w the width of an entry and its ", ", the unit
-    spans 10w - 1 characters, its last entry ending in "\n"."""
-    pieces = []
-    at = exponents.start % 10
-    ks, lengths = spec.runs_over(exponents)
-    for k, length in zip(ks, lengths):
-        entry = line % k
-        width = len(entry) + 1
-        unit = (entry[:-1] + ", ") * 9 + entry
-        end = at + length
-        stop = end // 10 * (10 * width - 1) + end % 10 * width
-        pieces.append((unit * (end // 10 + 1))[at * width:stop])
-        at = end % 10
-    if at:
-        pieces[-1] = pieces[-1][:-2] + "\n"
-    return pieces
+def _walk(a: int, b: int, column, item) -> list:
+    """The items of the keys a..b-1 of a JSON walk (`_spectrum_chunks`) in
+    walk order, column(keys) giving those of a range of keys and item(u)
+    that of one key: decade P gives P, then 10P..10P+9, zipped, and P
+    ends in 0 after its `_prefixes`."""
+    first, last = -(-a // 10), -(-b // 10)  # the decades that start in a..b-1
+    items = list(column(range(a, b)))
+    at, cut = 10 * first - a, 10 * last - b  # cut: the keys of the last decade from b on
+    tens = chain(items[at:], repeat(None, cut))
+    del items[at:]
+    block = list(chain.from_iterable(zip(column(range(first, last)), *[tens] * 10)))
+    del block[len(block) - cut:]
+    for P in range(last - 1 - (last - 1) % 10, first - 1, -10):
+        block[11 * (P - first):11 * (P - first)] = map(item, _prefixes(P))
+    return items + block
+
+
+def _walk_entries(spec, a: int, b: int, as_json: bool) -> str:
+    """The entries of the keys a..b-1 of a walk (`_spectrum_chunks`),
+    through one %-template. For q > 2n, where every run of equal
+    multiplicity holds two exponents or more, the template of an entry has
+    its multiplicity written in, once per run, and takes the key;
+    otherwise it takes (key, multiplicity) pairs."""
+    n, q = spec.n, spec.q
+    line, joiner = _SPECTRUM_LINES[as_json]
+
+    def order(column, item):
+        return _walk(a, b, column, item) if as_json else column(range(a, b))
+
+    keys = order(lambda keys: keys, int)
+    if q > 2 * n:
+        def templates(keys: range) -> Iterator[str]:
+            ks, lengths = spec.runs_over(keys) if keys else ((), ())
+            return chain.from_iterable(map(repeat, map(line.__mod__, ks), lengths))
+
+        return joiner.join(order(templates, lambda u: line % (n * u // q))) % tuple(keys)
+    values = [0] * (2 * len(keys))
+    values[::2] = keys
+    values[1::2] = order(spec.multiplicities_over, lambda u: n * u // q)
+    template = (line.replace("%%", "%") + joiner) * len(keys)
+    return template[:len(template) - len(joiner)] % tuple(values)
+
+
+def _spectrum_chunks(spec, as_json: bool) -> Iterator[str]:
+    """The entries of spectrum, floor(n*i/q) for i = 1..q-1, in strings
+    of about SPECTRUM_SLICE entries, every JSON string but the first led
+    by ", ". Text walks 1..q-1. Decimal keys compare as text in the order
+    of (the key padded with zeros to D digits, its length), D the digit
+    count of q - 1, so the JSON, in sort_keys order, walks the D-digit keys
+    in [10^(D-1), q), then the (D-1)-digit keys in [ceil(q/10), 10^(D-1)),
+    each key after its `_prefixes`. For q >= 100n each run of equal
+    multiplicity holds ten decades 10P..10P+9 or more, and a decade meets
+    at most two runs: its entries are str(P).join(parts), parts made once
+    per (m, k, j), m the multiplicity of P, which JSON writes first, k that
+    of 10P and j the first digit whose multiplicity is k + 1. The other
+    keys, and all of them for q < 100n, go through `_walk_entries`."""
+    n, q = spec.n, spec.q
+    line, joiner = _SPECTRUM_LINES[as_json]
+    top = 10 ** (len(str(q - 1)) - 1)
+    walks = [w for w in (range(top, q), range(-(-q // 10), top)) if w] if as_json else [range(1, q)]
+    unit = line.replace("%%d", "\0%s")  # the key as "\0" and its last digit
+    decades = {}
+    lead = ""
+    for walk in walks:
+        cuts = range((walk.start // SPECTRUM_SLICE + 1) * SPECTRUM_SLICE, walk.stop, SPECTRUM_SLICE)
+        for a, b in zip([walk.start, *cuts], [*cuts, walk.stop]):
+            P, end = -(-a // 10), b // 10  # the decades that lie in a..b-1
+            pieces, done, m = [], a, 0
+            if q >= 100 * n and P < end:
+                if a < 10 * P:
+                    pieces.append(_walk_entries(spec, a, 10 * P, as_json))
+                while P < end:
+                    k = n * 10 * P // q
+                    j = -(-(k + 1) * q // n) - 10 * P  # the next run starts at 10P + j
+                    stop = P + 1 if j < 10 else min(end, P + j // 10)
+                    if as_json:
+                        m = n * P // q
+                        stop = min(stop, P - P % 10 + 10, -(-(m + 1) * q // n))
+                        if P % 10 == 0:
+                            shorter = _prefixes(P)
+                            entries = [line % (n * u // q) for u in shorter]
+                            pieces.append(joiner.join(entries) % tuple(shorter))
+                    key = m, k, min(j, 10)
+                    if key not in decades:
+                        units = [unit % (d, k + (d >= j)) for d in range(10)]
+                        decades[key] = joiner.join([unit % ("", m)] * as_json + units).split("\0")
+                    pieces += map(str.join, map(str, range(P, stop)), repeat(decades[key]))
+                    P = stop
+                done = 10 * end
+            if done < b:
+                pieces.append(_walk_entries(spec, done, b, as_json))
+            yield lead + joiner.join(pieces)
+            lead = joiner
 
 
 def _cmd_spectrum(args) -> int:
@@ -318,29 +332,13 @@ def _cmd_spectrum(args) -> int:
     spec = full_spectrum(pair)
     rest = {**pair._asdict(), "total": spec.total(), "primitive_total": spec.primitive_total()}
     write = sys.stdout.write
-    if args.format == "json":
-        # Sorted as strings, a group's '"i": k' entries fall in the order
-        # that sort_keys gives their keys, since '"' sorts below every
-        # digit; and "multiplicities" sorts before every other key of the
-        # record. Each group is formatted, sorted and written on its own.
-        # A line of ten entries sorts as its first: its keys share a
-        # decade and a digit count, and no key of the group lies between
-        # them or extends them, since they are the group's deepest.
-        head = '{"multiplicities": {'
-        decades = spec.q >= 10 * spec.n
-        for group in _key_groups(spec.q):
-            entries = _spectrum_lines(spec, group, '"%d": ', decades).splitlines()
-            entries.sort()
-            write(head)
-            write(", ".join(entries))
-            head = ", "
-        write("}, " + _dump(rest)[1:] + "\n")
-    else:
-        write(_header(rest) + "\n")
-        for start in range(1, spec.q, SPECTRUM_SLICE):
-            exponents = range(start, min(start + SPECTRUM_SLICE, spec.q))
-            write(_spectrum_lines(spec, [exponents], "i=%d  mult="))
-        write(f"total = {rest['total']}  primitive = {rest['primitive_total']}\n")
+    as_json = args.format == "json"
+    # "multiplicities" sorts before every other key of the record
+    write('{"multiplicities": {' if as_json else _header(rest) + "\n")
+    for chunk in _spectrum_chunks(spec, as_json):
+        write(chunk)
+    totals = f"total = {rest['total']}  primitive = {rest['primitive_total']}\n"
+    write("}, " + _dump(rest)[1:] + "\n" if as_json else totals)
     return 0
 
 

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -213,8 +214,9 @@ _SPECTRUM_PAIRS = st.sampled_from([q for q in range(2, 4097) if arith.prime_powe
 ).filter(lambda nq: math.gcd(*nq) == 1)
 
 
-# q >= 10n, where the deepest range of each JSON group is written ten
-# entries to a line.
+# q >= 10n, where every run holds ten exponents or more: from q = 100n
+# each decade of keys is one str.join, below it the runs' multiplicities
+# are written into the %-template.
 _DECADE_PAIRS = st.sampled_from(
     [q for q in range(30, 2**17 + 1) if arith.prime_power(q)]
 ).flatmap(lambda q: st.tuples(st.integers(3, q // 10), st.just(q))).filter(
@@ -240,26 +242,29 @@ def _common_prefix(a, b):
 
 
 # Pinned: q = 2, keys that cross digit lengths (1009, 1024), n > q (n = 11
-# at q = 2, 7, 9), and n close to q (40 at 81, 317, 343). Past q = 10^4 the
-# JSON is written in several decimal-prefix groups: keys up to five digits
-# under one prefix digit (10007, 59049, 65536, 100003) and six digits under
-# two (131072), with n > q at 65536, as n = q + 1. Then pairs on both
-# sides of q = 2n, where spectrum switches from one template entry per
-# run to one per exponent: 41 against 2*20 and 2*21, 1024 against 2*511
-# and 2*513, and n = q - 1 at 131072. Then the last q of one JSON group
-# and the first past it (1109 and 1117, both prime: 1112 is the threshold),
-# and n on both sides of q/10 at 1009, 10007 and 131072, where the deepest
-# range of each group goes to ten entries a line, as it does from q = 30
-# at n = 3 (at 31 the one group's deepest range is 10..30). At (7, 10007)
-# the runs end mid-decade (at 4288) and on a 9 (at 1429), and the range
-# 10000..10006 ends mid-decade; at (3, 1117) the range 1000..1116 does.
+# at q = 2, 7, 9, 16 and n = 4, 13 at q = 3, 8, below ten), and n close to
+# q (40 at 81, 317, 343). Past q = 10^4 the JSON walks keys of five digits
+# (10007, 59049, 65536, 100003) and six (131072, 131071), with n > q at
+# 65536, as n = q + 1. Then pairs on both sides of q = 2n: 41 against
+# 2*20 and 2*21, 1024 against 2*511 and 2*513, and n = q - 1 at 131072.
+# Then n on both sides of q/10 at 1009, 10007 and 131072 (and n = 3 at
+# q = 31), where runs reach ten exponents, and of q/100 at the same q,
+# from which each decade of keys is one str.join. At (7, 10007) the runs end mid-decade (at 4288) and on a 9 (at
+# 1429); at (3, 100003) and (3, 131071) a run of more than 30,000 keys
+# ends mid-decade (before 33335 and 43691), and at 131071 every run
+# crosses the edges of the writer's chunks. The second walk, of the
+# shorter keys, starts mid-decade at (3, 1109), (3, 1117), (3, 10007) and
+# (7, 1024): at 111, 112, 1001 and 103.
 @pytest.mark.parametrize("n,q", [(3, 2), (11, 2), (3, 1024), (7, 1024), (10, 1009),
-                                 (11, 7), (11, 9), (11, 16), (40, 81), (40, 317), (40, 343),
+                                 (11, 7), (11, 9), (11, 16), (4, 3), (13, 8), (40, 81),
+                                 (40, 317), (40, 343),
                                  (10, 10007), (7, 59049), (65537, 65536), (3, 100003),
                                  (7, 131072), (20, 41), (21, 41), (511, 1024), (513, 1024),
                                  (131071, 131072), (3, 1109), (3, 1117), (1000, 10007),
                                  (1001, 10007), (7, 10007), (13107, 131072), (13109, 131072),
-                                 (100, 1009), (101, 1009), (3, 31)])
+                                 (100, 1009), (101, 1009), (3, 31), (3, 131071), (3, 10007),
+                                 (11, 1009), (100, 10007), (101, 10007), (1309, 131072),
+                                 (1311, 131072)])
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_spectrum_bytes_match_per_entry_output(n, q, fmt):
     _assert_same_text(_spectrum_out(n, q, fmt), _spectrum_oracle(n, q, fmt))
@@ -283,9 +288,11 @@ def _decimal_key_order(qs):
     return {q: [i for i in order if i < q] for q in qs}
 
 
-def _group_order(q):
-    return [i for group in cli._key_groups(q)
-            for i in sorted(itertools.chain.from_iterable(group), key='"{}"'.format)]
+def _walk_order(n, q):
+    """The keys in the order that the JSON writer walks them. It reads n,
+    q and the runs, never p, so q need not be a prime power here."""
+    chunks = "".join(cli._spectrum_chunks(lattice.EigenSpectrum(n, q, q), True))
+    return list(map(int, re.findall(r'"(\d+)"', chunks)))
 
 
 @pytest.mark.parametrize("qs", [
@@ -293,31 +300,13 @@ def _group_order(q):
     [q for k in range(1, 7) for q in (10**k - 1, 10**k, 10**k + 1)],
     [2**k for k in range(1, 21)],
 ])
-def test_key_groups_follow_sorted_key_order(qs):
-    # each group's keys, sorted on their own, continue the order of the
-    # keys sorted all at once, across every prefix and shorter key (up to
-    # 4-digit keys the one group is every exponent)
+def test_spectrum_walk_follows_sorted_key_order(qs):
+    # at n = 3 each decade of keys is one str.join from q = 300, and below
+    # it the runs' multiplicities are written into the template; at
+    # n = q + 1 the template takes (key, multiplicity) pairs
     for q, order in _decimal_key_order(qs).items():
-        assert _group_order(q) == order, q
-
-
-@pytest.mark.parametrize("q,count", [
-    (2, 1), (10, 1), (11, 1), (1112, 1), (1117, 9), (2**17, 126), (2**20, 945),
-])
-def test_key_groups_are_bounded_in_size(q, count):
-    # up to q = 1112 the one group is every key; past it a group holds at
-    # most SPECTRUM_GROUP keys under its prefix and one shorter key per
-    # digit count below the prefix's; every group's last range is its
-    # deepest: keys of one digit count, which no other key of the group
-    # extends
-    groups = list(cli._key_groups(q))
-    assert len(groups) == count
-    for group in groups:
-        last = group[-1]
-        assert min(map(len, group)) > 0
-        assert len(str(last.start)) == len(str(last.stop - 1))
-        assert all(len(str(r.stop - 1)) < len(str(last.start)) for r in group[:-1])
-        assert sum(map(len, group)) <= cli.SPECTRUM_GROUP + len(str(q - 1)) - 1
+        assert _walk_order(3, q) == order, q
+        assert _walk_order(q + 1, q) == order, q
 
 
 class _Discard:
@@ -340,7 +329,7 @@ def _spectrum_peak(n, q, fmt) -> int:
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_spectrum_memory_is_flat_in_q(fmt):
-    # the output is written a group or slice at a time, so 32 times the
+    # the output is written a chunk at a time, so 32 times the
     # exponents (2.1 MB of text at 2^17) cost less than 1 MB more
     tracemalloc.start()
     try:
@@ -350,6 +339,21 @@ def test_spectrum_memory_is_flat_in_q(fmt):
     finally:
         tracemalloc.stop()
     assert large - small < 2**20, (small, large)
+
+
+@pytest.mark.parametrize("n,q,fmt,ceiling", [
+    (7, 2**17, "json", 256 * 1024), (7, 2**20, "json", 256 * 1024), (7, 2**17, "text", 512 * 1024),
+])
+def test_spectrum_memory_stays_under_its_ceiling(n, q, fmt, ceiling):
+    # a chunk of about SPECTRUM_SLICE entries and its pieces at a time:
+    # the benchmark's peak RSS, bounded to 2%, moves with this
+    tracemalloc.start()
+    try:
+        _spectrum_peak(7, 2**12, fmt)  # the parser is built on the first call
+        peak = _spectrum_peak(n, q, fmt)
+    finally:
+        tracemalloc.stop()
+    assert peak < ceiling, peak
 
 
 @pytest.mark.parametrize("r", [MAX_EXPONENT + 1, 10**15])

@@ -270,11 +270,11 @@ _GENUS_LARGE = [
     ("genus", "--n", "8388609", "--q", "2"),
 ]
 
-# Spectra whose JSON is written in many decimal-prefix groups: the q
-# ceiling at n = q + 1, where every multiplicity differs from its
-# neighbour's run, and a prime q whose keys run to seven digits (both kept
-# as digests).
-_SPECTRUM_GROUPS = [
+# Spectra whose JSON key walks are long: the q ceiling at n = q + 1,
+# where every multiplicity differs from its neighbour's run, and a prime q
+# whose keys run to seven digits, with nearly 900,000 six-digit keys in
+# the walk of the shorter keys (both kept as digests).
+_SPECTRUM_WALKS = [
     ("spectrum", "--n", "1048577", "--q", "1048576"),
     ("spectrum", "--n", "3", "--q", "1000003"),
 ]
@@ -366,9 +366,9 @@ _HEART_DEGREE = [
     ("heart", "--n", "1", "--p", "2"),
 ]
 
-# JSON spectra on both sides of the one-group threshold (q = 1109 and
-# 1117, both prime), and at q = 10007 with runs of ten or more exponents
-# (n = 7) and with runs shorter than ten (n = 1001).
+# JSON spectra whose walk of the shorter keys starts mid-decade (q = 1109
+# and 1117, both prime), and at q = 10007 with runs of ten or more
+# exponents (n = 7) and with runs shorter than ten (n = 1001).
 _SPECTRUM_DECADES = [
     ("spectrum", "--n", "3", "--q", "1109", "--format", "json"),
     ("spectrum", "--n", "3", "--q", "1117", "--format", "json"),
@@ -399,7 +399,7 @@ CORPUS: list[tuple[str, ...]] = [
     *(v for argv in _GENUS_LARGE_PRIME for v in _both(*argv)),
     *(v for argv in _ZERO_POLY for v in _both(*argv)),
     *(v for argv in _GENUS_LARGE for v in _both(*argv)),
-    *(v for argv in _SPECTRUM_GROUPS for v in _both(*argv)),
+    *(v for argv in _SPECTRUM_WALKS for v in _both(*argv)),
     *(v for argv in _LARGE_P_PAIRS for v in _both(*argv)),
     *(v for argv in _QT_ALGEBRA for v in _both(*argv)),
     *(v for argv in _POLY_SPELLINGS for v in _both(*argv)),
