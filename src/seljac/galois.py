@@ -12,18 +12,25 @@ in time polynomial in the bit size of the coefficients.
 Geometric route: for f = g(x) - t the extension is automatically
 irreducible over the closure of Q(t), and everything is decided by
 whether disc_x(f), a polynomial in t, is a square in that field:
-`geometric_square_test` answers True exactly when every squarefree
-factor has even multiplicity.
+`geometric_square_test` answers True exactly when the t-degree is even
+and every squarefree factor has even multiplicity. disc_x(f) is, up to a
+constant, the characteristic polynomial of multiplication by g on
+Q[x]/(g'): one remainder pass builds that integer matrix, and its
+determinants at deg(g) + 1 integer values of t, by fraction-free
+elimination, are interpolated.
 """
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 
 from .arith import fraction_is_square, fraction_sqrt
 from .poly import (
     Poly,
     _homogeneous,
+    _primitive,
+    _pseudo_divmod,
     discriminant,
     lagrange_interpolate,
     poly_gcd,
@@ -116,9 +123,20 @@ def classify_cubic_rational(f: Poly) -> GaloisLabel:
 
 
 def _depress_quartic(w: Poly) -> tuple[Fraction, Fraction, Fraction]:
-    """Shift a monic quartic to x^4 + p x^2 + q x + r; returns (p, q, r)."""
-    shifted = w.shift(-w.coeff(3) / 4)
-    return shifted.coeff(2), shifted.coeff(1), shifted.coeff(0)
+    """Shift a monic quartic to x^4 + p x^2 + q x + r; returns (p, q, r).
+
+    With w = G / G_4 for the integer vector G and e = 4 G_4, the shift is
+    x -> x - G_3 / e, and e^4 G(x - G_3 / e) = H(e x) for the integer
+    Taylor shift H(z) = sum G_k e^(4-k) (z - G_3)^k, one synthetic
+    division pass. So the coefficient of x^k in w(x - G_3 / e) is
+    H_k / (e^(4-k) G_4)."""
+    g = w.ints
+    e = 4 * g[4]
+    h = [v * e ** (4 - k) for k, v in enumerate(g)]
+    for i in range(4):
+        for k in range(3, i - 1, -1):
+            h[k] -= g[3] * h[k + 1]
+    return Fraction(h[2], e * e * g[4]), Fraction(h[1], e**3 * g[4]), Fraction(h[0], e**4 * g[4])
 
 
 def _resolvent(pc: Fraction, qc: Fraction, rc: Fraction) -> Poly:
@@ -195,27 +213,65 @@ def geometric_square_test(u: Poly) -> bool:
 
     Constants are squares in a closed field, so u is a square exactly when
     every squarefree factor has even multiplicity: then every finite place
-    has even valuation, and so has infinity, since deg u is even. Zero
-    raises ValueError."""
+    has even valuation, and so has infinity, since deg u is even. An odd
+    degree is an odd valuation at infinity, so it answers False before
+    the decomposition. Zero raises ValueError."""
+    if u and u.degree % 2:
+        return False
     return not any(m % 2 for _, m in squarefree_decomposition(u))
+
+
+def _det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: each division is exact, and every entry stays a minor of
+    the row-permuted input. m is consumed."""
+    sign, prev = 1, 1
+    while len(m) > 1:
+        k = next((i for i, row in enumerate(m) if row[0]), None)
+        if k is None:
+            return 0
+        if k:
+            m[0], m[k] = m[k], m[0]
+            sign = -sign
+        pivot, *top = m[0]
+        m = [[(pivot * v - row[0] * u) // prev for v, u in zip(row[1:], top)] for row in m[1:]]
+        prev = pivot
+    return sign * m[0][0]
 
 
 def discriminant_in_t(g: Poly) -> Poly:
     """disc_x(g(x) - t) as an exact polynomial in t.
 
-    The degree in t is exactly deg(g) - 1 (one factor g(theta) - t per
-    critical point theta). It is interpolated in Newton's form from the
-    resultant-based discriminants of g - tau at the deg(g) + 1 nodes
-    tau = 0, ..., deg(g), one node more than needed, so the degree
-    assertion doubles as a consistency check."""
+    For g of degree n with leading coefficient a, the discriminant is
+    (-1)^(n(n-1)/2) n^n a^(n-1) prod (g(theta) - t) over the n - 1 roots
+    theta of g', with multiplicity, since Res(g', g - t) runs over them.
+    That product is (-1)^(n-1) det(t I - M), with M the matrix of
+    multiplication by g on Q[x]/(g') in the basis 1, x, ..., x^(n-2):
+    its column k is x^k g mod g', one integer pseudo-remainder each, and
+    M = A / D for one integer matrix A. The integers det(tau D I - A) at
+    the n + 1 nodes tau = 0, ..., n, one more than the degree n - 1
+    needs, are interpolated, so the degree assertion doubles as a
+    consistency check."""
     n = g.degree
     if n < 2:
         raise ValueError("need degree >= 2")
+    vec = g.ints
+    dg = _primitive([k * v for k, v in enumerate(vec)][1:])[0]
+    cols = [_pseudo_divmod((0,) * k + vec, dg)[1:] for k in range(n - 1)]
+    scale = math.lcm(*(s for _, s in cols))
+    cols = [[g._n * (scale // s) * v for v in rem] for rem, s in cols]
+    d = g._d * scale
+    neg_a = [[-v for v in row] for row in zip(*cols)]
     pts = []
-    for k in range(n + 1):
-        tau = Fraction(k)
-        pts.append((tau, discriminant(g - Poly.const(tau))))
-    out = lagrange_interpolate(pts)
+    for tau in range(n + 1):
+        m = [row[:] for row in neg_a]
+        for i, row in enumerate(m):
+            row[i] += tau * d
+        pts.append((tau, _det(m)))
+    sign = -1 if (n * (n - 1) // 2 + n - 1) % 2 else 1
+    out = lagrange_interpolate(pts)._times(
+        sign * n**n * (g._n * vec[-1]) ** (n - 1), (g._d * d) ** (n - 1)
+    )
     if out.degree != n - 1:
         raise AssertionError("disc_x(g - t) must have t-degree deg(g) - 1")
     return out

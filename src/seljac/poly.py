@@ -17,9 +17,10 @@ builds its sparse vector by tuple repetition.
 Division and the gcd share one integer pseudo-division loop: `divmod`
 scales its quotient and remainder by one integer pair at the end, and
 `poly_gcd` runs a primitive pseudo-remainder sequence on the vectors.
-`lagrange_interpolate` uses Newton's divided differences and one Horner
-pass. `to_text` refuses a coefficient of more than `DIGITS_MAX` digits,
-Python's default int-to-str limit, with its own message.
+`lagrange_interpolate` uses Newton's divided differences over one integer
+denominator per level and one Horner pass on integers. `to_text` refuses
+a coefficient of more than `DIGITS_MAX` digits, Python's default
+int-to-str limit, with its own message.
 
 >>> f = Poly([-1, -1, 0, 1])     # x^3 - x - 1
 >>> f.to_text()
@@ -321,20 +322,10 @@ class Poly:
         g = math.gcd(n, d)
         return Poly._make(self.ints, n // g, d // g)
 
-    # ---- calculus and composition ----
+    # ---- calculus ----
 
     def derivative(self) -> Poly:
         return _scaled([k * v for k, v in enumerate(self.ints) if k], self._n, self._d)
-
-    def compose(self, inner: Poly) -> Poly:
-        result = Poly()
-        for v in reversed(self.ints):
-            result = result * inner + v
-        return result._times(self._n, self._d)
-
-    def shift(self, c) -> Poly:
-        """self(x + c)."""
-        return self.compose(Poly([c, 1]))
 
     def monic(self) -> Poly:
         if not self:
@@ -483,19 +474,36 @@ def reversed_poly(f: Poly, n: int) -> Poly:
 
 def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
     """Unique polynomial of degree < len(points) through the given points
-    (nodes must be distinct).
+    (nodes must be distinct; ints or Fractions).
 
-    Newton's form: the divided differences c_0, ..., c_(n-1) of the values
-    give p = c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)), built by one
-    Horner pass of n products with a linear factor."""
+    Newton's form on integers: with the nodes scaled to integers u_i = X x_i
+    and the values to integers by their common denominators X and Y, the
+    divided differences of level j are kept over one denominator, the
+    previous one times the lcm of the level's node gaps, so each step is an
+    exact integer product. One Horner pass of n products with X x - u_i
+    over the last level's denominator gives p(x) = P(X x) / Y, and one
+    `_scaled` normalizes it."""
     nodes = [x for x, _ in points]
     if len(set(nodes)) != len(nodes):
         raise ValueError("interpolation nodes must be distinct")
-    c = [y for _, y in points]
+    if not points:
+        return Poly()
+    xs = math.lcm(*(x.denominator for x in nodes))
+    ys = math.lcm(*(y.denominator for _, y in points))
+    u = [x.numerator * (xs // x.denominator) for x in nodes]
+    c = [y.numerator * (ys // y.denominator) for _, y in points]
+    dens = [1]
     for j in range(1, len(c)):
-        for i in range(len(c) - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (nodes[i] - nodes[i - j])
-    result = Poly()
-    for xi, ci in zip(reversed(nodes), reversed(c)):
-        result = result * Poly([-xi, 1]) + ci
-    return result
+        gaps = [a - b for a, b in zip(u[j:], u)]
+        m = math.lcm(*gaps)
+        c[j:] = [(a - b) * (m // gap) for a, b, gap in zip(c[j:], c[j - 1 :], gaps)]
+        dens.append(dens[-1] * m)
+    den = dens[-1]
+    acc = [c[-1]]
+    for ui, ci, di in zip(reversed(u[:-1]), reversed(c[:-1]), reversed(dens[:-1])):
+        acc = (
+            [ci * (den // di) - ui * acc[0]]
+            + [xs * a - ui * b for a, b in zip(acc, acc[1:])]
+            + [xs * acc[-1]]
+        )
+    return _scaled(acc, 1, den * ys)

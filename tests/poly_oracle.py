@@ -125,6 +125,14 @@ def cyclotomic_ints(p: int, i: int) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def compose(a, inner) -> tuple[Fraction, ...]:
+    """a(inner(x)) by Horner's rule."""
+    result = ()
+    for c in reversed(a):
+        result = add(mul(result, inner), normalize([c]))
+    return result
+
+
 def evaluate(a, x) -> Fraction:
     result = Fraction(0)
     for c in reversed(a):

@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 
+import poly_oracle as oracle
 import pytest
 import sympy
 from hypothesis import given, strategies as st
@@ -22,7 +23,7 @@ from seljac.galois import (
     geometric_square_test,
     rational_roots,
 )
-from seljac.poly import Poly, _homogeneous, poly_gcd
+from seljac.poly import Poly, _homogeneous, discriminant, lagrange_interpolate, poly_gcd
 
 from galois_oracle import oracle_is_irreducible, oracle_label
 
@@ -166,12 +167,29 @@ def test_resolvent_cubic_fixtures():
     assert resolvent_cubic(Poly([1, 1, 0, 0, 1])) == Poly([-1, -4, 0, 1])
 
 
+def test_depress_quartic_matches_shift():
+    # the integer Taylor pass against the rational shift x -> x - c_3 / 4,
+    # on monic quartics with rational, zero and large coefficients
+    rng = random.Random(11)
+    quartics = [Poly([0, 0, 0, 0, 1]), Poly([1, 2, 3, 4, 1])]
+    quartics.append(Poly([10**30, -(10**20), 7, -(10**15), 1]))
+    for _ in range(60):
+        cs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(5)]
+        if cs[4]:
+            quartics.append(Poly(cs).monic())
+    for w in quartics:
+        shifted = oracle.compose(w.coeffs, (-w.coeff(3) / 4, Fraction(1)))
+        assert shifted[3] == 0
+        assert galois._depress_quartic(w) == (shifted[2], shifted[1], shifted[0])
+
+
 def test_resolvent_shift_invariant():
     rng = random.Random(4)
     for _ in range(25):
         f = Poly([rng.randint(-5, 5) for _ in range(4)] + [1])
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        assert resolvent_cubic(f.shift(c)) == resolvent_cubic(f)
+        shifted = Poly(oracle.compose(f.coeffs, (c, Fraction(1))))
+        assert resolvent_cubic(shifted) == resolvent_cubic(f)
 
 
 QUARTIC_FIXTURES = [
@@ -306,7 +324,7 @@ def test_large_nonmonic_polynomials_match_oracle():
             cases.append(([_big(rng) for _ in range(degree + 1)], None))
     for coeffs, label in QUARTIC_FIXTURES + [([-1, -3, 0, 1], GaloisLabel.C3)]:
         a, b, c = (abs(_big(rng)) for _ in range(3))
-        g = Poly(coeffs).compose(Poly([Fraction(b, c), Fraction(a, c)]))
+        g = Poly(oracle.compose(coeffs, (Fraction(b, c), Fraction(a, c))))
         cases.append((list(g.ints), label))
     for split in (1, 2):
         f = Poly([_big(rng) for _ in range(split + 1)]) * Poly([_big(rng) for _ in range(4 - split)])
@@ -348,13 +366,50 @@ def test_discriminant_in_t_closed_form():
 def test_discriminant_in_t_matches_sympy():
     xs, ts = sympy.symbols("x t")
     rng = random.Random(8)
-    for deg in (3, 4, 5, 6):
+    for deg in (3, 4, 5, 6, 7, 8):
         for _ in range(6):
             g = Poly([rng.randint(-5, 5) for _ in range(deg)] + [1])
             expr = sum(int(g.coeff(k)) * xs**k for k in range(deg + 1)) - ts
             want = sympy.Poly(sympy.discriminant(expr, xs), ts).all_coeffs()[::-1]
             got = discriminant_in_t(g)
             assert [got.coeff(k) for k in range(got.degree + 1)] == want
+
+
+def _discriminant_in_t_by_nodes(g: Poly) -> Poly:
+    """The slow path: disc_x(g - tau) by resultants at tau = 0..deg g,
+    interpolated."""
+    return lagrange_interpolate(
+        [(Fraction(k), discriminant(g - Poly.const(Fraction(k)))) for k in range(g.degree + 1)]
+    )
+
+
+def _chebyshev(n: int) -> Poly:
+    a, b = Poly.one(), Poly.x()
+    for _ in range(n - 1):
+        a, b = b, Poly([0, 2]) * b - a
+    return b
+
+
+def _node_oracle_inputs():
+    x = Poly.x()
+    yield (x - 1) ** 3 * (x + 2)  # a triple critical point at 1
+    yield (x - 1) ** 2 * (x + 2) ** 2 * Fraction(-3, 5)  # repeated critical values
+    for n in range(2, 9):
+        yield x**n
+        yield x**n + Fraction(-7, 3)
+        yield _chebyshev(n)
+    rng = random.Random(10)
+    for n in range(2, 9):
+        for _ in range(8):
+            cs = [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(n)]
+            lc = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 5))
+            yield Poly(cs + [lc])
+
+
+def test_discriminant_in_t_matches_node_oracle():
+    for g in _node_oracle_inputs():
+        got = discriminant_in_t(g)
+        assert got == _discriminant_in_t_by_nodes(g), g
 
 
 def test_discriminant_in_t_rejects_low_degree():
@@ -374,6 +429,16 @@ def test_geometric_square_test():
     assert geometric_square_test(t**2 * Poly([-1, 1]) ** 4) is True
     with pytest.raises(ValueError):
         geometric_square_test(Poly.zero())
+
+
+def test_geometric_square_test_odd_degree_skips_the_decomposition(monkeypatch):
+    def refuse(u):
+        raise AssertionError("odd degree needs no squarefree decomposition")
+
+    monkeypatch.setattr(galois, "squarefree_decomposition", refuse)
+    t = Poly([0, 1])
+    assert geometric_square_test(t**3) is False
+    assert geometric_square_test(discriminant_in_t(Poly([1, 2, 1, 0, 1]))) is False
 
 
 @pytest.mark.parametrize(
@@ -416,7 +481,7 @@ def test_geometric_quartics_are_symmetric():
     seen = 0
     while seen < 30:
         g = Poly([rng.randint(-7, 7) for _ in range(4)] + [1])
-        if g.shift(-g.coeff(3) / 4).coeff(1) == 0:
+        if galois._depress_quartic(g)[1] == 0:
             continue
         seen += 1
         assert classify_quartic_geometric(g)[0] is GaloisLabel.S4
