@@ -1,4 +1,8 @@
-"""Rank over a prime field: the one piece of linear algebra the commutants need."""
+"""Computation over a prime field F_p: the rank of an integer matrix mod p,
+the one piece of linear algebra the commutants need, and the values of an
+integer polynomial at every residue mod p, which `galois.rational_roots`
+reads as a certificate that a monic integer polynomial has no integer
+root."""
 from __future__ import annotations
 
 
@@ -30,3 +34,16 @@ def rank_fp(rows: list[list[int]], p: int) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def values_fp(ints: list[int], p: int) -> list[int]:
+    """[f(x) mod p for x in 0, ..., p - 1] for the integer polynomial f with
+    coefficient vector ints (lowest degree first), by Horner's rule over
+    the whole residue list at once. Each coefficient is reduced mod p
+    before it enters, so the work does not grow with its size."""
+    xs = range(p)
+    acc = [0] * p
+    for c in reversed(ints):
+        c %= p
+        acc = [(a * x + c) % p for a, x in zip(acc, xs)]
+    return acc

@@ -4,10 +4,15 @@ one-parameter families g(x) - t over the algebraic closure of Q(t).
 Rational route: rational-root + discriminant-square tests for cubics; for
 quartics the resolvent cubic z^3 - p z^2 - 4 r z + (4 p r - q^2) of the
 depressed form x^4 + p x^2 + q x + r, with the standard resolvent-root
-squareness criterion (Kappe-Warren) separating C4 from D4. The rational
-roots come from exact integer bisection: the real roots of a monic integer
-form of the polynomial are bracketed between those of its derivatives,
-in time polynomial in the bit size of the coefficients.
+squareness criterion (Kappe-Warren) separating C4 from D4; the quartic's
+discriminant is read off that cubic, whose discriminant is the same. The
+rational roots are those of a monic integer form of the polynomial. A
+prime p in 2, ..., 13 at which that form has no zero mod p proves there
+are none (the simplest case of Dedekind's reduction mod p; Cohen, A
+Course in Computational Algebraic Number Theory, 6.3). Otherwise they
+come from exact integer bisection: the real roots are bracketed between
+those of the derivatives, in time polynomial in the bit size of the
+coefficients.
 
 Geometric route: for f = g(x) - t the extension is automatically
 irreducible over the closure of Q(t), and everything is decided by
@@ -26,6 +31,7 @@ import math
 from fractions import Fraction
 
 from .arith import fraction_is_square, fraction_sqrt
+from .fpmatrix import values_fp
 from .poly import (
     Poly,
     _homogeneous,
@@ -82,14 +88,28 @@ def _root_cuts(g: list[int], bound: int) -> list[int]:
     return sorted(cuts)
 
 
+# The primes at which `rational_roots` looks for a certificate of no root.
+_CERTIFY_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
 def rational_roots(f: Poly) -> list[Fraction]:
     """All rational roots of a nonzero polynomial, ascending.
 
     With f a rational multiple of sum c_k x^k over Z of degree d, c_d > 0,
     the rational roots of f are a / c_d for the integer roots a of the
-    monic g(y) = c_d^(d-1) sum c_k (y / c_d)^k. Every complex root of g
-    has modulus at most Fujiwara's bound 2 max_k |g_k|^(1/(d-k)), which is
-    below B = 2^(1 + max_k ceil(bitlen(g_k) / (d-k))); by Gauss-Lucas the
+    monic g(y) = c_d^(d-1) sum c_k (y / c_d)^k.
+
+    An integer root a of g would give g(a) = 0, so g(a mod p) = 0 mod p
+    for every prime p. If, for one p in `_CERTIFY_PRIMES`, g has no zero
+    among the residues mod p, f has no rational root and the answer is []
+    without the bisection. No such certificate exists for f with a
+    rational root, nor for one with a root mod every prime but none over
+    Q, such as (x^2 - 2)(x^2 - 3)(x^2 - 6); both reach the bisection, the
+    only root finder.
+
+    Every complex root of g has modulus at most Fujiwara's bound
+    2 max_k |g_k|^(1/(d-k)), which is below
+    B = 2^(1 + max_k ceil(bitlen(g_k) / (d-k))); by Gauss-Lucas the
     roots of each derivative of g lie in the same disc. `_root_cuts`
     brackets the roots in (-B, B) by exact integer bisection on the
     monotone pieces between the brackets of the critical points:
@@ -100,6 +120,8 @@ def rational_roots(f: Poly) -> list[Fraction]:
     c = f.ints
     d, lc = len(c) - 1, c[-1]
     g = [v * lc ** (d - 1 - k) for k, v in enumerate(c[:-1])] + [1]
+    if any(0 not in values_fp(g, p) for p in _CERTIFY_PRIMES):
+        return []
     bound = 2 << max(
         ((abs(v).bit_length() + d - k - 1) // (d - k) for k, v in enumerate(g[:-1])), default=0
     )
@@ -186,10 +208,15 @@ def classify_quartic_rational(f: Poly) -> GaloisLabel:
     if rational_roots(w):
         return GaloisLabel.REDUCIBLE
     pc, qc, rc = _depress_quartic(w)
-    rr = rational_roots(_resolvent(pc, qc, rc))
+    resolvent = _resolvent(pc, qc, rc)
+    rr = rational_roots(resolvent)
     if _rational_quadratic_split(pc, qc, rc, rr):
         return GaloisLabel.REDUCIBLE
-    disc = discriminant(w)
+    # disc(w) = disc(resolvent): a shift leaves the discriminant alone, and
+    # the resolvent roots a1 a2 + a3 a4, ... of the depressed quartic's
+    # roots a_i differ by (a1 - a4)(a2 - a3) and its two conjugates, whose
+    # squares multiply to prod (a_i - a_j)^2 over i < j.
+    disc = discriminant(resolvent)
     if not rr:
         return GaloisLabel.A4 if fraction_is_square(disc) else GaloisLabel.S4
     if len(rr) == 3:

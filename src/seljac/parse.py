@@ -12,7 +12,9 @@ on every term but the first), then `t` or a coefficient optionally followed
 by `*x^k`, or `x^k`; `^k` may be left out for k = 1. Whitespace (anything
 `str.isspace` accepts) may stand between any two tokens, and the digits are
 those `str.isdecimal` accepts. Exponents above `MAX_EXPONENT` and numerals
-of more than `DIGITS_MAX` digits are rejected.
+of more than `DIGITS_MAX` digits are rejected. An integer coefficient stays
+an `int` and only `a/b` builds a `Fraction`; `Poly` brings both to the same
+normal form.
 
 >>> parse_q_poly("x^3 - x - 1").to_text()
 'x^3 - x - 1'
@@ -63,7 +65,7 @@ def parse_x_poly(text: str) -> tuple[Poly, Poly]:
         k = int(m["k"] or m["x_k"] or 1) if m["times_x"] or not m["coeff"] else 0
         if k > MAX_EXPONENT:
             raise ValueError(f"exponent must be at most {MAX_EXPONENT}, got {k}")
-        c = Fraction(int(m["num"]), den) if m["num"] else Fraction(1)
+        c = int(m["num"] or 1) if den == 1 else Fraction(int(m["num"]), den)
         part = parts[m["coeff"] == "t"]
         part[k] = part.get(k, 0) + (-c if m["sign"] == "-" else c)
         pos = m.end()

@@ -13,6 +13,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from seljac import galois
+from seljac.fpmatrix import values_fp
 from seljac.galois import (
     GaloisLabel,
     classify_cubic_geometric,
@@ -132,6 +133,65 @@ def test_rational_roots_match_divisor_search(roots, cofactor, scale):
     assert set(roots) <= set(got)
 
 
+def test_values_fp_matches_horner_at_every_residue():
+    rng = random.Random(50)
+    vectors = [[0], [7], [-3, 1], [0, 0, 0, 1], [10**4300 + 1, -(10**60), 3, -1, 1]]
+    vectors += [[rng.randint(-10**30, 10**30) for _ in range(rng.randint(1, 9))] for _ in range(20)]
+    for p in (q for q in range(2, 50) if all(q % d for d in range(2, q))):
+        for ints in vectors:
+            assert values_fp(ints, p) == [_homogeneous(ints, x, 1) % p for x in range(p)]
+
+
+def _bisections(monkeypatch) -> list:
+    calls = []
+    root_cuts = galois._root_cuts
+    monkeypatch.setattr(galois, "_root_cuts", lambda g, bound: calls.append(g) or root_cuts(g, bound))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [[3, 0, 1], [-2, 0, 0, 1]],                 # (x^2 + 3)(x^3 - 2)
+        [[-2, 0, 1], [-3, 0, 1], [-6, 0, 1]],       # (x^2 - 2)(x^2 - 3)(x^2 - 6)
+    ],
+)
+def test_rootless_with_a_root_mod_every_prime_falls_back_to_bisection(monkeypatch, factors):
+    # a zero in every residue field, so no certificate: the bisection answers
+    f = math.prod((Poly(c) for c in factors), start=Poly.one())
+    assert all(0 in values_fp(list(f.ints), p) for p in galois._CERTIFY_PRIMES)
+    calls = _bisections(monkeypatch)
+    assert rational_roots(f) == [] == _rational_roots_by_divisors(f)
+    assert calls
+
+
+def test_rootless_cubics_and_quartics_match_divisor_search(monkeypatch):
+    # seeded products of irreducible factors, scaled by a rational: an
+    # irreducible cubic, an irreducible quartic or two irreducible
+    # quadratics; most are certified rootless mod a small prime, the rest
+    # reach the bisection, and both give the divisor search's answer
+    rng = random.Random(35)
+    calls = _bisections(monkeypatch)
+
+    def irreducible(degree):
+        while True:
+            cs = [Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(degree)]
+            f = Poly(cs + [Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 6))])
+            if f.degree == degree and not _rational_roots_by_divisors(f):
+                if degree < 4 or oracle_is_irreducible(list(f.ints)):
+                    return f
+
+    certified = fallback = 0
+    for k in range(150):
+        f = irreducible(2) * irreducible(2) if k % 3 == 2 else irreducible(3 + k % 3)
+        f = f * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+        before = len(calls)
+        assert rational_roots(f) == [] == _rational_roots_by_divisors(f), f
+        certified += len(calls) == before
+        fallback += len(calls) > before
+    assert certified > 100 and fallback > 20
+
+
 @pytest.mark.parametrize(
     "coeffs,label",
     [
@@ -181,6 +241,26 @@ def test_depress_quartic_matches_shift():
         shifted = oracle.compose(w.coeffs, (-w.coeff(3) / 4, Fraction(1)))
         assert shifted[3] == 0
         assert galois._depress_quartic(w) == (shifted[2], shifted[1], shifted[0])
+
+
+def test_quartic_discriminant_is_the_resolvent_discriminant():
+    # disc(w) = disc(resolvent) exactly, for w = f / lc(f): seeded rational
+    # non-monic quartics, biquadratics, x^4 + c and depressed quartics
+    # x^4 + p x^2 + q x + r whose resolvent constant 4 p r - q^2 is a prime
+    # near 1.3e10, shifted
+    rng = random.Random(36)
+    quartics = [Poly([Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(4)]
+                     + [Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((-1, 1))])
+                for _ in range(60)]
+    quartics += [Poly([rng.randint(-99, 99), 0, rng.randint(-99, 99), 0, rng.randint(1, 9)])
+                 for _ in range(20)]
+    quartics += [Poly([c, 0, 0, 0, 1]) for c in (-4, -1, 1, 2, 4, Fraction(-7, 3), 10**40 + 1)]
+    for p, q, r in ((50458, -31, 63356), (50965, -11, 63434), (52346, -71, 62707), (52220, -17, 62782)):
+        for k in (-9, 1, 5):
+            quartics.append(Poly(oracle.compose([r, q, p, 0, 1], (Fraction(k), Fraction(1)))))
+    for f in quartics:
+        w = f.monic()
+        assert discriminant(w) == discriminant(galois._resolvent(*galois._depress_quartic(w))), f
 
 
 def test_resolvent_shift_invariant():

@@ -162,6 +162,22 @@ def test_parse_matches_token_reader_oracle():
     assert accepted > 8_000
 
 
+@pytest.mark.parametrize(
+    "text",
+    # integer coefficients stay ints and a/b builds a Fraction: sums that
+    # mix them, cancel to an integer or to zero, and large numerals
+    ["1/2*x + 1/2*x", "1/3 + 2/3 - t", "3 - 3", "t - t", "x - x + t", "2/2*x^2 - x^2",
+     "1/2*x^2 + 3*x^2 - 7/2*x^2 + 1", "6/4*x - 1/2*x", "4/2 + t*x - t*x", "0/5*x + 0",
+     f"{'9' * DIGITS_MAX}*x^3 - {'9' * DIGITS_MAX}*x^3 + 1", f"{'8' * DIGITS_MAX} + 1/2*x",
+     f"{'7' * 40}/{'7' * 40}*x - t", f"1/{'3' * 40} + {'3' * 60}*x"],
+)
+def test_parse_mixed_coefficients_match_oracle(text):
+    got = parse_x_poly(text)
+    want = parse_oracle.parse_x_poly(text)
+    assert got == want
+    assert [hash(f) for f in got] == [hash(f) for f in want]
+
+
 def test_parse_exponent_ceiling():
     assert parse_x_poly(f"x^{MAX_EXPONENT} + 1")[0].degree == MAX_EXPONENT
     assert parse_x_poly(f"x + t*x^{MAX_EXPONENT}")[1].degree == MAX_EXPONENT
