@@ -14,7 +14,8 @@ fills a fixed template with the line the encoder would write for the
 report's `_asdict()`, which the tests check record by record.
 `spectrum` writes its own way too: its up to 2^20 - 1 multiplicities
 go out about `SPECTRUM_SLICE` at a time, in memory flat in q, and the
-JSON keys in the closed-form order of sort_keys, with no sort
+JSON keys in the closed-form order of sort_keys, with no sort, from one
+loop over the decades of keys that serves every (n, q) and both formats
 (`_spectrum_chunks`). The tests check the JSON against the encoder and
 the text against the per-entry lines, byte for byte. The
 subcommands keyed by (n, q) get one `lattice.Pair` from `_head`, which
@@ -42,7 +43,8 @@ import os
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
+from operator import floordiv
 
 from .acceptance import run_all
 from .arith import is_prime
@@ -112,12 +114,18 @@ def _head(args, n: int, q_max: int | None = None) -> Pair:
             raise ValueError(f"--r must be >= 1, got {r}")
         if r > MAX_EXPONENT:
             raise ValueError(f"--r must be at most {MAX_EXPONENT}, got {r}")
-        if q is not None and q != p**r:
+        # For p > 0, p**r >= 2**((p.bit_length() - 1) * r). Past 2**(4 *
+        # DIGITS_MAX) that is above 10**DIGITS_MAX and above any --q of at
+        # most 4 * DIGITS_MAX bits, so p**r is not built; otherwise it is
+        # built once.
+        too_long = p > 0 and (p.bit_length() - 1) * r > 4 * DIGITS_MAX >= (q or 0).bit_length()
+        power = None if too_long else p**r
+        if q is not None and q != power:
             raise ValueError(f"--q {q} contradicts --p {p} --r {r}")
-        q = p**r
         # 2**(3d) < 10**d, so each power below is built only near the limit
-        if q.bit_length() > 3 * DIGITS_MAX and q >= 10**DIGITS_MAX:
+        if too_long or power.bit_length() > 3 * DIGITS_MAX and power >= 10**DIGITS_MAX:
             raise ValueError(f"q = {p}^{r} has more than {DIGITS_MAX} digits")
+        q = power
     genus = (n - 1) * (q - 1) // 2
     if genus.bit_length() > 3 * DIGITS_MAX and genus >= 10**DIGITS_MAX:
         raise ValueError(f"the genus (n-1)(q-1)/2 has more than {DIGITS_MAX} digits")
@@ -173,10 +181,10 @@ def _feasible_json(rep) -> str:
 
 
 # The largest q that spectrum accepts: its output has q - 1 entries, 13-23
-# MB at 2**20. Written as it is made, it takes about 0.11 s in text and
-# 0.12 s in JSON at n = 7, and 0.33-0.34 s in text and 0.39-0.40 s in
-# JSON when n is near q, interpreter start included, on a 2-core VM with
-# Python 3.11; the process peaks at 15.0-15.3 MB, at most 0.4 MB above
+# MB at 2**20. Written as it is made, it takes about 0.09 s in text and
+# 0.11 s in JSON at n = 7, and 0.34-0.36 s in text and 0.35 s in JSON when
+# n is near q, interpreter start included, on a 2-core VM with Python
+# 3.11; the process peaks at 15.0-15.2 MB, at most 0.3 MB above
 # `genus --n 3 --q 2`.
 SPECTRUM_Q_MAX = 2**20
 
@@ -216,11 +224,6 @@ def _cmd_genus(args) -> int:
     return 0
 
 
-# spectrum's entry, which takes its key once its multiplicity is written
-# in, and what joins two entries, for JSON (True) and for text (False).
-_SPECTRUM_LINES = {True: ('"%%d": %d', ", "), False: ("i=%%d  mult=%d\n", "")}
-
-
 def _prefixes(u: int) -> list[int]:
     """The proper decimal prefixes of u that pad with zeros to u, the
     shortest first: u // 10**j for j from the count of u's trailing zeros
@@ -232,49 +235,6 @@ def _prefixes(u: int) -> list[int]:
     return keys[::-1]
 
 
-def _walk(a: int, b: int, column, item) -> list:
-    """The items of the keys a..b-1 of a JSON walk (`_spectrum_chunks`) in
-    walk order, column(keys) giving those of a range of keys and item(u)
-    that of one key: decade P gives P, then 10P..10P+9, zipped, and P
-    ends in 0 after its `_prefixes`."""
-    first, last = -(-a // 10), -(-b // 10)  # the decades that start in a..b-1
-    items = list(column(range(a, b)))
-    at, cut = 10 * first - a, 10 * last - b  # cut: the keys of the last decade from b on
-    tens = chain(items[at:], repeat(None, cut))
-    del items[at:]
-    block = list(chain.from_iterable(zip(column(range(first, last)), *[tens] * 10)))
-    del block[len(block) - cut:]
-    for P in range(last - 1 - (last - 1) % 10, first - 1, -10):
-        block[11 * (P - first):11 * (P - first)] = map(item, _prefixes(P))
-    return items + block
-
-
-def _walk_entries(spec, a: int, b: int, as_json: bool) -> str:
-    """The entries of the keys a..b-1 of a walk (`_spectrum_chunks`),
-    through one %-template. For q > 2n, where every run of equal
-    multiplicity holds two exponents or more, the template of an entry has
-    its multiplicity written in, once per run, and takes the key;
-    otherwise it takes (key, multiplicity) pairs."""
-    n, q = spec.n, spec.q
-    line, joiner = _SPECTRUM_LINES[as_json]
-
-    def order(column, item):
-        return _walk(a, b, column, item) if as_json else column(range(a, b))
-
-    keys = order(lambda keys: keys, int)
-    if q > 2 * n:
-        def templates(keys: range) -> Iterator[str]:
-            ks, lengths = spec.runs_over(keys) if keys else ((), ())
-            return chain.from_iterable(map(repeat, map(line.__mod__, ks), lengths))
-
-        return joiner.join(order(templates, lambda u: line % (n * u // q))) % tuple(keys)
-    values = [0] * (2 * len(keys))
-    values[::2] = keys
-    values[1::2] = order(spec.multiplicities_over, lambda u: n * u // q)
-    template = (line.replace("%%", "%") + joiner) * len(keys)
-    return template[:len(template) - len(joiner)] % tuple(values)
-
-
 def _spectrum_chunks(spec, as_json: bool) -> Iterator[str]:
     """The entries of spectrum, floor(n*i/q) for i = 1..q-1, in strings
     of about SPECTRUM_SLICE entries, every JSON string but the first led
@@ -282,47 +242,55 @@ def _spectrum_chunks(spec, as_json: bool) -> Iterator[str]:
     of (the key padded with zeros to D digits, its length), D the digit
     count of q - 1, so the JSON, in sort_keys order, walks the D-digit keys
     in [10^(D-1), q), then the (D-1)-digit keys in [ceil(q/10), 10^(D-1)),
-    each key after its `_prefixes`. For q >= 100n each run of equal
-    multiplicity holds ten decades 10P..10P+9 or more, and a decade meets
-    at most two runs: its entries are str(P).join(parts), parts made once
-    per (m, k, j), m the multiplicity of P, which JSON writes first, k that
-    of 10P and j the first digit whose multiplicity is k + 1. The other
-    keys, and all of them for q < 100n, go through `_walk_entries`."""
+    and writes each decade 10P..10P+9 of a walk after P, and P after its
+    `_prefixes`. One loop over the decades writes every (n, q), each
+    decade as str(P).join(parts). Where a run of equal multiplicity ends
+    inside the decade, the parts have a slot for each of its ten
+    multiplicities. A stretch of decades inside one run of k shares parts
+    with k written in, made once per k, and with k // 10 for the entry of P
+    that leads a JSON decade: floor(n*P/q) = floor(floor(10n*P/q)/10). The
+    keys at the ends of a walk and each `_prefixes(P)` are written one at
+    a time."""
     n, q = spec.n, spec.q
-    line, joiner = _SPECTRUM_LINES[as_json]
+    line, joiner = ('"%s": %s', ", ") if as_json else ("i=%s  mult=%s\n", "")
     top = 10 ** (len(str(q - 1)) - 1)
     walks = [w for w in (range(top, q), range(-(-q // 10), top)) if w] if as_json else [range(1, q)]
-    unit = line.replace("%%d", "\0%s")  # the key as "\0" and its last digit
-    decades = {}
-    lead = ""
+
+    def entries(keys) -> list[str]:
+        return [line % (u, n * u // q) for u in keys]
+
+    # a decade's entries, JSON's led by P's, with "\0" for P and a slot for
+    # each multiplicity
+    names = ["\0"] * as_json + [f"\0{d}" for d in range(10)]
+    decade = joiner.join([line % (name, "%s") for name in names])
+    mixed = decade.split("\0")
+    head, held, lead = (), None, ""
     for walk in walks:
         cuts = range((walk.start // SPECTRUM_SLICE + 1) * SPECTRUM_SLICE, walk.stop, SPECTRUM_SLICE)
         for a, b in zip([walk.start, *cuts], [*cuts, walk.stop]):
             P, end = -(-a // 10), b // 10  # the decades that lie in a..b-1
-            pieces, done, m = [], a, 0
-            if q >= 100 * n and P < end:
-                if a < 10 * P:
-                    pieces.append(_walk_entries(spec, a, 10 * P, as_json))
-                while P < end:
-                    k = n * 10 * P // q
-                    j = -(-(k + 1) * q // n) - 10 * P  # the next run starts at 10P + j
-                    stop = P + 1 if j < 10 else min(end, P + j // 10)
-                    if as_json:
-                        m = n * P // q
-                        stop = min(stop, P - P % 10 + 10, -(-(m + 1) * q // n))
-                        if P % 10 == 0:
-                            shorter = _prefixes(P)
-                            entries = [line % (n * u // q) for u in shorter]
-                            pieces.append(joiner.join(entries) % tuple(shorter))
-                    key = m, k, min(j, 10)
-                    if key not in decades:
-                        units = [unit % (d, k + (d >= j)) for d in range(10)]
-                        decades[key] = joiner.join([unit % ("", m)] * as_json + units).split("\0")
-                    pieces += map(str.join, map(str, range(P, stop)), repeat(decades[key]))
-                    P = stop
-                done = 10 * end
-            if done < b:
-                pieces.append(_walk_entries(spec, done, b, as_json))
+            pieces = entries(range(a, min(10 * P, b)))
+            while P < end:
+                k = n * 10 * P // q
+                if as_json:
+                    head = (k // 10,)  # P's multiplicity, floor(n*P/q)
+                    if P % 10 == 0:
+                        pieces += entries(_prefixes(P))
+                stop = -(-(k + 1) * q // n) // 10  # decades P..stop-1 lie in the run of k
+                if stop == P:  # the run of k ends inside decade P
+                    ks = map(floordiv, range(10 * n * P, 10 * n * (P + 1), n), repeat(q))
+                    pieces.append(str(P).join(mixed) % (*head, *ks))
+                    P += 1
+                    continue
+                # the stretch ends with the run, the chunk, and in JSON at
+                # the next P with prefixes
+                stop = min(stop, end, P - P % 10 + 10) if as_json else min(stop, end)
+                if held != k:
+                    held, whole = k, (decade % (*head, *repeat(k, 10))).split("\0")
+                pieces += map(str.join, map(str, range(P, stop)), repeat(whole))
+                P = stop
+            if 10 * P < b:
+                pieces += entries([*_prefixes(P), P] * as_json + [*range(10 * P, b)])
             yield lead + joiner.join(pieces)
             lead = joiner
 

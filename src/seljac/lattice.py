@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping, ValuesView
 from itertools import repeat
-from operator import floordiv, sub
+from operator import floordiv
 from typing import NamedTuple
 
 from .arith import prime_power, prime_powers_upto
@@ -81,14 +81,6 @@ def _multiplicities_over(n: int, q: int, exponents: range) -> Iterator[int]:
     C loop."""
     start, stop, step = exponents.start, exponents.stop, exponents.step
     return map(floordiv, range(n * start, n * stop, n * step), repeat(q))
-
-
-def _run_bounds(n: int, q: int, ks: range) -> Iterator[int]:
-    """ceil(k*q/n) = (k*q + n - 1)//n for each k in ks, a range of step 1,
-    by a C loop. With 1 before the bounds of 1..n-1 and q after, they bound
-    the runs: floor(n*i/q) == k exactly from bound k up to, not including,
-    bound k + 1."""
-    return map(floordiv, range(ks.start * q + n - 1, ks.stop * q + n - 1, q), repeat(n))
 
 
 def _floor_sum(count: int, m: int, a: int, b: int = 0) -> int:
@@ -203,11 +195,9 @@ class EigenSpectrum(NamedTuple):
 
     `total()` sums them, and `primitive_total()` takes off the entries at
     multiples of p, which sum the same way; each sum is one floor sum of
-    O(log q) steps (`_count_below`). `multiplicities`
-    reads the same numbers per exponent, in ascending order of i, from a
-    view that stores nothing of size q; `multiplicities_over` reads them
-    over any range of exponents, and `runs_over` gives the runs that meet
-    such a range, which is how `spectrum` prints them.
+    O(log q) steps (`_count_below`). `multiplicities` reads the same
+    numbers per exponent, in ascending order of i, from a view that stores
+    nothing of size q.
     """
 
     n: int
@@ -222,22 +212,6 @@ class EigenSpectrum(NamedTuple):
         """The sum of the multiplicities, which is the interior point
         count: see `_count_below`."""
         return _count_below(self.n, self.q)
-
-    def multiplicities_over(self, exponents: range) -> Iterator[int]:
-        """floor(n*i/q) for each i in exponents, a range within 1..q-1, by
-        a C loop."""
-        return _multiplicities_over(self.n, self.q, exponents)
-
-    def runs_over(self, exponents: range) -> tuple[range, Iterator[int]]:
-        """The runs of equal multiplicity that meet exponents, a nonempty
-        range of step 1 within 1..q-1: the range of multiplicities k they
-        hold, ascending, and how many exponents of the range hold each k
-        (0 for a k that no exponent takes, as for n > q)."""
-        n, q = self.n, self.q
-        start, stop = exponents.start, exponents.stop
-        ks = range(n * start // q, n * (stop - 1) // q + 1)
-        bounds = [start, *_run_bounds(n, q, ks[1:]), stop]
-        return ks, map(sub, bounds[1:], bounds)
 
     def primitive_total(self) -> int:
         """The total over exponents i prime to p: the total minus the

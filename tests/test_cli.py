@@ -11,6 +11,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -214,9 +215,9 @@ _SPECTRUM_PAIRS = st.sampled_from([q for q in range(2, 4097) if arith.prime_powe
 ).filter(lambda nq: math.gcd(*nq) == 1)
 
 
-# q >= 10n, where every run holds ten exponents or more: from q = 100n
-# each decade of keys is one str.join, below it the runs' multiplicities
-# are written into the %-template.
+# q >= 10n, where every run holds ten exponents or more: most decades of
+# keys lie inside one run and go out a stretch at a time, and the rest
+# have their ten multiplicities filled into one fixed template.
 _DECADE_PAIRS = st.sampled_from(
     [q for q in range(30, 2**17 + 1) if arith.prime_power(q)]
 ).flatmap(lambda q: st.tuples(st.integers(3, q // 10), st.just(q))).filter(
@@ -248,11 +249,12 @@ def _common_prefix(a, b):
 # 65536, as n = q + 1. Then pairs on both sides of q = 2n: 41 against
 # 2*20 and 2*21, 1024 against 2*511 and 2*513, and n = q - 1 at 131072.
 # Then n on both sides of q/10 at 1009, 10007 and 131072 (and n = 3 at
-# q = 31), where runs reach ten exponents, and of q/100 at the same q,
-# from which each decade of keys is one str.join. At (7, 10007) the runs end mid-decade (at 4288) and on a 9 (at
-# 1429); at (3, 100003) and (3, 131071) a run of more than 30,000 keys
-# ends mid-decade (before 33335 and 43691), and at 131071 every run
-# crosses the edges of the writer's chunks. The second walk, of the
+# q = 31), where runs reach ten exponents, so that decades of keys start
+# to lie inside one run, and of q/100 at the same q, where every run spans
+# ten decades or more. At (7, 10007) the runs end mid-decade (at 4288) and
+# on a 9 (at 1429); at (3, 100003) and (3, 131071) a run of more than
+# 30,000 keys ends mid-decade (before 33335 and 43691), and at 131071
+# every run crosses the edges of the writer's chunks. The second walk, of the
 # shorter keys, starts mid-decade at (3, 1109), (3, 1117), (3, 10007) and
 # (7, 1024): at 111, 112, 1001 and 103.
 @pytest.mark.parametrize("n,q", [(3, 2), (11, 2), (3, 1024), (7, 1024), (10, 1009),
@@ -301,12 +303,14 @@ def _walk_order(n, q):
     [2**k for k in range(1, 21)],
 ])
 def test_spectrum_walk_follows_sorted_key_order(qs):
-    # at n = 3 each decade of keys is one str.join from q = 300, and below
-    # it the runs' multiplicities are written into the template; at
-    # n = q + 1 the template takes (key, multiplicity) pairs
+    # at n = 3 the decades of keys lie inside one run from q = 30 and go
+    # out a stretch at a time; at n = q + 1 and at n = q // 7 + 1 (runs of
+    # about seven exponents) a run ends in every decade; at n = q // 15 + 1
+    # a walk mixes stretches with decades where a run ends. Every walk that
+    # ends mid-decade ends in keys written one at a time.
     for q, order in _decimal_key_order(qs).items():
-        assert _walk_order(3, q) == order, q
-        assert _walk_order(q + 1, q) == order, q
+        for n in (3, q + 1, q // 7 + 1, q // 15 + 1):
+            assert _walk_order(n, q) == order, (n, q)
 
 
 class _Discard:
@@ -486,6 +490,41 @@ def test_q_digits_ceiling(capsys, monkeypatch, argv):
     assert (code, out) == (2, "")
     assert err == f"error: q = 1000003^1000 has more than {cli.DIGITS_MAX} digits\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("q", [None, "8"])
+def test_q_digits_ceiling_of_a_long_p(capsys, q):
+    # a 4300-digit p to the 1000th power has 4.3 million digits: it is
+    # refused, with the same messages in the same order, by its bit length
+    # alone, in about the time of the 7-digit p above
+    p = "1" * cli.DIGITS_MAX
+    flags = ("--p", p, "--r", "1000") + (("--q", q) if q else ())
+    started = time.perf_counter()
+    code, out, err = run(capsys, "decompose", "--n", "3", *flags)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "")
+    if q:
+        assert err == f"error: --q {q} contradicts --p {p} --r 1000\n"
+    else:
+        assert err == f"error: q = {p}^1000 has more than {cli.DIGITS_MAX} digits\n"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--p", "8191", "--r", "3"), "q = 8191^3 has more than 3 digits"),
+    (("--p", "-8191", "--r", "2"), "q = -8191^2 has more than 3 digits"),
+    # p**r < 0 has no digits to count: p is refused as it was when p**r was built
+    (("--p", "-8191", "--r", "3"), "--p must be prime, got -8191"),
+    (("--q", "8", "--p", "8191", "--r", "3"), "--q 8 contradicts --p 8191 --r 3"),
+    # a --q of more than 4 * DIGITS_MAX bits is compared with p**r itself
+    (("--q", str(8191**3), "--p", "8191", "--r", "3"), "q = 8191^3 has more than 3 digits"),
+    (("--q", str(8191**3 + 1), "--p", "8191", "--r", "3"),
+     f"--q {8191**3 + 1} contradicts --p 8191 --r 3"),
+])
+def test_q_digits_ceiling_by_bit_length(capsys, monkeypatch, flags, message):
+    # at DIGITS_MAX = 3, 8191 (13 bits) cubed is past 2^(4 * 3) by its bit
+    # length alone; the messages are those of a p**r built and compared
+    monkeypatch.setattr(cli, "DIGITS_MAX", 3)
+    assert run(capsys, "genus", "--n", "3", *flags) == (2, "", f"error: {message}\n")
 
 
 def test_q_digits_ceiling_is_inclusive(capsys, monkeypatch):

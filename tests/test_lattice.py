@@ -204,7 +204,7 @@ def test_count_below_matches_telescoped_runs(qn):
     # for n < q the sum telescopes over the runs to (n-1)*q minus the
     # n - 1 inner run bounds: a second count, independent of Euclid's
     q, n = qn
-    telescoped = (n - 1) * q - sum(lattice._run_bounds(n, q, range(1, n)))
+    telescoped = (n - 1) * q - sum(-(-k * q // n) for k in range(1, n))
     assert lattice._count_below(n, q) == telescoped
 
 
@@ -223,19 +223,6 @@ def test_count_below_at_the_spectrum_ceiling():
 
 
 @given(st.sampled_from(RUN_PAIRS))
-def test_run_bounds_split_the_exponents(pair):
-    # 1, the n - 1 inner bounds and q split 1..q-1 into the n runs, where
-    # floor(n*i/q) is k on run k; for n > q some runs are empty
-    n, q = pair
-    spec = full_spectrum(validate_pair(n, q))
-    bounds = [1, *lattice._run_bounds(n, q, range(1, n)), q]
-    assert len(bounds) == n + 1 and bounds == sorted(bounds)
-    for k in range(n):
-        assert all(n * i // q == k for i in range(bounds[k], bounds[k + 1]))
-    assert spec.total() == sum(k * (bounds[k + 1] - bounds[k]) for k in range(n))
-
-
-@given(st.sampled_from(RUN_PAIRS))
 def test_spectrum_matches_per_entry_oracle(pair):
     # the per-entry dict that the runs replaced
     n, q = pair
@@ -247,21 +234,6 @@ def test_spectrum_matches_per_entry_oracle(pair):
     assert len(spec.multiplicities) == q - 1
     assert spec.total() == sum(mult.values())
     assert spec.primitive_total() == sum(m for i, m in mult.items() if i % spec.p)
-
-
-@given(st.sampled_from(RUN_PAIRS), st.data())
-def test_runs_over_spell_out_each_multiplicity(pair, data):
-    # each k repeated over its run's length, run after run, is the
-    # per-entry multiplicity list of any subrange of 1..q-1
-    n, q = pair
-    start = data.draw(st.integers(1, q - 1))
-    stop = data.draw(st.integers(start + 1, q))
-    ks, lengths = full_spectrum(validate_pair(n, q)).runs_over(range(start, stop))
-    lengths = list(lengths)
-    assert len(lengths) == len(ks) and min(lengths) >= 0
-    assert [k for k, length in zip(ks, lengths) for _ in range(length)] == [
-        n * i // q for i in range(start, stop)
-    ]
 
 
 def test_multiplicities_view_rejects_other_keys():
