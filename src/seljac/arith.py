@@ -179,10 +179,3 @@ def fraction_is_square(x: Fraction | int) -> bool:
         return False
     return is_perfect_square(x.numerator) and is_perfect_square(x.denominator)
 
-
-def fraction_sqrt(x: Fraction | int) -> Fraction:
-    """Exact square root of a rational square (raises if x is not one)."""
-    x = Fraction(x)
-    if not fraction_is_square(x):
-        raise ValueError(f"{x} is not a rational square")
-    return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))

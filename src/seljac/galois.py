@@ -2,11 +2,15 @@
 one-parameter families g(x) - t over the algebraic closure of Q(t).
 
 Rational route: rational-root + discriminant-square tests for cubics; for
-quartics the resolvent cubic z^3 - p z^2 - 4 r z + (4 p r - q^2) of the
-depressed form x^4 + p x^2 + q x + r, with the standard resolvent-root
-squareness criterion (Kappe-Warren) separating C4 from D4; the quartic's
-discriminant is read off that cubic, whose discriminant is the same. The
-rational roots are those of a monic integer form of the polynomial. A
+quartics the resolvent cubic z^3 - P z^2 - 4 R z + (4 P R - Q^2) of a
+monic integer quartic y^4 + P y^2 + Q y + R whose roots are an affine
+image of those of f, with the standard resolvent-root squareness
+criterion (Kappe-Warren) separating C4 from D4; the quartic's
+discriminant is read off that cubic, whose discriminant is the same up
+to a rational square. The cubic is monic over Z, so its rational roots
+are integers and every test after them asks whether an integer is a
+perfect square. The rational roots are those of a monic integer form of
+the polynomial. A
 prime p in 2, ..., 13 at which that form has no zero mod p proves there
 are none (the simplest case of Dedekind's reduction mod p; Cohen, A
 Course in Computational Algebraic Number Theory, 6.3). Otherwise they
@@ -30,7 +34,7 @@ import enum
 import math
 from fractions import Fraction
 
-from .arith import fraction_is_square, fraction_sqrt
+from .arith import fraction_is_square, is_perfect_square
 from .fpmatrix import values_fp
 from .poly import (
     Poly,
@@ -134,99 +138,66 @@ def require_squarefree(f: Poly) -> None:
 
 
 def classify_cubic_rational(f: Poly) -> GaloisLabel:
-    """S3 / C3 / Reducible for a squarefree cubic over Q."""
+    """S3 / C3 / Reducible for a squarefree cubic over Q. disc(f) is
+    lc(f)^4 disc(f / lc(f)), so it has the square class of the monic one."""
     if f.degree != 3:
         raise ValueError(f"expected degree 3, got {f.degree}")
     require_squarefree(f)
-    w = f.monic()
-    if rational_roots(w):
+    if rational_roots(f):
         return GaloisLabel.REDUCIBLE
-    return GaloisLabel.C3 if fraction_is_square(discriminant(w)) else GaloisLabel.S3
+    return GaloisLabel.C3 if fraction_is_square(discriminant(f)) else GaloisLabel.S3
 
 
-def _depress_quartic(w: Poly) -> tuple[Fraction, Fraction, Fraction]:
-    """Shift a monic quartic to x^4 + p x^2 + q x + r; returns (p, q, r).
+def _depress_quartic(f: Poly) -> tuple[int, int, int]:
+    """The integers (P, Q, R) of the monic y^4 + P y^2 + Q y + R whose roots
+    are y = g_4 (4 g_4 x + g_3) for the roots x of f, g = f.ints.
 
-    With w = G / G_4 for the integer vector G and e = 4 G_4, the shift is
-    x -> x - G_3 / e, and e^4 G(x - G_3 / e) = H(e x) for the integer
-    Taylor shift H(z) = sum G_k e^(4-k) (z - G_3)^k, one synthetic
-    division pass. So the coefficient of x^k in w(x - G_3 / e) is
-    H_k / (e^(4-k) G_4)."""
-    g = w.ints
+    With e = 4 g_4, the integer Taylor shift H(z) = sum g_k e^(4-k) (z - g_3)^k,
+    one synthetic division pass, takes the value e^4 g(x) at z = e x + g_3,
+    so H_4 = g_4 and H_3 = 0; then g_4^3 H(y / g_4) is
+    y^4 + g_4 H_2 y^2 + g_4^2 H_1 y + g_4^3 H_0."""
+    g = f.ints
     e = 4 * g[4]
     h = [v * e ** (4 - k) for k, v in enumerate(g)]
     for i in range(4):
         for k in range(3, i - 1, -1):
             h[k] -= g[3] * h[k + 1]
-    return Fraction(h[2], e * e * g[4]), Fraction(h[1], e**3 * g[4]), Fraction(h[0], e**4 * g[4])
-
-
-def _resolvent(pc: Fraction, qc: Fraction, rc: Fraction) -> Poly:
-    """z^3 - pc z^2 - 4 rc z + (4 pc rc - qc^2) for x^4 + pc x^2 + qc x + rc."""
-    return Poly([4 * pc * rc - qc * qc, -4 * rc, -pc, Fraction(1)])
-
-
-def _rational_quadratic_split(
-    pc: Fraction, qc: Fraction, rc: Fraction, resolvent_roots: list[Fraction]
-) -> bool:
-    """Does x^4 + pc x^2 + qc x + rc split into two monic quadratics over Q?
-
-    Any such split (x^2+ax+b)(x^2-ax+d) makes theta = b + d a rational
-    resolvent root with a^2 = theta - pc, so it suffices to test the
-    rational resolvent roots, passed in as resolvent_roots."""
-    for theta in resolvent_roots:
-        u = theta - pc
-        if u == 0:
-            if qc == 0 and fraction_is_square(pc * pc - 4 * rc):
-                return True
-            continue
-        if not fraction_is_square(u):
-            continue
-        a = fraction_sqrt(u)
-        b = (theta - qc / a) / 2
-        d = (theta + qc / a) / 2
-        if b * d == rc:
-            return True
-    return False
-
-
-def _square_in_disc_field(u: Fraction, disc: Fraction) -> bool:
-    """Is u a square in Q(sqrt(disc))? (disc not a square in Q here.)
-    u = (s + t*sqrt(disc))^2 forces s*t = 0, so u is a square iff u or
-    u*disc is a rational square; zero counts."""
-    if u == 0:
-        return True
-    return fraction_is_square(u) or fraction_is_square(u * disc)
+    return g[4] * h[2], g[4] ** 2 * h[1], g[4] ** 3 * h[0]
 
 
 def classify_quartic_rational(f: Poly) -> GaloisLabel:
-    """S4 / A4 / D4 / C4 / V4 / Reducible for a squarefree quartic over Q."""
+    """S4 / A4 / D4 / C4 / V4 / Reducible for a squarefree quartic over Q,
+    decided on the integer quartic of `_depress_quartic`: its roots are an
+    affine image of those of f, so its splitting field is the same."""
     if f.degree != 4:
         raise ValueError(f"expected degree 4, got {f.degree}")
     require_squarefree(f)
-    w = f.monic()
-    if rational_roots(w):
+    if rational_roots(f):
         return GaloisLabel.REDUCIBLE
-    pc, qc, rc = _depress_quartic(w)
-    resolvent = _resolvent(pc, qc, rc)
-    rr = rational_roots(resolvent)
-    if _rational_quadratic_split(pc, qc, rc, rr):
+    P, Q, R = _depress_quartic(f)
+    resolvent = Poly([4 * P * R - Q * Q, -4 * R, -P, 1])
+    roots = [int(z) for z in rational_roots(resolvent)]
+    # A split (y^2 + a y + b)(y^2 - a y + d) makes theta = b + d a resolvent
+    # root with a^2 = theta - P, (d - b)^2 = theta^2 - 4 R and a (d - b) = Q.
+    # Each resolvent root has (theta - P)(theta^2 - 4 R) = Q^2, so rational
+    # square roots of those two, signed to multiply to Q, give one back.
+    pairs = [(theta * theta - 4 * R, theta - P) for theta in roots]
+    if any(is_perfect_square(v) and is_perfect_square(u) for v, u in pairs):
         return GaloisLabel.REDUCIBLE
-    # disc(w) = disc(resolvent): a shift leaves the discriminant alone, and
-    # the resolvent roots a1 a2 + a3 a4, ... of the depressed quartic's
-    # roots a_i differ by (a1 - a4)(a2 - a3) and its two conjugates, whose
-    # squares multiply to prod (a_i - a_j)^2 over i < j.
-    disc = discriminant(resolvent)
-    if not rr:
-        return GaloisLabel.A4 if fraction_is_square(disc) else GaloisLabel.S4
-    if len(rr) == 3:
+    # The resolvent roots y1 y2 + y3 y4, ... differ by (y1 - y4)(y2 - y3)
+    # and its two conjugates, whose squares multiply to the quartic's
+    # discriminant prod (y_i - y_j)^2 over i < j.
+    disc = int(discriminant(resolvent))
+    if not roots:
+        return GaloisLabel.A4 if is_perfect_square(disc) else GaloisLabel.S4
+    if len(roots) == 3:
         return GaloisLabel.V4
-    if len(rr) != 1:
+    if len(roots) != 1:
         raise AssertionError("squarefree resolvent cubic cannot have two rational roots")
-    theta = rr[0]
-    u1 = theta * theta - 4 * rc
-    u2 = theta - pc
-    if _square_in_disc_field(u1, disc) and _square_in_disc_field(u2, disc):
+    # Kappe-Warren: C4 when theta^2 - 4 R and theta - P are both squares in
+    # Q(sqrt(disc)), disc not a square; u = (s + t sqrt(disc))^2 forces
+    # s t = 0, so that is u or u disc a square in Q, zero included.
+    if all(is_perfect_square(u) or is_perfect_square(u * disc) for u in pairs[0]):
         return GaloisLabel.C4
     return GaloisLabel.D4
 
@@ -333,8 +304,7 @@ def classify_quartic_geometric(g: Poly) -> tuple[GaloisLabel, Poly]:
         raise ValueError(f"expected degree 4, got {g.degree}")
     if g.lc != 1:
         raise ValueError("g must be monic")
-    _, qc, _ = _depress_quartic(g)
-    if qc == 0:
+    if _depress_quartic(g)[1] == 0:
         raise ValueError(
             "outside supported family: depressed quartic needs a nonzero linear term"
         )

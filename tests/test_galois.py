@@ -26,7 +26,7 @@ from seljac.galois import (
 )
 from seljac.poly import Poly, _homogeneous, discriminant, lagrange_interpolate, poly_gcd
 
-from galois_oracle import oracle_is_irreducible, oracle_label
+from galois_oracle import fraction_quartic_label, oracle_is_irreducible, oracle_label
 
 
 def _squarefree(f: Poly) -> bool:
@@ -217,37 +217,56 @@ def test_cubic_rational_rejects():
         classify_cubic_rational(Poly([2, -3, 0, 1]))
 
 
+# Depressed quartics x^4 + p x^2 + q x + r whose resolvent constant
+# 4 p r - q^2 is a prime near 1.3e10.
+BIG_QUARTICS = ((50458, -31, 63356), (50965, -11, 63434), (52346, -71, 62707), (52220, -17, 62782))
+
+
 def resolvent_cubic(f: Poly) -> Poly:
     """The resolvent cubic of a quartic, built as classify_quartic_rational builds it."""
-    return galois._resolvent(*galois._depress_quartic(f.monic()))
+    P, Q, R = galois._depress_quartic(f)
+    return Poly([4 * P * R - Q * Q, -4 * R, -P, 1])
+
+
+def _root_scale(f: Poly) -> int:
+    """lambda = 4 g_4^2 for g = f.ints: the depressed integer quartic's
+    roots are lambda times those of the depressed f / lc(f)."""
+    return 4 * f.ints[4] ** 2
 
 
 def test_resolvent_cubic_fixtures():
-    assert resolvent_cubic(Poly([1, 0, 0, 0, 1])) == Poly([0, -4, 0, 1])
-    assert resolvent_cubic(Poly([1, 1, 0, 0, 1])) == Poly([-1, -4, 0, 1])
+    # a monic f with no cubic term has roots y = 4 x, so each resolvent
+    # root is 16 times that of z^3 - 4 z and of z^3 - 4 z - 1; 2 x^4 + 1
+    # has y = 16 x, so 256 times that of z^3 - 2 z for x^4 + 1/2
+    assert resolvent_cubic(Poly([1, 0, 0, 0, 1])) == Poly([0, -1024, 0, 1])
+    assert resolvent_cubic(Poly([1, 1, 0, 0, 1])) == Poly([-4096, -1024, 0, 1])
+    assert resolvent_cubic(Poly([1, 0, 0, 0, 2])) == Poly([0, -2 * 256**2, 0, 1])
 
 
 def test_depress_quartic_matches_shift():
-    # the integer Taylor pass against the rational shift x -> x - c_3 / 4,
-    # on monic quartics with rational, zero and large coefficients
+    # the integer Taylor pass against the affine map x -> (y / g_4 - g_3) / (4 g_4),
+    # which lambda^4 times the monic f / lc(f) turns into y^4 + P y^2 + Q y + R,
+    # on quartics with rational, zero, negative leading and large coefficients
     rng = random.Random(11)
-    quartics = [Poly([0, 0, 0, 0, 1]), Poly([1, 2, 3, 4, 1])]
+    quartics = [Poly([0, 0, 0, 0, 1]), Poly([1, 2, 3, 4, 1]), Poly([1, 2, 3, 4, -7])]
     quartics.append(Poly([10**30, -(10**20), 7, -(10**15), 1]))
+    quartics.append(Poly([10**30, -(10**20), 7, -(10**15), Fraction(-3, 10**12)]))
     for _ in range(60):
         cs = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(5)]
         if cs[4]:
-            quartics.append(Poly(cs).monic())
-    for w in quartics:
-        shifted = oracle.compose(w.coeffs, (-w.coeff(3) / 4, Fraction(1)))
-        assert shifted[3] == 0
-        assert galois._depress_quartic(w) == (shifted[2], shifted[1], shifted[0])
+            quartics.append(Poly(cs))
+    for f in quartics:
+        g, lam = f.ints, _root_scale(f)
+        shifted = oracle.compose(f.monic().coeffs, (Fraction(-g[3], 4 * g[4]), Fraction(1, lam)))
+        P, Q, R = galois._depress_quartic(f)
+        assert [c * lam**4 for c in shifted] == [R, Q, P, 0, 1]
 
 
 def test_quartic_discriminant_is_the_resolvent_discriminant():
-    # disc(w) = disc(resolvent) exactly, for w = f / lc(f): seeded rational
-    # non-monic quartics, biquadratics, x^4 + c and depressed quartics
-    # x^4 + p x^2 + q x + r whose resolvent constant 4 p r - q^2 is a prime
-    # near 1.3e10, shifted
+    # disc(resolvent) = lambda^12 disc(f / lc(f)), a nonzero rational square
+    # times disc(f): seeded rational non-monic quartics, biquadratics,
+    # x^4 + c and depressed quartics x^4 + p x^2 + q x + r whose resolvent
+    # constant 4 p r - q^2 is a prime near 1.3e10, shifted
     rng = random.Random(36)
     quartics = [Poly([Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(4)]
                      + [Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((-1, 1))])
@@ -255,21 +274,29 @@ def test_quartic_discriminant_is_the_resolvent_discriminant():
     quartics += [Poly([rng.randint(-99, 99), 0, rng.randint(-99, 99), 0, rng.randint(1, 9)])
                  for _ in range(20)]
     quartics += [Poly([c, 0, 0, 0, 1]) for c in (-4, -1, 1, 2, 4, Fraction(-7, 3), 10**40 + 1)]
-    for p, q, r in ((50458, -31, 63356), (50965, -11, 63434), (52346, -71, 62707), (52220, -17, 62782)):
+    for p, q, r in BIG_QUARTICS:
         for k in (-9, 1, 5):
             quartics.append(Poly(oracle.compose([r, q, p, 0, 1], (Fraction(k), Fraction(1)))))
     for f in quartics:
-        w = f.monic()
-        assert discriminant(w) == discriminant(galois._resolvent(*galois._depress_quartic(w))), f
+        square = (_root_scale(f) ** 6 / f.lc**3) ** 2
+        assert discriminant(resolvent_cubic(f)) == square * discriminant(f), f
 
 
 def test_resolvent_shift_invariant():
+    # an integer shift of a monic f moves y = 4 x + g_3 not at all; any
+    # other shift, or a non-monic f, scales the depressed roots by s, so
+    # the resolvent roots by s^2
     rng = random.Random(4)
-    for _ in range(25):
-        f = Poly([rng.randint(-5, 5) for _ in range(4)] + [1])
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    for k in range(50):
+        lc = 1 if k % 2 else rng.choice((-3, 2, 5))
+        f = Poly([rng.randint(-5, 5) for _ in range(4)] + [lc])
+        c = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
         shifted = Poly(oracle.compose(f.coeffs, (c, Fraction(1))))
-        assert resolvent_cubic(shifted) == resolvent_cubic(f)
+        s2 = Fraction(_root_scale(shifted), _root_scale(f)) ** 2
+        scaled = oracle.compose(resolvent_cubic(f).coeffs, (Fraction(0), 1 / s2))
+        assert resolvent_cubic(shifted) == Poly(scaled) * s2**3
+        if lc == 1 and c.denominator == 1:
+            assert resolvent_cubic(shifted) == resolvent_cubic(f)
 
 
 QUARTIC_FIXTURES = [
@@ -324,10 +351,11 @@ def test_quadratic_split_gives_rational_resolvent_root():
 
 
 def test_rootless_resolvent_does_not_mean_irreducible():
-    # x(x^3 - x - 1): reducible, yet the resolvent z^3 + z^2 - 1 has no
-    # rational root, so reducibility needs its own checks
+    # x(x^3 - x - 1): reducible, yet the resolvent z^3 + 16 z^2 - 4096, the
+    # cubic z^3 + z^2 - 1 with roots scaled by 16, has no rational root, so
+    # reducibility needs its own checks
     f = Poly([0, -1, -1, 0, 1])
-    assert resolvent_cubic(f) == Poly([-1, 0, 1, 1])
+    assert resolvent_cubic(f) == Poly([-4096, 0, 16, 1])
     assert rational_roots(resolvent_cubic(f)) == []
     assert classify_quartic_rational(f) is GaloisLabel.REDUCIBLE
 
@@ -382,6 +410,61 @@ def test_biased_quartic_families_match_oracle():
             assert not oracle_is_irreducible(coeffs)
         else:
             assert got.value == oracle_label(coeffs)
+
+
+def _seeded_quartics(rng, count):
+    """count squarefree quartics, a sixth of each kind: small integer,
+    rational non-monic, biquadratic, a product of two quadratics, one of
+    the A4 / C4 / V4 / D4 families under a random x -> (a x + b) / c, and
+    12-digit coefficients; then the four BIG_QUARTICS shifted."""
+    def small():
+        return [rng.randint(-9, 9) for _ in range(4)] + [rng.choice((1, 2, 3))]
+
+    def rational():
+        lc = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        return [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(4)] + [lc]
+
+    def biquadratic():
+        return [rng.randint(-40, 40), 0, rng.randint(-40, 40), 0, rng.randint(1, 4)]
+
+    def quadratic_product():
+        return (Poly([rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 3)])
+                * Poly([rng.randint(-9, 9), rng.randint(-9, 9), 1])).coeffs
+
+    def family():
+        m, (a, b) = rng.randint(1, 4), rng.sample((2, 3, 5, 6, 7, 10, 11, 13), 2)
+        base = rng.choice((
+            [12 * m**4, 8 * m**3, 0, 0, 1],          # A4
+            [5 * m**4, 0, 5 * m**2, 0, 1],           # C4
+            [(a - b) ** 2, 0, -2 * (a + b), 0, 1],   # V4: sqrt(a) + sqrt(b)
+            [-a * m, 0, 0, 0, 1],                    # D4 unless a m is a square
+        ))
+        a, b, c = rng.randint(1, 9), rng.randint(-9, 9), rng.randint(1, 9)
+        return oracle.compose(base, (Fraction(b, c), Fraction(a, c)))
+
+    def twelve_digits():
+        return [rng.choice((-1, 1)) * rng.randint(10**11, 10**12 - 1) for _ in range(5)]
+
+    kinds = (small, rational, biquadratic, quadratic_product, family, twelve_digits)
+    out = []
+    while len(out) < count:
+        f = Poly(kinds[len(out) % len(kinds)]())
+        if _squarefree(f):
+            out.append(f)
+    for p, q, r in BIG_QUARTICS:
+        shift = (Fraction(rng.randint(-9, 9)), Fraction(1))
+        out.append(Poly(oracle.compose([r, rng.choice((-1, 1)) * q, p, 0, 1], shift)))
+    return out
+
+
+def test_integer_quartic_route_matches_the_fraction_route():
+    # the integer route against the Fraction resolvent route label by label
+    seen = set()
+    for f in _seeded_quartics(random.Random(37), 2400):
+        got = classify_quartic_rational(f)
+        assert got is fraction_quartic_label(f), f
+        seen.add(got)
+    assert seen == set(GaloisLabel) - {GaloisLabel.S3, GaloisLabel.C3}, seen
 
 
 def _classify(f: Poly) -> GaloisLabel:
